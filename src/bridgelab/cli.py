@@ -105,7 +105,13 @@ def _num(section: dict, key: str, path: str, default=None) -> float | None:
     val = section[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
-    return float(val)
+    try:
+        num = float(val)
+    except OverflowError:
+        num = math.inf
+    if not math.isfinite(num):
+        raise ConfigError(f"{path}.{key}: expected a finite number, got {val!r}")
+    return num
 
 
 def _intval(section: dict, key: str, path: str, default=None) -> int | None:
@@ -144,8 +150,10 @@ def _array(section: dict, key: str, path: str, required: bool = True):
         return None
     try:
         arr = np.asarray(section[key], dtype=np.float64)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"{path}.{key}: not a numeric array ({err})") from err
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{path}.{key}: contains non-finite values")
     return arr
 
 
@@ -337,11 +345,15 @@ def _json_bytes(obj) -> bytes:
 
 def _write_artifacts(out_dir: str, artifacts: dict[str, bytes]) -> None:
     os.makedirs(out_dir, exist_ok=True)
+    umask = os.umask(0)
+    os.umask(umask)
     for name in sorted(artifacts):
         fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(artifacts[name])
+            # mkstemp creates the file 0600; give it the mode open() would have.
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, os.path.join(out_dir, name))
         except BaseException:
             if os.path.exists(tmp):

@@ -24,6 +24,8 @@ class AffineProjection:
 
     def __post_init__(self):
         self.matrix = np.atleast_2d(np.asarray(self.matrix, dtype=np.float64))
+        if not np.all(np.isfinite(self.matrix)):
+            raise ValueError("matrix contains non-finite values")
 
 
 FeatureMap = Union[Identity, AffineProjection]
@@ -48,6 +50,13 @@ class ConditionedSamples:
             raise ValueError("at least one replicate group is required")
         if len({g.shape[1] for g in self.groups}) != 1:
             raise ValueError("all groups must share one feature dimension")
+        for i, g in enumerate(self.groups):
+            if not np.all(np.isfinite(g)):
+                raise ValueError(f"groups[{i}] contains non-finite values")
+        if isinstance(self.feature_map, AffineProjection):
+            d_in, d = self.feature_map.matrix.shape[1], self.groups[0].shape[1]
+            if d_in != d:
+                raise ValueError(f"feature_map takes {d_in}-d inputs, groups are {d}-d")
 
     def features(self) -> tuple[np.ndarray, ...]:
         if isinstance(self.feature_map, Identity):
@@ -85,21 +94,53 @@ def mse(batch: np.ndarray, reference: np.ndarray) -> float:
     return float(np.mean((batch - reference) ** 2))
 
 
+def _two_samples(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both samples as 2-d float arrays, checked for size, finiteness and dimension."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    if a.shape[0] < 2 or b.shape[0] < 2:
+        raise ValueError(
+            f"need at least 2 samples per side, got {a.shape[0]} and {b.shape[0]}"
+        )
+    for name, x in (("a", a), ("b", b)):
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"{name} contains non-finite values")
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(
+            f"a and b must share one feature dimension, got {a.shape[1]} and {b.shape[1]}"
+        )
+    return a, b
+
+
+def _energy_statistic(cross, within_a, within_b, n: int, m: int):
+    """2 E||A-B|| - E||A-A'|| - E||B-B'|| from sums of pair distances.
+
+    ``cross`` sums over the n*m pairs (A, B); ``within_a`` and ``within_b``
+    sum over ordered off-diagonal pairs, so their means are U-statistics.
+    Works elementwise on arrays of sums.
+    """
+    return 2.0 * (cross / (n * m)) - within_a / (n * (n - 1)) - within_b / (m * (m - 1))
+
+
 def energy_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample energy statistic 2 E||A-B|| - E||A-A'|| - E||B-B'||.
 
     Within-sample means are U-statistics (off-diagonal pairs), so a sample
     tested against itself comes out at most 0, with O(1/n) magnitude.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    n, m = a.shape[0], b.shape[0]
-    if n < 2 or m < 2:
-        raise ValueError(f"energy_distance needs at least 2 samples per side, got {n} and {m}")
-    cross = float(cdist(a, b).mean())
-    within_a = float(cdist(a, a).sum() / (n * (n - 1)))
-    within_b = float(cdist(b, b).sum() / (m * (m - 1)))
-    return 2.0 * cross - within_a - within_b
+    a, b = _two_samples(a, b)
+    return float(
+        _energy_statistic(
+            cdist(a, b).sum(), cdist(a, a).sum(), cdist(b, b).sum(), a.shape[0], b.shape[0]
+        )
+    )
+
+
+# Permutations per matrix product in energy_permutation_quantile. The label
+# matrix and its product with the distance matrix take (n + m) * 128 * 8
+# bytes each (3 MB at 1500 + 1500), small next to the (n + m)^2 distance
+# matrix; wider blocks make the product faster but cost memory.
+_PERMUTATION_BLOCK = 128
 
 
 def energy_permutation_quantile(
@@ -109,23 +150,38 @@ def energy_permutation_quantile(
     seed: int = 0,
     q: float = 0.95,
 ) -> float:
-    """Permutation-null quantile of the energy statistic for samples a, b."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    """Permutation-null quantile of the energy statistic for samples a, b.
+
+    The j-th null labelling puts the first n entries of the j-th
+    ``default_rng(seed).permutation(n + m)`` on side A. The pooled distance
+    matrix D is computed once. For a block of labellings, column s of the 0/1
+    matrix S marks side A of one labelling; with r = D 1, its within-A sum is
+    s'Ds (a column sum of S * DS), its cross sum s'r - s'Ds and its within-B
+    sum 1'D1 - 2 s'r + s'Ds.
+    """
+    a, b = _two_samples(a, b)
+    if n_permutations < 1:
+        raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must lie in [0, 1], got {q}")
     n, m = a.shape[0], b.shape[0]
-    if n < 2 or m < 2:
-        raise ValueError("permutation test needs at least 2 samples per side")
     pool = np.concatenate([a, b], axis=0)
     dists = cdist(pool, pool)
+    row_sums = dists.sum(axis=1)
+    total = row_sums.sum()
     gen = np.random.default_rng(seed)
     stats = np.empty(n_permutations)
-    for p in range(n_permutations):
-        perm = gen.permutation(n + m)
-        ia, ib = perm[:n], perm[n:]
-        cross = dists[np.ix_(ia, ib)].mean()
-        within_a = dists[np.ix_(ia, ia)].sum() / (n * (n - 1))
-        within_b = dists[np.ix_(ib, ib)].sum() / (m * (m - 1))
-        stats[p] = 2.0 * cross - within_a - within_b
+    for start in range(0, n_permutations, _PERMUTATION_BLOCK):
+        k = min(_PERMUTATION_BLOCK, n_permutations - start)
+        labels = np.zeros((n + m, k))
+        for j in range(k):
+            labels[gen.permutation(n + m)[:n], j] = 1.0
+        to_a = dists @ labels
+        within_a = np.einsum("ij,ij->j", labels, to_a)
+        a_row_sums = row_sums @ labels
+        cross = a_row_sums - within_a
+        within_b = total - 2.0 * a_row_sums + within_a
+        stats[start : start + k] = _energy_statistic(cross, within_a, within_b, n, m)
     return float(np.quantile(stats, q))
 
 

@@ -36,8 +36,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.boot_b < 0:
-            raise ValueError(f"boot_b must be >= 0, got {self.boot_b}")
+        if not 0 <= self.boot_b < math.inf:
+            raise ValueError(f"boot_b must be finite and >= 0, got {self.boot_b}")
 
 
 @dataclass

@@ -65,6 +65,13 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        for name in ("gamma_max", "gamma_multiplier", "gamma_scale", "beta_d", "beta_min",
+                     "fd_step"):
+            val = getattr(self, name)
+            if not math.isfinite(val):
+                raise ValueError(f"{name} must be finite, got {val}")
+        if not all(map(math.isfinite, (*self.i2sb_breakpoints, *self.i2sb_values))):
+            raise ValueError("i2sb breakpoints and values must be finite")
         if self.kind in ("linear", "trig") and self.gamma_max <= 0:
             raise ValueError(f"gamma_max must be positive, got {self.gamma_max}")
         if self.kind == "linear" and self.gamma_multiplier <= 0:
@@ -141,8 +148,8 @@ class EpsilonPolicy:
             raise ValueError(f"unknown epsilon policy kind {self.kind!r}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if self.const_value < 0:
-            raise ValueError(f"const_value must be >= 0, got {self.const_value}")
+        if not 0 <= self.const_value < math.inf:
+            raise ValueError(f"const_value must be finite and >= 0, got {self.const_value}")
         if self.tail_zero_steps < 0:
             raise ValueError(f"tail_zero_steps must be >= 0, got {self.tail_zero_steps}")
 

@@ -173,6 +173,46 @@ class TestConfigErrors:
         assert _run("sample", cfg, out) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "section, key, literal",
+        [
+            ("sampler", "boot_b", "NaN"),
+            ("sampler", "boot_b", "1e400"),
+            ("sampler", "boot_b", "1" + "0" * 400),
+            ("schedule", "gamma_max", "Infinity"),
+            ("task", "mean0", "[-Infinity]"),
+            ("task", "cov0T", "[[NaN]]"),
+        ],
+        ids=["nan", "overflow-float", "overflow-int", "infinity", "array-inf", "matrix-nan"],
+    )
+    def test_non_finite_number_exits_1_without_artifacts(
+        self, tmp_path, capsys, section, key, literal
+    ):
+        cfg = {**TestSample.CONFIG, "sample": {"n_conditions": 4}}
+        cfg[section] = {**cfg[section], key: "PLACEHOLDER"}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg).replace('"PLACEHOLDER"', literal))
+        out = tmp_path / "out"
+        assert _run("sample", str(path), out) == 1
+        assert not out.exists()
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+
+class TestArtifactMode:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])
+    def test_artifacts_take_the_umask_mode(self, tmp_path, umask, mode):
+        cfg = _write_config(
+            tmp_path, "c.json", {"schedule": LINEAR_SCHEDULE, "grid": {"n_steps": 4}}
+        )
+        out = tmp_path / "out"
+        previous = os.umask(umask)
+        try:
+            assert _run("verify-schedule", cfg, out) == 0
+        finally:
+            os.umask(previous)
+        for name in os.listdir(out):
+            assert os.stat(out / name).st_mode & 0o777 == mode, name
+
 
 class TestReformulationCheck:
     @pytest.mark.parametrize("family", ["ve", "vp", "edm", "i2sb"])

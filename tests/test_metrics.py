@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from bridgelab.metrics import (
     AffineProjection,
@@ -61,6 +62,21 @@ class TestAfd:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError, match="feature dimension"):
             ConditionedSamples([np.zeros((2, 2)), np.zeros((2, 3))])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_replicates_rejected(self, bad):
+        groups = [np.zeros((3, 2)), np.zeros((3, 2))]
+        groups[1][0, 0] = bad
+        with pytest.raises(ValueError, match=r"groups\[1\] contains non-finite"):
+            afd(ConditionedSamples(groups))
+
+    def test_non_finite_projection_rejected(self):
+        with pytest.raises(ValueError, match="matrix contains non-finite"):
+            AffineProjection([[1.0, np.nan]])
+
+    def test_projection_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="feature_map takes 3-d inputs, groups are 2-d"):
+            afd(ConditionedSamples([np.zeros((3, 2))], AffineProjection(np.ones((1, 3)))))
 
 
 class TestFeatureMaps:
@@ -162,6 +178,80 @@ class TestEnergyDistance:
     def test_permutation_test_needs_two_per_side(self):
         with pytest.raises(ValueError, match="at least 2"):
             energy_permutation_quantile(np.zeros((1, 1)), np.zeros((4, 1)))
+
+
+def loop_permutation_quantile(a, b, n_permutations, seed, q):
+    """Reference null: one fancy-indexed copy of each distance block per permutation."""
+    n, m = a.shape[0], b.shape[0]
+    pool = np.concatenate([a, b], axis=0)
+    dists = cdist(pool, pool)
+    gen = np.random.default_rng(seed)
+    stats = np.empty(n_permutations)
+    for p in range(n_permutations):
+        perm = gen.permutation(n + m)
+        ia, ib = perm[:n], perm[n:]
+        cross = dists[np.ix_(ia, ib)].mean()
+        within_a = dists[np.ix_(ia, ia)].sum() / (n * (n - 1))
+        within_b = dists[np.ix_(ib, ib)].sum() / (m * (m - 1))
+        stats[p] = 2.0 * cross - within_a - within_b
+    return float(np.quantile(stats, q))
+
+
+class TestPermutationOracle:
+    """The blocked matrix-product null against the per-permutation loop."""
+
+    @pytest.mark.parametrize("n_permutations", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("q", [0.0, 0.5, 0.95, 1.0])
+    def test_matches_loop(self, n_permutations, q):
+        rng = np.random.default_rng(10)
+        a = rng.standard_normal((40, 3))
+        b = 1.5 * rng.standard_normal((37, 3)) + 0.4
+        got = energy_permutation_quantile(a, b, n_permutations=n_permutations, seed=3, q=q)
+        want = loop_permutation_quantile(a, b, n_permutations, 3, q)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+    def test_matches_loop_in_one_dimension_with_one_sided_sizes(self):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((2, 1))
+        b = rng.standard_normal((90, 1))
+        for q in (0.0, 0.5, 0.95, 1.0):
+            got = energy_permutation_quantile(a, b, n_permutations=130, seed=5, q=q)
+            want = loop_permutation_quantile(a, b, 130, 5, q)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+
+class TestEnergyInputValidation:
+    """Bad samples and arguments raise a ValueError naming the argument."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_non_finite_samples(self, bad, side):
+        good = np.random.default_rng(12).standard_normal((5, 2))
+        poisoned = good.copy()
+        poisoned[2, 1] = bad
+        a, b = (poisoned, good) if side == "a" else (good, poisoned)
+        with pytest.raises(ValueError, match=f"^{side} contains non-finite"):
+            energy_distance(a, b)
+        with pytest.raises(ValueError, match=f"^{side} contains non-finite"):
+            energy_permutation_quantile(a, b, n_permutations=5)
+
+    def test_mismatched_feature_dimensions(self):
+        with pytest.raises(ValueError, match="a and b must share one feature dimension"):
+            energy_distance(np.zeros((3, 2)), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="a and b must share one feature dimension"):
+            energy_permutation_quantile(np.zeros((3, 2)), np.zeros((3, 3)), n_permutations=5)
+
+    @pytest.mark.parametrize("n_permutations", [0, -1])
+    def test_n_permutations_below_one(self, n_permutations):
+        x = np.random.default_rng(13).standard_normal((4, 1))
+        with pytest.raises(ValueError, match="n_permutations must be >= 1"):
+            energy_permutation_quantile(x, x + 1.0, n_permutations=n_permutations)
+
+    @pytest.mark.parametrize("q", [-0.01, 1.01, np.nan])
+    def test_q_outside_unit_interval(self, q):
+        x = np.random.default_rng(14).standard_normal((4, 1))
+        with pytest.raises(ValueError, match=r"q must lie in \[0, 1\]"):
+            energy_permutation_quantile(x, x + 1.0, n_permutations=5, q=q)
 
 
 class TestConvergenceSlope:

@@ -169,6 +169,16 @@ class TestSamplerConfig:
                 boot_b=-0.5,
             )
 
+    @pytest.mark.parametrize("boot_b", [math.inf, math.nan])
+    def test_non_finite_boot_rejected(self, boot_b):
+        with pytest.raises(ValueError, match="boot_b must be finite"):
+            SamplerConfig(
+                schedule=LINEAR,
+                eps_policy=EpsilonPolicy(kind="zero"),
+                grid=make_time_grid(4),
+                boot_b=boot_b,
+            )
+
     def test_variant_listing(self):
         assert VARIANTS == ("euler_z", "gamma_simplified", "dbim", "markovian")
 

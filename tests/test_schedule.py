@@ -103,6 +103,20 @@ class TestEvalExamples:
         with pytest.raises(ValueError):
             Schedule(kind="nope")
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameters(self, bad):
+        for key in ("gamma_max", "gamma_multiplier"):
+            with pytest.raises(ValueError, match=f"{key} must be finite"):
+                Schedule(kind="linear", **{key: bad})
+        with pytest.raises(ValueError, match="gamma_scale must be finite"):
+            Schedule(kind="trig", gamma_scale=bad)
+        with pytest.raises(ValueError, match="beta_d must be finite"):
+            Schedule(kind="ddbm_vp", beta_d=bad)
+        with pytest.raises(ValueError, match="i2sb breakpoints and values must be finite"):
+            Schedule(kind="i2sb", i2sb_breakpoints=(0.0, 0.5, 1.0), i2sb_values=(1.0, bad))
+        with pytest.raises(ValueError, match="i2sb breakpoints and values must be finite"):
+            Schedule(kind="i2sb", i2sb_breakpoints=(0.0, bad, 1.0), i2sb_values=(1.0, 1.0))
+
 
 class TestDerivativeConsistency:
     @pytest.mark.parametrize("sched", PINNED_KINDS + [Schedule(kind="edm")], ids=lambda s: s.kind)
@@ -223,6 +237,9 @@ class TestEpsilonPolicy:
             EpsilonPolicy(kind="eta_scaled", eta=1.5)
         with pytest.raises(ValueError):
             EpsilonPolicy(kind="constant", const_value=-0.1)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="const_value"):
+                EpsilonPolicy(kind="constant", const_value=bad)
         with pytest.raises(ValueError):
             EpsilonPolicy(kind="nope")
         with pytest.raises(ValueError):
