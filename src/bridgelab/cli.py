@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -42,12 +43,10 @@ from .metrics import ConditionedSamples, Identity, afd, convergence_slope, rando
 from .sampler import (
     VARIANTS,
     SamplerConfig,
+    apply_step,
     sample,
     sample_result_csv_rows,
-    step_dbim,
-    step_euler_z,
-    step_gamma_simplified,
-    step_markovian,
+    step_coefficients,
 )
 from .schedule import (
     EPSILON_KINDS,
@@ -283,7 +282,7 @@ def _parse_denoiser(cfg: dict, task, sched: Schedule, path: str = "denoiser"):
             raise ConfigError(f"{path}.path: file {model_path!r} does not exist")
         try:
             return load_denoiser(model_path)
-        except (ValueError, json.JSONDecodeError) as err:
+        except (ValueError, KeyError, TypeError) as err:  # a header field missing or malformed
             raise ConfigError(f"{path}.path: cannot load {model_path!r} ({err})") from err
     raise ConfigError(f"{path}.kind: {kind!r} is not one of ('analytic', 'mlp')")
 
@@ -291,15 +290,12 @@ def _parse_denoiser(cfg: dict, task, sched: Schedule, path: str = "denoiser"):
 def _parse_sampler(cfg: dict, sched, eps_policy, grid, seed: int, path: str = "sampler") -> SamplerConfig:
     section = _section(cfg, "sampler", "")
     _check_keys(section, {"variant", "boot_b", "record_trajectory"}, path)
-    variant = _strval(section, "variant", path, default="gamma_simplified")
-    if variant not in VARIANTS:
-        raise ConfigError(f"{path}.variant: {variant!r} is not one of {VARIANTS}")
     try:
         return SamplerConfig(
             schedule=sched,
             eps_policy=eps_policy,
             grid=grid,
-            variant=variant,
+            variant=_strval(section, "variant", path, default="gamma_simplified"),
             boot_b=_num(section, "boot_b", path, 0.0),
             seed=seed,
             record_trajectory=_boolval(section, "record_trajectory", path),
@@ -604,15 +600,7 @@ def _run_afd_study(cfg: dict, seed: int, threads: int):
     afd_values = []
     group_rows = []
     for b in boot_values:
-        cfg_b = SamplerConfig(
-            schedule=base_cfg.schedule,
-            eps_policy=base_cfg.eps_policy,
-            grid=base_cfg.grid,
-            variant=base_cfg.variant,
-            boot_b=float(b),
-            seed=base_cfg.seed,
-            record_trajectory=False,
-        )
+        cfg_b = dataclasses.replace(base_cfg, boot_b=float(b), record_trajectory=False)
         result = sample(cfg_b, den, xT_batch, threads=threads)
         groups = [
             result.x0_batch[i * n_replicates : (i + 1) * n_replicates] for i in range(n_conditions)
@@ -636,16 +624,6 @@ def _run_afd_study(cfg: dict, seed: int, threads: int):
         ),
     }
     return artifacts, []
-
-
-def _variant_step(name: str, sched, x_t, anchor, x_hat0, zh, t, dt, eps):
-    if name == "euler_z":
-        return step_euler_z(sched, x_t, anchor, x_hat0, t, dt, eps, 0.0)
-    if name == "gamma_simplified":
-        return step_gamma_simplified(sched, x_hat0, anchor, zh, t, dt, eps, 0.0)
-    if name == "dbim":
-        return step_dbim(sched, x_hat0, anchor, zh, t, dt, eps, 0.0)
-    return step_markovian(sched, x_hat0, x_t, t, dt, 0.0)
 
 
 def _run_convergence_study(cfg: dict, seed: int, threads: int):
@@ -693,8 +671,10 @@ def _run_convergence_study(cfg: dict, seed: int, threads: int):
         diffs = []
         for dt in dts:
             eps = epsilon(policy, sched, t, float(dt), 1, 2)
-            out_a = _variant_step(a_name, sched, x_t, anchor, x_hat0, zh, t, float(dt), eps)
-            out_b = _variant_step(b_name, sched, x_t, anchor, x_hat0, zh, t, float(dt), eps)
+            out_a, out_b = (
+                apply_step(step_coefficients(name, sched, t, float(dt), eps), x_hat0, anchor, x_t)
+                for name in (a_name, b_name)
+            )
             diff = float(np.mean(np.linalg.norm(out_a - out_b, axis=1)))
             diffs.append(diff)
             rows.append((f"{a_name}|{b_name}", float(dt), diff))

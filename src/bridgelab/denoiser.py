@@ -165,33 +165,6 @@ def _chol_psd(cov: np.ndarray) -> np.ndarray:
         return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
 
 
-def analytic_denoise(
-    dist: JointGaussian, sched: Schedule, x_t: np.ndarray, xT: np.ndarray, t: float
-) -> np.ndarray:
-    """E[x0 | x_t, xT] by Gaussian conditioning in precision form.
-
-    Combines the prior x0 | xT from the joint blocks with the kernel
-    likelihood x_t | x0, xT = N(alpha x0 + beta xT, gamma^2 I).
-    """
-    if not isinstance(dist, JointGaussian):
-        raise ValueError(f"analytic_denoise needs a JointGaussian, got {dist.kind}")
-    ev = eval_schedule(sched, t)
-    x_t = np.asarray(x_t, dtype=np.float64)
-    xT = np.asarray(xT, dtype=np.float64)
-    squeeze = x_t.ndim == 1
-    x_t2 = np.atleast_2d(x_t)
-    xT2 = np.broadcast_to(np.atleast_2d(xT), x_t2.shape)
-    gain, cov_c = dist.conditional()
-    if np.min(np.abs(np.linalg.eigvalsh(cov_c))) < _EIG_TOL:
-        raise ValueError("conditional covariance of x0 | xT is singular")
-    prec_c = np.linalg.inv(cov_c)
-    mu_c = dist.mean0 + (xT2 - dist.meanT) @ gain.T
-    lam = prec_c + (ev.alpha**2 / ev.gamma**2) * np.eye(dist.d)
-    eta = mu_c @ prec_c.T + (ev.alpha / ev.gamma**2) * (x_t2 - ev.beta * xT2)
-    out = np.linalg.solve(lam, eta.T).T
-    return out[0] if squeeze else out
-
-
 def _gauss_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     d = cov.shape[0]
     sign, logdet = np.linalg.slogdet(cov)
@@ -202,40 +175,65 @@ def _gauss_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarra
     return -0.5 * (maha + logdet + d * math.log(2.0 * math.pi))
 
 
-def gmm_denoise(
-    dist: GmmCoupling, sched: Schedule, x_t: np.ndarray, xT: np.ndarray, t: float
+def _posterior_mean(
+    weights: Sequence[float], components: Sequence[JointGaussian], sched: Schedule,
+    x_t: np.ndarray, xT: np.ndarray, t: float,
 ) -> np.ndarray:
-    """Responsibility-weighted posterior mean over mixture components."""
+    """E[x0 | x_t, xT] under a mixture of jointly Gaussian pairs.
+
+    Per component: Gaussian conditioning in precision form, combining the
+    prior x0 | xT from the joint blocks with the kernel likelihood
+    x_t | x0, xT = N(alpha x0 + beta xT, gamma^2 I).  Several components are
+    weighted by their responsibilities; a single one needs none.
+    """
     ev = eval_schedule(sched, t)
     x_t = np.asarray(x_t, dtype=np.float64)
     squeeze = x_t.ndim == 1
     x_t2 = np.atleast_2d(x_t)
     xT2 = np.broadcast_to(np.atleast_2d(np.asarray(xT, dtype=np.float64)), x_t2.shape)
-    n, d = x_t2.shape
-    K = len(dist.components)
-    log_resp = np.empty((n, K))
-    means = np.empty((n, K, d))
-    eye = np.eye(d)
-    for k, comp in enumerate(dist.components):
+    eye = np.eye(x_t2.shape[1])
+    means, log_resp = [], []
+    for w, comp in zip(weights, components):
         gain, cov_c = comp.conditional()
-        mu_c = comp.mean0 + (xT2 - comp.meanT) @ gain.T
-        # evidence of xT under the component, then of x_t given xT
-        log_w = math.log(dist.weights[k]) if dist.weights[k] > 0 else -np.inf
-        lp_T = _gauss_logpdf(xT2, comp.meanT, comp.covTT)
-        cov_t = ev.alpha**2 * cov_c + ev.gamma**2 * eye
-        lp_t = _gauss_logpdf(x_t2, ev.alpha * mu_c + ev.beta * xT2, cov_t)
-        log_resp[:, k] = log_w + lp_T + lp_t
         if np.min(np.abs(np.linalg.eigvalsh(cov_c))) < _EIG_TOL:
             raise ValueError("conditional covariance of x0 | xT is singular")
         prec_c = np.linalg.inv(cov_c)
+        mu_c = comp.mean0 + (xT2 - comp.meanT) @ gain.T
         lam = prec_c + (ev.alpha**2 / ev.gamma**2) * eye
         eta = mu_c @ prec_c.T + (ev.alpha / ev.gamma**2) * (x_t2 - ev.beta * xT2)
-        means[:, k, :] = np.linalg.solve(lam, eta.T).T
-    log_resp -= log_resp.max(axis=1, keepdims=True)
-    resp = np.exp(log_resp)
-    resp /= resp.sum(axis=1, keepdims=True)
-    out = np.einsum("nk,nkd->nd", resp, means)
+        means.append(np.linalg.solve(lam, eta.T).T)
+        if len(components) > 1:
+            # evidence of xT under the component, then of x_t given xT
+            log_w = math.log(w) if w > 0 else -np.inf
+            lp_T = _gauss_logpdf(xT2, comp.meanT, comp.covTT)
+            cov_t = ev.alpha**2 * cov_c + ev.gamma**2 * eye
+            lp_t = _gauss_logpdf(x_t2, ev.alpha * mu_c + ev.beta * xT2, cov_t)
+            log_resp.append(log_w + lp_T + lp_t)
+    if len(means) == 1:
+        out = means[0]
+    else:
+        log_resp = np.stack(log_resp, axis=1)
+        log_resp -= log_resp.max(axis=1, keepdims=True)
+        resp = np.exp(log_resp)
+        resp /= resp.sum(axis=1, keepdims=True)
+        out = np.einsum("nk,nkd->nd", resp, np.stack(means, axis=1))
     return out[0] if squeeze else out
+
+
+def analytic_denoise(
+    dist: JointGaussian, sched: Schedule, x_t: np.ndarray, xT: np.ndarray, t: float
+) -> np.ndarray:
+    """E[x0 | x_t, xT] for a jointly Gaussian endpoint pair."""
+    if not isinstance(dist, JointGaussian):
+        raise ValueError(f"analytic_denoise needs a JointGaussian, got {dist.kind}")
+    return _posterior_mean((1.0,), (dist,), sched, x_t, xT, t)
+
+
+def gmm_denoise(
+    dist: GmmCoupling, sched: Schedule, x_t: np.ndarray, xT: np.ndarray, t: float
+) -> np.ndarray:
+    """Responsibility-weighted posterior mean over mixture components."""
+    return _posterior_mean(dist.weights, dist.components, sched, x_t, xT, t)
 
 
 def score_from_denoiser(
@@ -605,21 +603,38 @@ def save_denoiser(den: MlpDenoiser, path) -> None:
 
 
 def load_denoiser(path) -> MlpDenoiser:
+    """Reads a denoiser file; a corrupt header or body raises ValueError."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         body = fh.read()
     header = json.loads(header_line)
-    if header.get("format") != _FILE_FORMAT or header.get("kind") != "mlp":
+    if (
+        not isinstance(header, dict)
+        or header.get("format") != _FILE_FORMAT
+        or header.get("kind") != "mlp"
+    ):
         raise ValueError(f"not a {_FILE_FORMAT} mlp file")
-    sizes = header["sizes"]
-    weights, biases = [], []
-    offset = 0
+    sizes = header.get("sizes")
+    if (
+        not isinstance(sizes, list)
+        or len(sizes) < 2
+        or not all(type(n) is int and n > 0 for n in sizes)
+        or sizes[0] != 2 * sizes[-1] + 1
+    ):
+        raise ValueError(f"sizes {sizes!r} are not positive layer widths 2d+1 -> ... -> d")
+    n_params = sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
+    if len(body) != 8 * n_params:
+        raise ValueError(
+            f"parameter block holds {len(body)} bytes, sizes {sizes} need {8 * n_params}"
+        )
+    params = np.frombuffer(body, dtype="<f8")
+    if not np.all(np.isfinite(params)):
+        raise ValueError("denoiser parameters must be finite")
+    weights, biases, offset = [], [], 0
     for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-        w = np.frombuffer(body, dtype="<f8", count=n_in * n_out, offset=offset)
-        offset += 8 * n_in * n_out
-        b = np.frombuffer(body, dtype="<f8", count=n_out, offset=offset)
-        offset += 8 * n_out
+        w, b = np.split(params[offset : offset + (n_in + 1) * n_out], [n_in * n_out])
         weights.append(w.reshape(n_in, n_out).copy())
         biases.append(b.copy())
+        offset += (n_in + 1) * n_out
     prec = Preconditioner(**header["prec"])
     return MlpDenoiser(weights, biases, prec, _schedule_from_config(header["schedule"]))

@@ -17,29 +17,10 @@ from typing import Callable
 import numpy as np
 
 from . import rng as _rng
-from .schedule import (
-    EpsilonPolicy,
-    Schedule,
-    TimeGrid,
-    bridge_coefficients,
-    epsilon,
-    eval_schedule,
-)
+from .schedule import EpsilonPolicy, Schedule, TimeGrid, bridge_coefficients, epsilon
 
 _BINARY_MAGIC = b"BLPE0001"
-
-
-@dataclass
-class State:
-    """One simulation state: positions x (any batch shape ending in d) at time t."""
-
-    x: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        if not np.all(np.isfinite(self.x)):
-            raise ValueError("state components must be finite")
+_HEADER_BYTES = len(_BINARY_MAGIC) + 4 * 8
 
 
 @dataclass
@@ -70,10 +51,18 @@ class PathEnsemble:
     def from_binary(cls, blob: bytes) -> "PathEnsemble":
         if blob[:8] != _BINARY_MAGIC:
             raise ValueError("not a path-ensemble blob")
-        n, m, d, seed = struct.unpack("<qqqq", blob[8:40])
-        times = np.frombuffer(blob, dtype=np.float64, count=m, offset=40)
-        paths = np.frombuffer(blob, dtype=np.float64, count=n * m * d, offset=40 + 8 * m)
-        return cls(paths.reshape(n, m, d).copy(), times.copy(), seed)
+        if len(blob) < _HEADER_BYTES:
+            raise ValueError(f"path-ensemble header is truncated: {len(blob)} bytes")
+        n, m, d, seed = struct.unpack("<qqqq", blob[8:_HEADER_BYTES])
+        if min(n, m, d) < 0:
+            raise ValueError(f"path-ensemble dimensions must be >= 0, got {(n, m, d)}")
+        want = _HEADER_BYTES + 8 * (m + n * m * d)
+        if len(blob) != want:
+            raise ValueError(f"path-ensemble blob holds {len(blob)} bytes, header needs {want}")
+        values = np.frombuffer(blob, dtype="<f8", offset=_HEADER_BYTES)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("path-ensemble times and states must be finite")
+        return cls(values[m:].reshape(n, m, d).copy(), values[:m].copy(), seed)
 
     def to_csv_rows(self):
         """Yields (path_id, time, x_0, .., x_{d-1}) rows."""
@@ -91,56 +80,6 @@ class MomentEstimate:
     se_mean: np.ndarray
 
 
-def sample_kernel(
-    sched: Schedule, x0: np.ndarray, xT: np.ndarray, t: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Draws from the transition kernel N(alpha x0 + beta xT, gamma^2 I)."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    xT = np.asarray(xT, dtype=np.float64)
-    if x0.shape != xT.shape:
-        raise ValueError(f"x0 shape {x0.shape} != xT shape {xT.shape}")
-    ev = eval_schedule(sched, t)
-    return ev.alpha * x0 + ev.beta * xT + ev.gamma * rng.standard_normal(x0.shape)
-
-
-def forward_step_em(
-    sched: Schedule, state: State, xT: np.ndarray, dt: float, rng: np.random.Generator
-) -> State:
-    """One Euler step of the forward pinned SDE evaluated at state.t."""
-    if dt < 0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
-    if dt == 0:
-        return State(np.array(state.x, copy=True), state.t)
-    bc = bridge_coefficients(sched, state.t)
-    x = np.asarray(state.x, dtype=np.float64)
-    drift = bc.f * x + bc.s * np.asarray(xT, dtype=np.float64)
-    noise = np.sqrt(bc.g_sq * dt) * rng.standard_normal(x.shape)
-    return State(x + drift * dt + noise, state.t + dt)
-
-
-def reverse_drift(
-    sched: Schedule,
-    eps: float,
-    x: np.ndarray,
-    xT: np.ndarray,
-    t: float,
-    x_hat0: np.ndarray,
-) -> np.ndarray:
-    """Reverse-family drift in denoiser form.
-
-    drift = da x0hat + db xT - (dg g + eps) score with score recovered from
-    x0hat; eps = 0 gives the deterministic-flow drift, eps = g^2/2 the full
-    reverse SDE, anything in between a marginal-preserving mixture.
-    """
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    ev = eval_schedule(sched, t)
-    if ev.gamma < 1e-12:
-        raise ValueError(f"gamma({t}) = {ev.gamma} is singular for the reverse drift")
-    score = (ev.alpha * x_hat0 + ev.beta * xT - x) / ev.gamma**2
-    return ev.d_alpha * x_hat0 + ev.d_beta * xT - (ev.d_gamma * ev.gamma + eps) * score
-
-
 def reverse_drift_from_score(
     sched: Schedule,
     eps: float,
@@ -149,10 +88,11 @@ def reverse_drift_from_score(
     t: float,
     score: np.ndarray,
 ) -> np.ndarray:
-    """Same drift assembled from the raw score: f x + s xT - (g^2/2 + eps) score.
+    """Reverse-family drift f x + s xT - (g^2/2 + eps) score from the raw score.
 
-    Kept as an independent evaluation route for oracle cross-checks against
-    the denoiser form.
+    eps = 0 gives the deterministic-flow drift, eps = g^2/2 the full reverse
+    SDE, anything in between a marginal-preserving mixture.  It shares no
+    code with the sampler's steps, so it serves as their independent oracle.
     """
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
@@ -184,7 +124,6 @@ def simulate_ensemble(
     n_paths: int,
     seed: int,
     eps_policy: EpsilonPolicy | None = None,
-    denoiser=None,
     score_fn: Callable | None = None,
     threads: int = 1,
     record: bool = True,
@@ -198,7 +137,8 @@ def simulate_ensemble(
         grid: TimeGrid (used t_max -> t_min for reverse, reversed for forward)
             or an explicit monotone time array.
         direction: "forward" (pinned SDE) or "reverse" (drift family; needs
-            eps_policy plus either denoiser or score_fn(x, xT, t) -> score).
+            eps_policy and score_fn(x, xT, t) -> score).  A denoiser-driven
+            reverse run is sampler.sample with variant "euler_z".
         threads: worker threads over fixed-size path chunks; any value yields
             bit-identical output.
     """
@@ -206,23 +146,21 @@ def simulate_ensemble(
         raise ValueError(f"unknown direction {direction!r}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if direction == "reverse":
-        if eps_policy is None:
-            raise ValueError("reverse simulation needs an eps_policy")
-        if (denoiser is None) == (score_fn is None):
-            raise ValueError("reverse simulation needs exactly one of denoiser, score_fn")
+    if direction == "reverse" and (eps_policy is None or score_fn is None):
+        raise ValueError("reverse simulation needs an eps_policy and a score_fn")
 
     times = _resolve_times(grid, direction)
     xT = np.asarray(xT, dtype=np.float64)
+    if not np.all(np.isfinite(xT)):
+        raise ValueError("xT must be finite")
+    if not callable(start) and not np.all(np.isfinite(start)):
+        raise ValueError("start must be finite")
     d = xT.shape[-1]
     m = times.shape[0]
     n_steps = m - 1
     # record=False keeps only the terminal slice; full trajectories at 1e5
     # paths and 1e3 steps would not fit comfortably in memory.
     out = np.empty((n_paths, m if record else 1, d))
-
-    if denoiser is not None:
-        from .denoiser import denoise as _denoise
 
     def work(chunk: int, sl: slice) -> None:
         rows = sl.stop - sl.start
@@ -232,6 +170,8 @@ def simulate_ensemble(
             x = np.broadcast_to(np.asarray(start, dtype=np.float64), (rows, d)).copy()
         if x.shape != (rows, d):
             raise ValueError(f"start produced shape {x.shape}, expected {(rows, d)}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"start produced non-finite values in rows [{sl.start}:{sl.stop})")
         if record:
             out[sl, 0] = x
         tag = _rng.TAG_FORWARD if direction == "forward" else _rng.TAG_REVERSE
@@ -247,13 +187,7 @@ def simulate_ensemble(
                     dt = float(times[k] - times[k + 1])
                     step_index = n_steps - 1 - k
                     eps = epsilon(eps_policy, sched, t, dt, step_index, n_steps)
-                    if denoiser is not None:
-                        x_hat0 = _denoise(denoiser, x, np.broadcast_to(xT, (rows, d)), t)
-                        drift = reverse_drift(sched, eps, x, xT, t, x_hat0)
-                    else:
-                        drift = reverse_drift_from_score(
-                            sched, eps, x, xT, t, score_fn(x, xT, t)
-                        )
+                    drift = reverse_drift_from_score(sched, eps, x, xT, t, score_fn(x, xT, t))
                     x = x - drift * dt + np.sqrt(2.0 * eps * dt) * z
             except ValueError as err:
                 raise ValueError(f"step {k} at t = {t}: {err}") from err

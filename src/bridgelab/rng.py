@@ -61,15 +61,6 @@ def chunk_slices(n_rows: int) -> list[tuple[int, slice]]:
     ]
 
 
-def normal_matrix(seed: int, tag: int, step: int, n_rows: int, d: int) -> np.ndarray:
-    """(n_rows, d) standard normals, row i fixed regardless of chunking."""
-    out = np.empty((n_rows, d))
-    for c, sl in chunk_slices(n_rows):
-        rows = sl.stop - sl.start
-        out[sl] = stream(seed, tag, step, c).standard_normal((rows, d))
-    return out
-
-
 def run_chunked(n_rows: int, threads: int, work) -> None:
     """Runs work(chunk_index, row_slice) over all chunks.
 

@@ -1,10 +1,12 @@
 """Marginal-preserving reverse sampler with four interchangeable step rules.
 
-All variants target the same one-step posterior mean alpha' x0hat +
-beta' anchor + gamma' zhat; they differ in how the injected noise sqrt(2 eps
-dt) z is compensated.  The sampler anchors zhat at the boot-noised start x_N
-while the denoiser always sees the clean conditioning endpoint, and replaces
-the last tail_zero_steps steps with the exact deterministic re-interpolation.
+Every step is the affine map x' = a x0hat + b anchor + c x + s z, and a
+variant is nothing but its formula for the scalars (a, b, c, s).  All target
+the same one-step posterior mean alpha' x0hat + beta' anchor + gamma' zhat;
+they differ in how the injected noise sqrt(2 eps dt) z is compensated.  The
+sampler anchors zhat at the boot-noised start x_N while the denoiser always
+sees the clean conditioning endpoint, and replaces the last tail_zero_steps
+steps with the exact deterministic re-interpolation.
 """
 
 from __future__ import annotations
@@ -48,107 +50,99 @@ class SampleResult:
     x0hat_change: np.ndarray  # (n_steps,) mean L2 change of x0hat; first is nan
 
 
-def _zhat_at(sched: Schedule, x_hat0, anchor, x_t, t: float) -> np.ndarray:
-    ev = eval_schedule(sched, t)
-    if ev.gamma < 1e-12:
-        raise ValueError(f"gamma({t}) = {ev.gamma} is singular")
-    return (np.asarray(x_t) - ev.alpha * np.asarray(x_hat0) - ev.beta * np.asarray(anchor)) / ev.gamma
-
-
-def step_euler_z(sched: Schedule, x_t, xT_cond, x_hat0, t: float, dt: float, eps: float, z_draw):
-    """Euler step of the reverse SDE written in the standardized residual.
-
-    x' = x - [d_alpha x0hat + d_beta xT + (d_gamma + eps/gamma) zhat] dt
-    + sqrt(2 eps dt) z.
-    """
+def _evals(sched: Schedule, t: float, dt: float, eps: float, pivot: str = "gamma"):
+    """Schedule values at t and t - dt; pivot names the value at t the step divides by."""
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
-    ev = eval_schedule(sched, t)
-    if ev.gamma < 1e-12:
-        raise ValueError(f"gamma({t}) = {ev.gamma} is singular")
-    z_hat = _zhat_at(sched, x_hat0, xT_cond, x_t, t)
-    drift = (
-        ev.d_alpha * np.asarray(x_hat0)
-        + ev.d_beta * np.asarray(xT_cond)
-        + (ev.d_gamma + eps / ev.gamma) * z_hat
-    )
-    return np.asarray(x_t) - drift * dt + math.sqrt(2.0 * eps * dt) * np.asarray(z_draw)
+    cur = eval_schedule(sched, t)
+    if getattr(cur, pivot) < 1e-12:
+        raise ValueError(f"{pivot}({t}) = {getattr(cur, pivot)} is singular")
+    return cur, eval_schedule(sched, t - dt)
 
 
-def step_gamma_simplified(
-    sched: Schedule, x_hat0, xT_cond, zhat_t, t: float, dt: float, eps: float, z_draw
-):
-    """Re-interpolation with the noise compensation linearized in dt.
-
-    x' = alpha' x0hat + beta' xT + (gamma' - eps dt / gamma_t) zhat
-    + sqrt(2 eps dt) z.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    gamma_t = eval_schedule(sched, t).gamma
-    if gamma_t < 1e-12:
-        raise ValueError(f"gamma({t}) = {gamma_t} is singular")
-    nxt = eval_schedule(sched, t - dt)
-    return (
-        nxt.alpha * np.asarray(x_hat0)
-        + nxt.beta * np.asarray(xT_cond)
-        + (nxt.gamma - eps * dt / gamma_t) * np.asarray(zhat_t)
-        + math.sqrt(2.0 * eps * dt) * np.asarray(z_draw)
-    )
-
-
-def step_dbim(
-    sched: Schedule, x_hat0, xT_cond, zhat_t, t: float, dt: float, eps: float, z_draw
-):
-    """Re-interpolation with exact one-step variance splitting.
-
-    x' = alpha' x0hat + beta' xT + sqrt(gamma'^2 - 2 eps dt) zhat
-    + sqrt(2 eps dt) z.  Requires gamma'^2 >= 2 eps dt.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    nxt = eval_schedule(sched, t - dt)
-    rad = nxt.gamma**2 - 2.0 * eps * dt
+def _root(rad: float, what: str) -> float:
+    """sqrt(rad), with rounding-level negatives clamped to 0 and larger ones rejected."""
     if rad < 0.0:
         if rad < -1e-12:
-            raise ValueError(
-                f"step variance 2*eps*dt = {2.0 * eps * dt} exceeds gamma'^2 = "
-                f"{nxt.gamma**2}: eps is too large for this step"
-            )
+            raise ValueError(what)
         rad = 0.0
-    return (
-        nxt.alpha * np.asarray(x_hat0)
-        + nxt.beta * np.asarray(xT_cond)
-        + math.sqrt(rad) * np.asarray(zhat_t)
-        + math.sqrt(2.0 * eps * dt) * np.asarray(z_draw)
+    return math.sqrt(rad)
+
+
+def _fold(cur, a: float, b: float, c: float, c_hat: float, s: float):
+    """(a, b, c, s) of a x0hat + b anchor + c x + c_hat zhat + s z, with
+    zhat = (x - alpha x0hat - beta anchor) / gamma at t folded in."""
+    k = c_hat / cur.gamma
+    return a - k * cur.alpha, b - k * cur.beta, c + k, s
+
+
+def step_euler_z(sched: Schedule, t: float, dt: float, eps: float):
+    """Euler step of the reverse SDE written in the standardized residual.
+
+    x' = x - [d_alpha x0hat + d_beta anchor + (d_gamma + eps/gamma) zhat] dt
+    + sqrt(2 eps dt) z.
+    """
+    cur, _ = _evals(sched, t, dt, eps)
+    c_hat = -(cur.d_gamma + eps / cur.gamma) * dt
+    return _fold(cur, -cur.d_alpha * dt, -cur.d_beta * dt, 1.0, c_hat, math.sqrt(2.0 * eps * dt))
+
+
+def step_gamma_simplified(sched: Schedule, t: float, dt: float, eps: float):
+    """Re-interpolation with the noise compensation linearized in dt.
+
+    x' = alpha' x0hat + beta' anchor + (gamma' - eps dt / gamma) zhat
+    + sqrt(2 eps dt) z.
+    """
+    cur, nxt = _evals(sched, t, dt, eps)
+    c_hat = nxt.gamma - eps * dt / cur.gamma
+    return _fold(cur, nxt.alpha, nxt.beta, 0.0, c_hat, math.sqrt(2.0 * eps * dt))
+
+
+def step_dbim(sched: Schedule, t: float, dt: float, eps: float):
+    """Re-interpolation with exact one-step variance splitting.
+
+    x' = alpha' x0hat + beta' anchor + sqrt(gamma'^2 - 2 eps dt) zhat
+    + sqrt(2 eps dt) z.  Requires gamma'^2 >= 2 eps dt.
+    """
+    cur, nxt = _evals(sched, t, dt, eps)
+    var = 2.0 * eps * dt
+    c_hat = _root(
+        nxt.gamma**2 - var,
+        f"step variance 2*eps*dt = {var} exceeds gamma'^2 = {nxt.gamma**2}: "
+        "eps is too large for this step",
     )
+    return _fold(cur, nxt.alpha, nxt.beta, 0.0, c_hat, math.sqrt(var))
 
 
-def step_markovian(sched: Schedule, x_hat0, x_t, t: float, dt: float, z_draw):
-    """Conditional-forward posterior step; the endpoint coefficient cancels.
+def step_markovian(sched: Schedule, t: float, dt: float, eps: float):
+    """Conditional-forward posterior step; the anchor coefficient cancels and
+    eps is implied by the schedule.
 
-    x' = (alpha' - alpha beta'/beta) x0hat + (beta'/beta) x_t
+    x' = (alpha' - alpha beta'/beta) x0hat + (beta'/beta) x
     + sqrt(gamma'^2 - beta'^2 gamma^2 / beta^2) z.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    cur = eval_schedule(sched, t)
-    if cur.beta < 1e-12:
-        raise ValueError(f"beta({t}) = {cur.beta} is singular for the Markovian step")
-    nxt = eval_schedule(sched, t - dt)
+    cur, nxt = _evals(sched, t, dt, eps, pivot="beta")
     ratio = nxt.beta / cur.beta
     var = nxt.gamma**2 - ratio**2 * cur.gamma**2
-    if var < 0.0:
-        if var < -1e-12:
-            raise ValueError(f"Markovian step variance {var} is negative")
-        var = 0.0
-    return (
-        (nxt.alpha - cur.alpha * ratio) * np.asarray(x_hat0)
-        + ratio * np.asarray(x_t)
-        + math.sqrt(var) * np.asarray(z_draw)
-    )
+    s = _root(var, f"Markovian step variance {var} is negative")
+    return nxt.alpha - cur.alpha * ratio, 0.0, ratio, s
+
+
+def step_coefficients(variant: str, sched: Schedule, t: float, dt: float, eps: float):
+    """(a, b, c, s) of the named variant's step from t to t - dt:
+    x' = a x0hat + b anchor + c x + s z."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown sampler variant {variant!r}; expected one of {VARIANTS}")
+    # Looked up by name at call time, so a rebound step_* is the one called.
+    return globals()[f"step_{variant}"](sched, t, dt, eps)
+
+
+def apply_step(coeffs, x_hat0, anchor, x, z=0.0):
+    """x' = a x0hat + b anchor + c x + s z; the default z = 0 leaves out the noise."""
+    a, b, c, s = coeffs
+    return a * x_hat0 + b * anchor + c * x + s * z
 
 
 def sample(cfg: SamplerConfig, den: Denoiser, xT_batch: np.ndarray, threads: int = 1) -> SampleResult:
@@ -185,8 +179,7 @@ def sample(cfg: SamplerConfig, den: Denoiser, xT_batch: np.ndarray, threads: int
             traj[sl, 0] = x
         prev_hat: Optional[np.ndarray] = None
         for k in range(n_steps):
-            t, t_next = float(ts[k]), float(ts[k + 1])
-            dt = t - t_next
+            t, dt = float(ts[k]), float(ts[k] - ts[k + 1])
             step_index = n_steps - 1 - k
             try:
                 x_hat0 = denoise(den, x, xT, t)
@@ -196,26 +189,16 @@ def sample(cfg: SamplerConfig, den: Denoiser, xT_batch: np.ndarray, threads: int
                     )
                 prev_hat = x_hat0
                 if step_index < cfg.eps_policy.tail_zero_steps:
-                    nxt = eval_schedule(cfg.schedule, t_next)
-                    z_hat = _zhat_at(cfg.schedule, x_hat0, anchor, x, t)
-                    x = nxt.alpha * x_hat0 + nxt.beta * anchor + nxt.gamma * z_hat
+                    # every variant's eps = 0 limit: the exact re-interpolation
+                    cur, nxt = _evals(cfg.schedule, t, dt, 0.0)
+                    coeffs = _fold(cur, nxt.alpha, nxt.beta, 0.0, nxt.gamma, 0.0)
+                    x = apply_step(coeffs, x_hat0, anchor, x)
                 else:
                     eps = epsilon(cfg.eps_policy, cfg.schedule, t, dt, step_index, n_steps)
                     eps_used[k] = eps
+                    coeffs = step_coefficients(cfg.variant, cfg.schedule, t, dt, eps)
                     z = _rng.stream(cfg.seed, _rng.TAG_SAMPLER, step_index, chunk)
-                    z_draw = z.standard_normal(x.shape)
-                    if cfg.variant == "euler_z":
-                        x = step_euler_z(cfg.schedule, x, anchor, x_hat0, t, dt, eps, z_draw)
-                    elif cfg.variant == "gamma_simplified":
-                        z_hat = _zhat_at(cfg.schedule, x_hat0, anchor, x, t)
-                        x = step_gamma_simplified(
-                            cfg.schedule, x_hat0, anchor, z_hat, t, dt, eps, z_draw
-                        )
-                    elif cfg.variant == "dbim":
-                        z_hat = _zhat_at(cfg.schedule, x_hat0, anchor, x, t)
-                        x = step_dbim(cfg.schedule, x_hat0, anchor, z_hat, t, dt, eps, z_draw)
-                    else:
-                        x = step_markovian(cfg.schedule, x_hat0, x, t, dt, z_draw)
+                    x = apply_step(coeffs, x_hat0, anchor, x, z.standard_normal(x.shape))
             except ValueError as err:
                 raise ValueError(
                     f"rows [{sl.start}:{sl.stop}), step {step_index} at t = {t}: {err}"

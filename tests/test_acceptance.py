@@ -40,10 +40,10 @@ from bridgelab.metrics import (
 )
 from bridgelab.sampler import (
     SamplerConfig,
+    apply_step,
     sample,
+    step_coefficients,
     step_dbim,
-    step_euler_z,
-    step_gamma_simplified,
     step_markovian,
 )
 from bridgelab.schedule import (
@@ -186,11 +186,7 @@ class TestAcceptance:
         policy = EpsilonPolicy(kind="eta_scaled", eta=eta, tail_zero_steps=0)
 
         def variant_step(name, dt, eps):
-            if name == "euler_z":
-                return step_euler_z(LINEAR, x_t, anchor, x_hat0, t, dt, eps, 0.0)
-            if name == "gamma_simplified":
-                return step_gamma_simplified(LINEAR, x_hat0, anchor, zh, t, dt, eps, 0.0)
-            return step_dbim(LINEAR, x_hat0, anchor, zh, t, dt, eps, 0.0)
+            return apply_step(step_coefficients(name, LINEAR, t, dt, eps), x_hat0, anchor, x_t)
 
         slopes = {}
         for pair in (("euler_z", "gamma_simplified"), ("gamma_simplified", "dbim")):
@@ -231,8 +227,8 @@ class TestAcceptance:
                 ev = eval_schedule(sched, t)
                 x_t = ev.alpha * x_hat0 + ev.beta * xT + ev.gamma * zh
                 eps = epsilon(policy, sched, t, dt, 5, 10)
-                a = step_dbim(sched, x_hat0, xT, zh, t, dt, eps, np.zeros(2))
-                b = step_markovian(sched, x_hat0, x_t, t, dt, np.zeros(2))
+                a = apply_step(step_dbim(sched, t, dt, eps), x_hat0, xT, x_t, np.zeros(2))
+                b = apply_step(step_markovian(sched, t, dt, eps), x_hat0, xT, x_t, np.zeros(2))
                 worst_step = max(worst_step, float(np.max(np.abs(a - b))))
         passed = worst_family <= 1e-8 and worst_step <= 1e-12
         detail = ", ".join(f"{k} {v:.2e}" for k, v in devs.items())

@@ -462,6 +462,49 @@ class TestTrainDenoiser:
         np.testing.assert_allclose(prec["sigma0"], np.sqrt(0.29), rtol=0.1, atol=0)
         np.testing.assert_allclose(prec["sigmaT"], 1.0, rtol=0.1, atol=0)
 
+    @pytest.mark.parametrize(
+        "corruption", ["nan_weight", "trailing_bytes", "sizes_vs_body", "missing_prec"]
+    )
+    def test_corrupt_model_file_exits_1_without_artifacts(self, tmp_path, corruption):
+        train_cfg = _write_config(
+            tmp_path, "train.json",
+            {
+                "schedule": LINEAR_SCHEDULE,
+                "task": TASK_1D,
+                "train": {"layers": 1, "width": 4, "lr": 0.05, "batch": 8, "iters": 5},
+            },
+        )
+        assert _run("train-denoiser", train_cfg, tmp_path / "train_out") == 0
+        header, body = _read_bytes(tmp_path / "train_out", "model.bin").split(b"\n", 1)
+        if corruption == "nan_weight":
+            body = np.array([np.nan]).tobytes() + body[8:]
+        elif corruption == "trailing_bytes":
+            body += b"\0" * 8
+        elif corruption == "sizes_vs_body":
+            assert b'"sizes": [3, 4, 1]' in header
+            header = header.replace(b'"sizes": [3, 4, 1]', b'"sizes": [3, 3, 1]')
+        else:
+            fields = json.loads(header)
+            del fields["prec"]
+            header = json.dumps(fields).encode()
+        model_path = tmp_path / "model.bin"
+        model_path.write_bytes(header + b"\n" + body)
+        cfg = _write_config(
+            tmp_path, "c.json",
+            {
+                "schedule": LINEAR_SCHEDULE,
+                "grid": {"n_steps": 8},
+                "eps_policy": {"kind": "zero"},
+                "task": TASK_1D,
+                "denoiser": {"kind": "mlp", "path": str(model_path)},
+                "sampler": {},
+                "sample": {"n_conditions": 4},
+            },
+        )
+        out = tmp_path / "out"
+        assert _run("sample", cfg, out) == 1
+        assert not out.exists()
+
     def test_missing_model_file_exits_1(self, tmp_path):
         cfg = _write_config(
             tmp_path, "c.json",

@@ -1,5 +1,6 @@
 """Analytic posterior means, preconditioning, MLP training, serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -478,6 +479,32 @@ class TestSerialization:
         path.write_bytes(b'{"format": "something-else"}\n1234')
         with pytest.raises(ValueError, match="bridgelab-denoiser-v1"):
             load_denoiser(path)
+
+    def test_corrupt_files_rejected(self, tmp_path):
+        """Bad sizes, a body of the wrong length or non-finite weights raise."""
+        blob = denoiser_to_bytes(self._tiny_mlp())
+        header_line, body = blob.split(b"\n", 1)
+        header = json.loads(header_line)
+
+        def with_sizes(sizes):
+            return json.dumps(dict(header, sizes=sizes)).encode() + b"\n" + body
+
+        nan_weight = header_line + b"\n" + np.array([np.nan]).tobytes() + body[8:]
+        cases = [
+            (blob + b"\0" * 8, "parameter block"),
+            (blob[:-8], "parameter block"),
+            (nan_weight, "finite"),
+            (with_sizes([3, 5, 1]), "parameter block"),
+            (with_sizes([3, 0, 1]), "sizes"),
+            (with_sizes([4, 4, 1]), "sizes"),
+            (with_sizes([3]), "sizes"),
+            (with_sizes("3,4,1"), "sizes"),
+        ]
+        for i, (bad, match) in enumerate(cases):
+            path = tmp_path / f"bad{i}.bin"
+            path.write_bytes(bad)
+            with pytest.raises(ValueError, match=match):
+                load_denoiser(path)
 
     def test_custom_schedule_not_serializable(self):
         den = self._tiny_mlp()

@@ -1,35 +1,24 @@
 """Forward/reverse bridge simulation, moments, serialization, determinism."""
 
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
+from bridgelab import rng as _rng
 from bridgelab.denoiser import JointGaussian
 from bridgelab.dynamics import (
     PathEnsemble,
-    State,
     estimate_marginal_moments,
-    forward_step_em,
-    reverse_drift,
     reverse_drift_from_score,
-    sample_kernel,
     simulate_ensemble,
 )
 from bridgelab.metrics import convergence_slope
-from bridgelab.schedule import EpsilonPolicy, Schedule, eval_schedule
+from bridgelab.sampler import apply_step, step_euler_z
+from bridgelab.schedule import EpsilonPolicy, Schedule, bridge_coefficients, eval_schedule
 
 LINEAR = Schedule(kind="linear", gamma_max=0.125)
-
-
-class _FixedDraw:
-    """Stand-in generator returning a constant in place of normal draws."""
-
-    def __init__(self, value: float):
-        self.value = value
-
-    def standard_normal(self, shape):
-        return np.full(shape, self.value)
 
 
 def _zero_gamma_schedule() -> Schedule:
@@ -64,76 +53,69 @@ def _conditional_score_fn(dist: JointGaussian, sched: Schedule):
     return score
 
 
-class TestSampleKernel:
-    def test_endpoints_are_exact(self):
-        rng = np.random.default_rng(0)
-        x0, xT = np.array([0.3, -0.2]), np.array([1.5, 0.4])
-        np.testing.assert_array_equal(sample_kernel(LINEAR, x0, xT, 0.0, rng), x0)
-        np.testing.assert_array_equal(sample_kernel(LINEAR, x0, xT, 1.0, rng), xT)
-
-    def test_midpoint_with_fixed_draw(self):
-        got = sample_kernel(LINEAR, np.array([0.0]), np.array([2.0]), 0.5, _FixedDraw(0.5))
-        np.testing.assert_allclose(got, [1.015625], rtol=0, atol=1e-16)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            sample_kernel(LINEAR, np.array([0.0]), np.array([1.0, 2.0]), 0.5, _FixedDraw(0.0))
-
-
 class TestForwardStepEm:
-    def test_drift_only_step(self):
-        state = State(np.array([0.5]), 0.5)
-        nxt = forward_step_em(LINEAR, state, np.array([1.0]), 0.01, _FixedDraw(0.0))
-        np.testing.assert_allclose(nxt.x, [0.51], rtol=0, atol=1e-16)
-        assert nxt.t == 0.51
+    """The forward Euler-Maruyama step as simulate_ensemble takes it."""
 
-    def test_zero_dt_returns_same_state(self):
-        state = State(np.array([0.25]), 0.3)
-        nxt = forward_step_em(LINEAR, state, np.array([1.0]), 0.0, _FixedDraw(3.0))
-        np.testing.assert_array_equal(nxt.x, state.x)
-        assert nxt.t == state.t
+    def test_drift_only_step(self):
+        """One step minus its keyed noise draw is the pure drift update."""
+        times = np.array([0.5, 0.51])
+        ens = simulate_ensemble(LINEAR, np.array([0.5]), np.array([1.0]), times, "forward", 1, 3)
+        z = _rng.stream(3, _rng.TAG_FORWARD, 0, 0).standard_normal((1, 1))
+        noise = np.sqrt(bridge_coefficients(LINEAR, 0.5).g_sq * 0.01) * z
+        np.testing.assert_allclose(ens.paths[:, 1] - noise, [[0.51]], rtol=0, atol=1e-15)
 
     def test_negative_dt_rejected(self):
-        with pytest.raises(ValueError, match="dt"):
-            forward_step_em(LINEAR, State(np.array([0.0]), 0.5), np.array([1.0]), -0.1, _FixedDraw(0.0))
-
-    def test_degenerate_gamma_is_deterministic(self):
-        """With gamma identically 0 the step ignores the noise stream."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            sched = _zero_gamma_schedule()
-            state = State(np.array([0.2]), 0.4)
-            a = forward_step_em(sched, state, np.array([1.0]), 0.05, np.random.default_rng(1))
-            b = forward_step_em(sched, state, np.array([1.0]), 0.05, np.random.default_rng(99))
-        np.testing.assert_array_equal(a.x, b.x)
+        for times in ([0.5, 0.4], [0.3, 0.3, 0.4]):
+            with pytest.raises(ValueError, match="increasing"):
+                simulate_ensemble(
+                    LINEAR, np.array([0.0]), np.array([1.0]), np.array(times), "forward", 1, 0
+                )
 
     def test_nonfinite_state_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            State(np.array([np.inf]), 0.5)
+        """Non-finite start values or endpoint fail loudly and name the argument,
+        in either direction."""
+        def nan_row(rng, n):
+            return np.where(np.arange(n)[:, None] == 5, np.nan, 0.0)
+
+        cases = [
+            (np.array([np.inf]), np.array([1.0]), "start"),
+            (nan_row, np.array([1.0]), "start"),
+            (np.array([0.0]), np.array([np.nan]), "xT"),
+        ]
+        times = np.linspace(0.1, 0.5, 5)
+        reverse = dict(eps_policy=EpsilonPolicy(kind="zero"), score_fn=lambda x, xT, t: 0.0 * x)
+        for direction, grid, kw in (("forward", times, {}), ("reverse", times[::-1], reverse)):
+            for start, xT, name in cases:
+                with pytest.raises(ValueError, match=name):
+                    simulate_ensemble(LINEAR, start, xT, grid, direction, 8, 0, **kw)
 
 
 class TestReverseDrift:
+    """The drift family through the euler_z step at z = 0: x' = x - drift dt."""
+
     def test_midpoint_example(self):
-        got = reverse_drift(LINEAR, 0.0, np.array([1.4]), np.array([2.0]), 0.5, np.array([1.0]))
-        np.testing.assert_allclose(got, [1.0], rtol=0, atol=1e-14)
+        coeffs = step_euler_z(LINEAR, 0.5, 0.25, 0.0)
+        got = apply_step(coeffs, np.array([1.0]), np.array([2.0]), np.array([1.4]))
+        np.testing.assert_allclose((1.4 - got) / 0.25, [1.0], rtol=0, atol=1e-14)
 
     def test_gamma_singularity(self):
         with pytest.raises(ValueError, match="singular"):
-            reverse_drift(LINEAR, 0.0, np.array([0.5]), np.array([1.0]), 0.0, np.array([0.5]))
+            step_euler_z(LINEAR, 1.0, 0.25, 0.0)
 
     @pytest.mark.parametrize("eps", [0.0, 3e-4, 2e-3])
     @pytest.mark.parametrize("sched", [LINEAR, Schedule(kind="trig"), Schedule(kind="ddbm_ve")])
     def test_each_form_matches_the_other(self, sched, eps):
-        """Denoiser-form drift equals score-form drift for matched inputs."""
+        """The denoiser-form euler_z step equals the score-form drift step."""
         rng = np.random.default_rng(11)
+        dt = 0.05
         for t in (0.2, 0.5, 0.8):
             ev = eval_schedule(sched, t)
             x = rng.standard_normal(4)
             xT = rng.standard_normal(4)
             x_hat0 = rng.standard_normal(4)
             score = (ev.alpha * x_hat0 + ev.beta * xT - x) / ev.gamma**2
-            a = reverse_drift(sched, eps, x, xT, t, x_hat0)
-            b = reverse_drift_from_score(sched, eps, x, xT, t, score)
+            a = apply_step(step_euler_z(sched, t, dt, eps), x_hat0, xT, x)
+            b = x - reverse_drift_from_score(sched, eps, x, xT, t, score) * dt
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
@@ -230,10 +212,12 @@ class TestSimulateEnsemble:
         assert convergence_slope(dts, errors) >= 0.9
 
     def test_reverse_needs_policy_and_exactly_one_driver(self):
+        """A reverse run needs a policy and a score function; stepping with a
+        denoiser instead is the sampler's euler_z variant."""
         times = np.linspace(0.9, 0.1, 9)
         with pytest.raises(ValueError, match="eps_policy"):
             simulate_ensemble(LINEAR, np.array([0.0]), np.array([1.0]), times, "reverse", 4, 0)
-        with pytest.raises(ValueError, match="exactly one"):
+        with pytest.raises(ValueError, match="score_fn"):
             simulate_ensemble(
                 LINEAR, np.array([0.0]), np.array([1.0]), times, "reverse", 4, 0,
                 eps_policy=EpsilonPolicy(kind="zero"),
@@ -315,6 +299,24 @@ class TestPathEnsembleSerialization:
     def test_binary_rejects_other_blobs(self):
         with pytest.raises(ValueError, match="blob"):
             PathEnsemble.from_binary(b"not a path ensemble at all")
+
+    def test_binary_rejects_corrupt_blobs(self):
+        """Truncated, padded, inconsistent or non-finite blobs raise ValueError."""
+        blob = PathEnsemble(np.ones((2, 3, 1)), np.linspace(0.9, 0.1, 3), 5).to_binary()
+        bad_dims = blob[:8] + struct.pack("<qqqq", 2, -3, 1, 5) + blob[40:]
+        inf_state = blob[:-8] + np.array([np.inf]).tobytes()
+        nan_time = blob[:40] + np.array([np.nan]).tobytes() + blob[48:]
+        cases = [
+            (blob[:20], "header is truncated"),
+            (bad_dims, ">= 0"),
+            (blob + b"\0" * 8, "header needs"),
+            (blob[:-8], "header needs"),
+            (inf_state, "finite"),
+            (nan_time, "finite"),
+        ]
+        for bad, match in cases:
+            with pytest.raises(ValueError, match=match):
+                PathEnsemble.from_binary(bad)
 
     def test_csv_rows_enumerate_path_then_time(self):
         paths = np.arange(8, dtype=np.float64).reshape(2, 2, 2)

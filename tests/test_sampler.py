@@ -17,7 +17,9 @@ from bridgelab.sampler import (
     VARIANTS,
     SamplerConfig,
     sample,
+    apply_step,
     sample_result_csv_rows,
+    step_coefficients,
     step_dbim,
     step_euler_z,
     step_gamma_simplified,
@@ -47,80 +49,209 @@ def _den_1d() -> AnalyticGaussianDenoiser:
     return AnalyticGaussianDenoiser(_task_1d(), LINEAR)
 
 
+# ---------------------------------------------------------------------------
+# Reference implementation: each variant's step written directly as a state
+# update, independent of the coefficient algebra in bridgelab.sampler.  All
+# share the signature (sched, x_t, anchor, x_hat0, t, dt, eps, z).
+
+
+def _ref_zhat(sched, x_hat0, anchor, x_t, t):
+    ev = eval_schedule(sched, t)
+    return (x_t - ev.alpha * x_hat0 - ev.beta * anchor) / ev.gamma
+
+
+def ref_euler_z(sched, x_t, anchor, x_hat0, t, dt, eps, z):
+    ev = eval_schedule(sched, t)
+    z_hat = _ref_zhat(sched, x_hat0, anchor, x_t, t)
+    drift = ev.d_alpha * x_hat0 + ev.d_beta * anchor + (ev.d_gamma + eps / ev.gamma) * z_hat
+    return x_t - drift * dt + math.sqrt(2.0 * eps * dt) * z
+
+
+def ref_gamma_simplified(sched, x_t, anchor, x_hat0, t, dt, eps, z):
+    gamma_t = eval_schedule(sched, t).gamma
+    nxt = eval_schedule(sched, t - dt)
+    z_hat = _ref_zhat(sched, x_hat0, anchor, x_t, t)
+    return (
+        nxt.alpha * x_hat0
+        + nxt.beta * anchor
+        + (nxt.gamma - eps * dt / gamma_t) * z_hat
+        + math.sqrt(2.0 * eps * dt) * z
+    )
+
+
+def ref_dbim(sched, x_t, anchor, x_hat0, t, dt, eps, z):
+    nxt = eval_schedule(sched, t - dt)
+    rad = nxt.gamma**2 - 2.0 * eps * dt
+    assert rad >= -1e-12
+    z_hat = _ref_zhat(sched, x_hat0, anchor, x_t, t)
+    return (
+        nxt.alpha * x_hat0
+        + nxt.beta * anchor
+        + math.sqrt(max(rad, 0.0)) * z_hat
+        + math.sqrt(2.0 * eps * dt) * z
+    )
+
+
+def ref_markovian(sched, x_t, anchor, x_hat0, t, dt, eps, z):
+    cur = eval_schedule(sched, t)
+    nxt = eval_schedule(sched, t - dt)
+    ratio = nxt.beta / cur.beta
+    var = nxt.gamma**2 - ratio**2 * cur.gamma**2
+    assert var >= -1e-12
+    return (nxt.alpha - cur.alpha * ratio) * x_hat0 + ratio * x_t + math.sqrt(max(var, 0.0)) * z
+
+
+def ref_tail(sched, x_t, anchor, x_hat0, t, dt, eps, z):
+    nxt = eval_schedule(sched, t - dt)
+    z_hat = _ref_zhat(sched, x_hat0, anchor, x_t, t)
+    return nxt.alpha * x_hat0 + nxt.beta * anchor + nxt.gamma * z_hat
+
+
+REFERENCE = {
+    "euler_z": ref_euler_z,
+    "gamma_simplified": ref_gamma_simplified,
+    "dbim": ref_dbim,
+    "markovian": ref_markovian,
+}
+
+SCHEDULES = {
+    "linear": LINEAR,
+    "trig": Schedule(kind="trig"),
+    "i2sb_multi": I2SB_MULTI,
+    "ddbm_vp": Schedule(kind="ddbm_vp"),
+}
+EPS_POLICIES = {
+    "zero": EpsilonPolicy(kind="zero", tail_zero_steps=0),
+    "eta_scaled": EpsilonPolicy(kind="eta_scaled", eta=0.3, tail_zero_steps=0),
+    "markovian_matched": EpsilonPolicy(kind="i2sb_markovian", tail_zero_steps=0),
+}
+
+
+def _probe_steps(n: int, seed: int = 0, d: int = 2):
+    """Random steps t -> t - dt inside [0.05, 0.9] with states (x_hat0, anchor, x_t, z)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        t = float(rng.uniform(0.15, 0.9))
+        dt = float(rng.uniform(0.01, min(0.1, t - 0.05)))
+        yield (t, dt, *rng.standard_normal((4, d)))
+
+
+class TestStepTable:
+    @pytest.mark.parametrize("eps_kind", list(EPS_POLICIES))
+    @pytest.mark.parametrize("sched_name", list(SCHEDULES))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_coefficients_reproduce_the_reference_step(self, variant, sched_name, eps_kind):
+        sched, policy = SCHEDULES[sched_name], EPS_POLICIES[eps_kind]
+        for t, dt, x_hat0, anchor, x_t, z in _probe_steps(50):
+            eps = epsilon(policy, sched, t, dt, 5, 10)
+            if variant == "dbim" and eval_schedule(sched, t - dt).gamma ** 2 < 2.0 * eps * dt:
+                # outside the root-split step's domain, which it must refuse
+                with pytest.raises(ValueError, match="too large"):
+                    step_coefficients(variant, sched, t, dt, eps)
+                continue
+            coeffs = step_coefficients(variant, sched, t, dt, eps)
+            got = apply_step(coeffs, x_hat0, anchor, x_t, z)
+            want = REFERENCE[variant](sched, x_t, anchor, x_hat0, t, dt, eps, z)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("tail", [1, 3, 12])
+    def test_sample_matches_the_reference_loop(self, variant, tail):
+        """A whole run, boot noise and zero tail included, against the
+        reference steps driven by the same keyed draws."""
+        dist = _task_1d()
+        den = AnalyticGaussianDenoiser(dist, LINEAR)
+        grid = make_time_grid(12)
+        policy = EpsilonPolicy(kind="eta_scaled", eta=0.5, tail_zero_steps=tail)
+        cfg = SamplerConfig(
+            schedule=LINEAR, eps_policy=policy, grid=grid,
+            variant=variant, boot_b=0.25, seed=4,
+        )
+        xT = sample_condition(dist, 64, _rng.stream(0, _rng.TAG_TASK))
+        got = sample(cfg, den, xT).x0_batch
+
+        ts = grid.points
+        x = xT + 0.25 * _rng.stream(4, _rng.TAG_BOOT, 0, 0).standard_normal(xT.shape)
+        anchor = x.copy()
+        for k in range(grid.n_steps):
+            t, dt = float(ts[k]), float(ts[k] - ts[k + 1])
+            step_index = grid.n_steps - 1 - k
+            x_hat0 = denoise(den, x, xT, t)
+            if step_index < tail:
+                x = ref_tail(LINEAR, x, anchor, x_hat0, t, dt, 0.0, 0.0)
+            else:
+                eps = epsilon(policy, LINEAR, t, dt, step_index, grid.n_steps)
+                z = _rng.stream(4, _rng.TAG_SAMPLER, step_index, 0).standard_normal(x.shape)
+                x = REFERENCE[variant](LINEAR, x, anchor, x_hat0, t, dt, eps, z)
+        np.testing.assert_allclose(got, x, rtol=0, atol=1e-12)
+
+    def test_unknown_variant_names_it(self):
+        with pytest.raises(ValueError, match="'leapfrog'"):
+            step_coefficients("leapfrog", LINEAR, 0.5, 0.1, 0.0)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_negative_eps_rejected(self, variant):
+        with pytest.raises(ValueError, match="eps"):
+            step_coefficients(variant, LINEAR, 0.5, 0.1, -1e-3)
+
+
 class TestStepExamples:
     def test_euler_z_midpoint_example(self):
         """At t = 0.5 all terms are exact binary: the step lands on 2.1875."""
-        got = step_euler_z(
-            LINEAR, np.array([1.375]), np.array([2.0]), np.array([1.0]),
-            0.5, 0.25, 0.03125, np.array([0.5]),
-        )
+        coeffs = step_euler_z(LINEAR, 0.5, 0.25, 0.03125)
+        assert coeffs == (4.25, 3.75, -7.0, 0.125)
+        got = apply_step(coeffs, np.array([1.0]), np.array([2.0]), np.array([1.375]),
+                         np.array([0.5]))
         np.testing.assert_array_equal(got, [2.1875])
 
     def test_markovian_midpoint_example(self):
         """Both state coefficients are exactly 1/2 and the variance 2^-11."""
-        got = step_markovian(LINEAR, np.array([1.0]), np.array([1.5]), 0.5, 0.25, np.array([0.0]))
+        a, b, c, s = step_markovian(LINEAR, 0.5, 0.25, 0.0)
+        assert (a, b, c) == (0.5, 0.0, 0.5)
+        np.testing.assert_allclose(s, math.sqrt(2.0**-11), rtol=0, atol=1e-15)
+        got = apply_step((a, b, c, s), np.array([1.0]), np.array([7.0]), np.array([1.5]),
+                         np.array([0.0]))
         np.testing.assert_array_equal(got, [1.25])
-        got_z = step_markovian(LINEAR, np.array([1.0]), np.array([1.5]), 0.5, 0.25, np.array([1.0]))
-        np.testing.assert_allclose(got_z - got, [math.sqrt(2.0**-11)], rtol=0, atol=1e-15)
 
     def test_zero_eps_reduces_all_reinterpolators_to_one_map(self):
         """gamma-simplified and the root-split step agree exactly at eps = 0."""
-        z_hat = np.array([-4.0])
-        args = (LINEAR, np.array([1.0]), np.array([2.0]), z_hat, 0.5, 0.25, 0.0, np.array([0.0]))
-        a = step_gamma_simplified(*args)
-        b = step_dbim(*args)
-        ev = eval_schedule(LINEAR, 0.25)
-        want = 0.75 * 1.0 + 0.25 * 2.0 + ev.gamma * (-4.0)
-        np.testing.assert_allclose(a, [want], rtol=0, atol=1e-15)
-        np.testing.assert_allclose(b, [want], rtol=0, atol=1e-15)
+        a = step_gamma_simplified(LINEAR, 0.5, 0.25, 0.0)
+        b = step_dbim(LINEAR, 0.5, 0.25, 0.0)
+        assert a == b
+        assert a[3] == 0.0
+        ev = eval_schedule(LINEAR, 0.5)
+        x_t = ev.alpha * 1.0 + ev.beta * 2.0 + ev.gamma * (-4.0)
+        got = apply_step(a, np.array([1.0]), np.array([2.0]), np.array([x_t]))
+        want = 0.75 * 1.0 + 0.25 * 2.0 + eval_schedule(LINEAR, 0.25).gamma * (-4.0)
+        np.testing.assert_allclose(got, [want], rtol=0, atol=1e-15)
 
     def test_dbim_rejects_oversized_eps(self):
         with pytest.raises(ValueError, match="too large"):
-            step_dbim(
-                LINEAR, np.array([1.0]), np.array([2.0]), np.array([0.0]),
-                0.5, 0.25, 0.01, np.array([0.0]),
-            )
+            step_dbim(LINEAR, 0.5, 0.25, 0.01)
 
     def test_markovian_singular_at_time_zero_beta(self):
         with pytest.raises(ValueError, match="singular"):
-            step_markovian(LINEAR, np.array([1.0]), np.array([1.0]), 0.0, 0.25, np.array([0.0]))
+            step_markovian(LINEAR, 0.0, 0.25, 0.0)
 
     def test_steps_reject_nonpositive_dt(self):
-        for fn in (step_gamma_simplified, step_dbim):
-            with pytest.raises(ValueError, match="dt"):
-                fn(LINEAR, np.array([1.0]), np.array([2.0]), np.array([0.0]),
-                   0.5, 0.0, 0.0, np.array([0.0]))
-        with pytest.raises(ValueError, match="dt"):
-            step_euler_z(LINEAR, np.array([1.0]), np.array([2.0]), np.array([1.0]),
-                         0.5, -0.1, 0.0, np.array([0.0]))
-        with pytest.raises(ValueError, match="dt"):
-            step_markovian(LINEAR, np.array([1.0]), np.array([1.0]), 0.5, 0.0, np.array([0.0]))
+        for fn in (step_euler_z, step_gamma_simplified, step_dbim, step_markovian):
+            for dt in (0.0, -0.1):
+                with pytest.raises(ValueError, match="dt"):
+                    fn(LINEAR, 0.5, dt, 0.0)
 
 
 class TestVariantEquivalences:
     @pytest.mark.parametrize("sched", [LINEAR, I2SB_MULTI], ids=["linear", "i2sb_multi"])
     def test_dbim_with_matched_eps_equals_markovian(self, sched):
-        """The root-split step at the matched eps level IS the Markovian step."""
-        rng = np.random.default_rng(0)
+        """The root-split step at the matched eps level IS the Markovian step:
+        the anchor coefficient vanishes and the other three agree."""
         policy = EpsilonPolicy(kind="i2sb_markovian", tail_zero_steps=0)
-        worst_det, worst_noise = 0.0, 0.0
-        for _ in range(1000):
-            t = float(rng.uniform(0.15, 0.9))
-            dt = float(rng.uniform(0.01, min(0.1, t - 0.05)))
-            x_hat0 = rng.standard_normal(2)
-            xT = rng.standard_normal(2)
-            ev = eval_schedule(sched, t)
-            z_hat = rng.standard_normal(2)
-            x_t = ev.alpha * x_hat0 + ev.beta * xT + ev.gamma * z_hat
+        for t, dt, *_ in _probe_steps(1000):
             eps = epsilon(policy, sched, t, dt, 5, 10)
-            a = step_dbim(sched, x_hat0, xT, z_hat, t, dt, eps, np.zeros(2))
-            b = step_markovian(sched, x_hat0, x_t, t, dt, np.zeros(2))
-            worst_det = max(worst_det, float(np.max(np.abs(a - b))))
-            a_z = step_dbim(sched, x_hat0, xT, z_hat, t, dt, eps, np.ones(2))
-            b_z = step_markovian(sched, x_hat0, x_t, t, dt, np.ones(2))
-            worst_noise = max(worst_noise, float(np.max(np.abs((a_z - a) - (b_z - b)))))
-        assert worst_det <= 1e-12
-        assert worst_noise <= 1e-12
+            np.testing.assert_allclose(
+                step_dbim(sched, t, dt, eps), step_markovian(sched, t, dt, eps),
+                rtol=0, atol=1e-12,
+            )
 
     def test_i2sb_markovian_step_matches_posterior_coefficients(self):
         """The Markovian step reproduces the pinned-diffusion posterior."""
@@ -137,12 +268,8 @@ class TestVariantEquivalences:
                 sig_sq = u_of(t_lo)
                 a_sq = u_of(t_hi) - u_of(t_lo)
                 denom = a_sq + sig_sq
-                c_hat = step_markovian(sched, np.array([1.0]), np.array([0.0]),
-                                       t_hi, t_hi - t_lo, np.array([0.0]))[0]
-                c_x = step_markovian(sched, np.array([0.0]), np.array([1.0]),
-                                     t_hi, t_hi - t_lo, np.array([0.0]))[0]
-                c_z = step_markovian(sched, np.array([0.0]), np.array([0.0]),
-                                     t_hi, t_hi - t_lo, np.array([1.0]))[0]
+                c_hat, c_anchor, c_x, c_z = step_markovian(sched, t_hi, t_hi - t_lo, 0.0)
+                assert c_anchor == 0.0
                 np.testing.assert_allclose(c_hat, a_sq / denom, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(c_x, sig_sq / denom, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(
