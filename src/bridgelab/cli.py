@@ -113,12 +113,14 @@ def _num(section: dict, key: str, path: str, default=None) -> float | None:
     return num
 
 
-def _intval(section: dict, key: str, path: str, default=None) -> int | None:
+def _intval(section: dict, key: str, path: str, default=None, minimum=None) -> int | None:
     if key not in section:
         return default
     val = section[key]
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"{path}.{key}: expected an integer, got {val!r}")
+    if minimum is not None and val < minimum:
+        raise ConfigError(f"{path}.{key}: expected an integer >= {minimum}, got {val}")
     return val
 
 
@@ -282,7 +284,7 @@ def _parse_denoiser(cfg: dict, task, sched: Schedule, path: str = "denoiser"):
             raise ConfigError(f"{path}.path: file {model_path!r} does not exist")
         try:
             return load_denoiser(model_path)
-        except (ValueError, KeyError, TypeError) as err:  # a header field missing or malformed
+        except ValueError as err:
             raise ConfigError(f"{path}.path: cannot load {model_path!r} ({err})") from err
     raise ConfigError(f"{path}.kind: {kind!r} is not one of ('analytic', 'mlp')")
 
@@ -365,46 +367,37 @@ def _write_artifacts(out_dir: str, artifacts: dict[str, bytes]) -> None:
 def _run_verify_schedule(cfg: dict, seed: int, threads: int):
     sched = _parse_schedule(cfg)
     grid = _parse_grid(cfg)
-    pts = list(reversed(grid.points))
-    rows = []
-    min_g_sq = math.inf
+    ts = np.array(grid.points[::-1])
+    ev = eval_schedule(sched, ts)
     failures = []
-    for t in pts:
-        ev = eval_schedule(sched, t)
-        try:
-            co = bridge_coefficients(sched, t)
-            min_g_sq = min(min_g_sq, co.g_sq)
-            f_s_g = (co.f, co.s, co.g_sq)
-        except ValueError as err:
-            failures.append(f"bridge_coefficients at t = {t}: {err}")
-            f_s_g = (math.nan, math.nan, math.nan)
-        rows.append((t, ev.alpha, ev.beta, ev.gamma, ev.d_alpha, ev.d_beta, ev.d_gamma, *f_s_g))
+    try:
+        co = bridge_coefficients(sched, ts)
+        min_g_sq = float(np.min(co.g_sq))
+    except ValueError as err:
+        failures.append(f"bridge_coefficients on the grid: {err}")
+        co, min_g_sq = (np.full_like(ts, math.nan),) * 3, math.nan
+    rows = np.column_stack([ts, *ev[:6], *co])
 
-    ev0 = eval_schedule(sched, 0.0)
-    evT = eval_schedule(sched, T_HORIZON)
-    endpoint_dev = max(
-        abs(ev0.alpha - 1.0), abs(ev0.beta), abs(ev0.gamma),
-        abs(evT.alpha), abs(evT.beta - 1.0), abs(evT.gamma),
-    )
+    ends = eval_schedule(sched, np.array([0.0, T_HORIZON]))
+    endpoint_dev = float(np.max(np.abs([ends.alpha - (1, 0), ends.beta - (0, 1), ends.gamma])))
     if endpoint_dev > 1e-9:
         failures.append(f"endpoint pinning deviates by {endpoint_dev}")
 
+    # Central differences, one-sided at the ends of [0, T], against every finite derivative.
     h = 1e-6
-    deriv_dev = 0.0
-    for t in pts:
-        if sched.kind == "i2sb" and any(abs(t - b) <= 1e-3 for b in sched.i2sb_breakpoints):
-            continue
-        lo, hi = eval_schedule(sched, t - h), eval_schedule(sched, t + h)
-        for num, ana in (
-            ((hi.alpha - lo.alpha) / (2 * h), eval_schedule(sched, t).d_alpha),
-            ((hi.beta - lo.beta) / (2 * h), eval_schedule(sched, t).d_beta),
-            ((hi.gamma - lo.gamma) / (2 * h), eval_schedule(sched, t).d_gamma),
-        ):
-            deriv_dev = max(deriv_dev, abs(num - ana) / max(1.0, abs(ana)))
+    lo, hi = np.maximum(ts - h, 0.0), np.minimum(ts + h, T_HORIZON)
+    ev_hi, ev_lo = eval_schedule(sched, hi), eval_schedule(sched, lo)
+    num = (np.array(ev_hi[:3]) - np.array(ev_lo[:3])) / (hi - lo)
+    ana = np.array(ev[3:6])
+    ok = np.isfinite(ana)
+    if sched.kind == "i2sb":
+        ok &= np.min(np.abs(ts[:, None] - np.array(sched.i2sb_breakpoints)), axis=1) > 1e-3
+    num, ana = num[ok], ana[ok]
+    deriv_dev = float(np.max(np.abs(num - ana) / np.maximum(1.0, np.abs(ana)), initial=0.0))
     if deriv_dev > 1e-4:
         failures.append(f"analytic derivatives deviate from central differences by {deriv_dev}")
 
-    min_gamma = min(eval_schedule(sched, t).gamma for t in pts)
+    min_gamma = float(np.min(ev.gamma))
     if min_gamma <= 0:
         failures.append(f"gamma is not positive on the grid (min {min_gamma})")
     if min_g_sq < 0:
@@ -540,11 +533,10 @@ def _run_train_denoiser(cfg: dict, seed: int, threads: int):
         prec = Preconditioner.from_pairs(x0_est, xT_est)
     else:
         _check_keys(prec_section, {"sigma0", "sigmaT", "sigma0T"}, "prec")
-        prec = Preconditioner(
-            sigma0=_num(prec_section, "sigma0", "prec", 0.5),
-            sigmaT=_num(prec_section, "sigmaT", "prec", 0.5),
-            sigma0T=_num(prec_section, "sigma0T", "prec", 0.125),
-        )
+        try:
+            prec = Preconditioner(**{key: _num(prec_section, key, "prec") for key in prec_section})
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
 
     den, running = train_mlp_denoiser(task, sched, prec, hyper)
     test_mse = test_mse_vs_analytic(den, task, seed=seed)
@@ -588,8 +580,8 @@ def _run_afd_study(cfg: dict, seed: int, threads: int):
             d_out = _intval(feat_section, "d_out", "afd.feature")
             if not d_out or d_out < 1:
                 raise ConfigError("afd.feature.d_out: a positive integer is required")
-            d_task = getattr(task, "d")
-            feature = random_projection(d_task, d_out, _intval(feat_section, "seed", "afd.feature", 0))
+            proj_seed = _intval(feat_section, "seed", "afd.feature", 0, minimum=0)
+            feature = random_projection(task.d, d_out, proj_seed)
         elif kind != "identity":
             raise ConfigError(
                 f"afd.feature.kind: {kind!r} is not one of ('identity', 'random_projection')"
@@ -633,14 +625,18 @@ def _run_convergence_study(cfg: dict, seed: int, threads: int):
     _check_keys(section, allowed, "convergence")
     t = _num(section, "t", "convergence", 0.5)
     eta = _num(section, "eta", "convergence", 0.3)
-    d = _intval(section, "d", "convergence", 2)
-    n_probes = _intval(section, "n_probes", "convergence", 32)
+    d = _intval(section, "d", "convergence", 2, minimum=1)
+    n_probes = _intval(section, "n_probes", "convergence", 32, minimum=1)
+    if not 0.0 < t <= T_HORIZON:
+        raise ConfigError(f"convergence.t: need 0 < t <= {T_HORIZON}, got {t}")
     dts = _array(section, "dts", "convergence")
-    if dts is None or dts.ndim != 1 or dts.size < 3 or np.any(dts <= 0):
-        raise ConfigError("convergence.dts: need >= 3 positive step sizes")
+    if dts.ndim != 1 or dts.size < 3 or np.any(dts <= 0) or np.any(dts > t):
+        raise ConfigError("convergence.dts: need >= 3 positive step sizes no larger than t")
     pairs_raw = section.get(
         "pairs", [["euler_z", "gamma_simplified"], ["gamma_simplified", "dbim"]]
     )
+    if not isinstance(pairs_raw, list):
+        raise ConfigError(f"convergence.pairs: expected a list of variant pairs, got {pairs_raw!r}")
     pairs = []
     for i, pair in enumerate(pairs_raw):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
@@ -651,9 +647,9 @@ def _run_convergence_study(cfg: dict, seed: int, threads: int):
         pairs.append((pair[0], pair[1]))
     slope_range = section.get("slope_range", [1.8, 2.2])
     if slope_range is not None:
-        arr = np.asarray(slope_range, dtype=np.float64)
-        if arr.shape != (2,):
-            raise ConfigError("convergence.slope_range: expected [lo, hi] or null")
+        arr = _array({"slope_range": slope_range}, "slope_range", "convergence")
+        if arr.shape != (2,) or not arr[0] <= arr[1]:
+            raise ConfigError("convergence.slope_range: expected [lo, hi] with lo <= hi, or null")
         slope_range = (float(arr[0]), float(arr[1]))
 
     gen = _rng.stream(seed, _rng.TAG_PROBE)
@@ -662,7 +658,10 @@ def _run_convergence_study(cfg: dict, seed: int, threads: int):
     zh = gen.standard_normal((n_probes, d))
     ev = eval_schedule(sched, t)
     x_t = ev.alpha * x_hat0 + ev.beta * anchor + ev.gamma * zh
-    policy = EpsilonPolicy(kind="eta_scaled", eta=eta, tail_zero_steps=0)
+    try:
+        policy = EpsilonPolicy(kind="eta_scaled", eta=eta, tail_zero_steps=0)
+    except ValueError as err:
+        raise ConfigError(f"convergence.eta: {err}") from err
 
     rows = []
     slopes = {}
@@ -726,8 +725,8 @@ def _run_reformulation_check(cfg: dict, seed: int, threads: int):
     threshold = _num(section, "threshold", "reformulation", 1e-8)
     t_lo = _num(section, "t_lo", "reformulation", 0.1)
     t_hi = _num(section, "t_hi", "reformulation", 0.9)
-    n_points = _intval(section, "n_points", "reformulation", 25)
-    n_probes = _intval(section, "n_probes", "reformulation", 32)
+    n_points = _intval(section, "n_points", "reformulation", 25, minimum=2)
+    n_probes = _intval(section, "n_probes", "reformulation", 32, minimum=1)
     if not (0 < t_lo < t_hi < T_HORIZON):
         raise ConfigError("reformulation.t_lo/t_hi: need 0 < t_lo < t_hi < 1")
     kwargs: dict = {"n_probes": n_probes}

@@ -19,7 +19,8 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from . import rng as _rng
-from .schedule import DEFAULT_T_MAX, DEFAULT_T_MIN, Schedule, eval_schedule
+from .schedule import DEFAULT_T_MAX, DEFAULT_T_MIN, T_HORIZON, Schedule, eval_schedule
+from .schedule import _clamp_rounding, _first_where, _times
 
 _EIG_TOL = 1e-12
 _FILE_FORMAT = "bridgelab-denoiser-v1"
@@ -268,6 +269,13 @@ class Preconditioner:
     sigmaT: float = 0.5
     sigma0T: float = 0.125
 
+    def __post_init__(self):
+        for name in ("sigma0", "sigmaT", "sigma0T"):
+            val = getattr(self, name)
+            bad = isinstance(val, bool) or not isinstance(val, (int, float))
+            if bad or not math.isfinite(val) or (val <= 0 and name != "sigma0T"):
+                raise ValueError(f"prec.{name} must be finite (sigma0, sigmaT: > 0), got {val!r}")
+
     @classmethod
     def from_pairs(cls, x_0: np.ndarray, x_T: np.ndarray) -> "Preconditioner":
         """Moment-estimated statistics, averaged over dimensions."""
@@ -281,18 +289,19 @@ class Preconditioner:
         return cls(math.sqrt(var0), math.sqrt(varT), cov)
 
 
-def precondition(
-    prec: Preconditioner, sched: Schedule, t: float
-) -> tuple[float, float, float, float, float]:
+def precondition(prec: Preconditioner, sched: Schedule, t):
     """Returns (c_in, c_skip, c_out, c_noise, lam) at time t in (0, T].
 
+    t is a float, giving floats, or an array, giving arrays shaped like t.
     c_in normalizes Var(c_in x_t) to 1 under the data statistics; c_skip and
     c_out make the residual target unit-variance; lam = 1/c_out^2 is the loss
     weight that turns the weighted denoising loss into a unit-weight residual
     loss.
     """
-    if t <= 0:
-        raise ValueError(f"preconditioning needs t > 0, got {t}")
+    t = _times(t)
+    at = _first_where(t <= 0.0, t)
+    if at:
+        raise ValueError(f"preconditioning needs t > 0, got {at[0]}")
     ev = eval_schedule(sched, t)
     s0_sq = prec.sigma0**2
     sT_sq = prec.sigmaT**2
@@ -302,19 +311,13 @@ def precondition(
         + 2.0 * ev.alpha * ev.beta * prec.sigma0T
         + ev.gamma**2
     )
-    c_in = 1.0 / math.sqrt(var_in)
+    c_in = 1.0 / np.sqrt(var_in)
     c_skip = (ev.alpha * s0_sq + ev.beta * prec.sigma0T) * c_in**2
     rad = ev.beta**2 * s0_sq * sT_sq - ev.beta**2 * prec.sigma0T**2 + ev.gamma**2 * s0_sq
-    if rad < 0.0:
-        if rad < -1e-12:
-            raise ValueError(
-                f"c_out radicand {rad} is negative: data statistics are inconsistent"
-            )
-        rad = 0.0
-    c_out = math.sqrt(rad) * c_in
-    c_noise = 0.25 * math.log(t)
-    lam = 1.0 / c_out**2
-    return c_in, c_skip, c_out, c_noise, lam
+    rad = _clamp_rounding(rad, "c_out radicand {} is negative: data statistics are inconsistent")
+    c_out = np.sqrt(rad) * c_in
+    out = (c_in, c_skip, c_out, 0.25 * np.log(t), 1.0 / c_out**2)
+    return tuple(map(float, out)) if isinstance(t, float) else out
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +338,8 @@ class MlpHyper:
     def __post_init__(self):
         if min(self.layers, self.width, self.batch, self.iters) < 1 or self.lr <= 0:
             raise ValueError("mlp hyperparameters must be positive")
+        if not 0.0 < self.t_min < self.t_max <= T_HORIZON:
+            raise ValueError(f"need 0 < t_min < t_max <= T, got [{self.t_min}, {self.t_max}]")
 
 
 @dataclass
@@ -421,13 +426,9 @@ def _training_batch(
     d = x_0.shape[1]
     ts = gen.uniform(hyper.t_min, hyper.t_max, hyper.batch)
     z = gen.standard_normal((hyper.batch, d))
-    cols = np.empty((hyper.batch, 7))
-    for i, t in enumerate(ts):
-        ev = eval_schedule(sched, float(t))
-        c_in, c_skip, c_out, c_noise, _ = precondition(prec, sched, float(t))
-        cols[i] = (ev.alpha, ev.beta, ev.gamma, c_in, c_skip, c_out, c_noise)
-    al, be, ga, c_in, c_skip, c_out, c_noise = (cols[:, j : j + 1] for j in range(7))
-    x_t = al * x_0 + be * x_T + ga * z
+    ev = eval_schedule(sched, ts[:, None])
+    c_in, c_skip, c_out, c_noise, _ = precondition(prec, sched, ts[:, None])
+    x_t = ev.alpha * x_0 + ev.beta * x_T + ev.gamma * z
     x_net = np.concatenate([c_in * x_t, x_T, c_noise], axis=1)
     target = (x_0 - c_skip * x_t) / c_out
     return x_net, target
@@ -539,12 +540,11 @@ def test_mse_vs_analytic(
     x_0, x_T = sample_pair(dist, n_probes, gen)
     ts = gen.uniform(t_min, t_max, n_probes)
     z = gen.standard_normal(x_0.shape)
+    ev = eval_schedule(den.sched, ts[:, None])
+    x_t = ev.alpha * x_0 + ev.beta * x_T + ev.gamma * z
     total = 0.0
-    for i in range(n_probes):
-        t = float(ts[i])
-        ev = eval_schedule(den.sched, t)
-        x_t = ev.alpha * x_0[i] + ev.beta * x_T[i] + ev.gamma * z[i]
-        diff = denoise(den, x_t, x_T[i], t) - denoise(ref, x_t, x_T[i], t)
+    for i, t in enumerate(ts.tolist()):
+        diff = denoise(den, x_t[i], x_T[i], t) - denoise(ref, x_t[i], x_T[i], t)
         total += float(np.sum(diff**2))
     return total / (n_probes * x_0.shape[1])
 
@@ -553,27 +553,22 @@ def test_mse_vs_analytic(
 # Serialization: JSON header line + raw little-endian float64 parameter block.
 
 
+_SCHEDULE_FIELDS = ("kind", "gamma_max", "gamma_multiplier", "gamma_scale", "beta_d", "beta_min",
+                    "i2sb_breakpoints", "i2sb_values")
+_PREC_FIELDS = ("sigma0", "sigmaT", "sigma0T")
+
+
 def _schedule_to_config(sched: Schedule) -> dict:
     if sched.kind == "custom":
         raise ValueError("custom schedules are not serializable")
-    return {
-        "kind": sched.kind,
-        "gamma_max": sched.gamma_max,
-        "gamma_multiplier": sched.gamma_multiplier,
-        "gamma_scale": sched.gamma_scale,
-        "beta_d": sched.beta_d,
-        "beta_min": sched.beta_min,
-        "i2sb_breakpoints": list(sched.i2sb_breakpoints),
-        "i2sb_values": list(sched.i2sb_values),
-    }
+    return {key: getattr(sched, key) for key in _SCHEDULE_FIELDS}
 
 
-def _schedule_from_config(cfg: dict) -> Schedule:
-    cfg = dict(cfg)
-    for key in ("i2sb_breakpoints", "i2sb_values"):
-        if key in cfg:
-            cfg[key] = tuple(cfg[key])
-    return Schedule(**cfg)
+def _header_object(header: dict, key: str, fields: tuple[str, ...]) -> dict:
+    val = header.get(key)
+    if not isinstance(val, dict) or set(val) != set(fields):
+        raise ValueError(f"header field {key!r} must be an object with keys {fields}, got {val!r}")
+    return val
 
 
 def denoiser_to_bytes(den: MlpDenoiser) -> bytes:
@@ -583,11 +578,7 @@ def denoiser_to_bytes(den: MlpDenoiser) -> bytes:
         "format": _FILE_FORMAT,
         "kind": "mlp",
         "sizes": den.sizes,
-        "prec": {
-            "sigma0": den.prec.sigma0,
-            "sigmaT": den.prec.sigmaT,
-            "sigma0T": den.prec.sigma0T,
-        },
+        "prec": {key: getattr(den.prec, key) for key in _PREC_FIELDS},
         "schedule": _schedule_to_config(den.sched),
     }
     blocks = [json.dumps(header, sort_keys=True).encode() + b"\n"]
@@ -636,5 +627,12 @@ def load_denoiser(path) -> MlpDenoiser:
         weights.append(w.reshape(n_in, n_out).copy())
         biases.append(b.copy())
         offset += (n_in + 1) * n_out
-    prec = Preconditioner(**header["prec"])
-    return MlpDenoiser(weights, biases, prec, _schedule_from_config(header["schedule"]))
+    prec = Preconditioner(**_header_object(header, "prec", _PREC_FIELDS))
+    sched_cfg = _header_object(header, "schedule", _SCHEDULE_FIELDS)
+    try:
+        sched = Schedule(**{
+            key: tuple(val) if key.startswith("i2sb") else val for key, val in sched_cfg.items()
+        })
+    except TypeError as err:  # a field of the wrong type
+        raise ValueError(f"header field 'schedule' is malformed ({err})") from err
+    return MlpDenoiser(weights, biases, prec, sched)

@@ -20,7 +20,7 @@ import numpy as np
 from . import rng as _rng
 from .denoiser import Denoiser, denoise
 from .dynamics import PathEnsemble
-from .schedule import EpsilonPolicy, Schedule, TimeGrid, epsilon, eval_schedule
+from .schedule import EpsilonPolicy, Schedule, TimeGrid, _clamp_rounding, epsilon, eval_schedule
 
 VARIANTS = ("euler_z", "gamma_simplified", "dbim", "markovian")
 
@@ -62,15 +62,6 @@ def _evals(sched: Schedule, t: float, dt: float, eps: float, pivot: str = "gamma
     return cur, eval_schedule(sched, t - dt)
 
 
-def _root(rad: float, what: str) -> float:
-    """sqrt(rad), with rounding-level negatives clamped to 0 and larger ones rejected."""
-    if rad < 0.0:
-        if rad < -1e-12:
-            raise ValueError(what)
-        rad = 0.0
-    return math.sqrt(rad)
-
-
 def _fold(cur, a: float, b: float, c: float, c_hat: float, s: float):
     """(a, b, c, s) of a x0hat + b anchor + c x + c_hat zhat + s z, with
     zhat = (x - alpha x0hat - beta anchor) / gamma at t folded in."""
@@ -108,11 +99,11 @@ def step_dbim(sched: Schedule, t: float, dt: float, eps: float):
     """
     cur, nxt = _evals(sched, t, dt, eps)
     var = 2.0 * eps * dt
-    c_hat = _root(
+    c_hat = math.sqrt(_clamp_rounding(
         nxt.gamma**2 - var,
-        f"step variance 2*eps*dt = {var} exceeds gamma'^2 = {nxt.gamma**2}: "
-        "eps is too large for this step",
-    )
+        "step variance 2*eps*dt = {} exceeds gamma'^2 = {}: eps is too large for this step",
+        var, nxt.gamma**2,
+    ))
     return _fold(cur, nxt.alpha, nxt.beta, 0.0, c_hat, math.sqrt(var))
 
 
@@ -126,7 +117,7 @@ def step_markovian(sched: Schedule, t: float, dt: float, eps: float):
     cur, nxt = _evals(sched, t, dt, eps, pivot="beta")
     ratio = nxt.beta / cur.beta
     var = nxt.gamma**2 - ratio**2 * cur.gamma**2
-    s = _root(var, f"Markovian step variance {var} is negative")
+    s = math.sqrt(_clamp_rounding(var, "Markovian step variance {} is negative"))
     return nxt.alpha - cur.alpha * ratio, 0.0, ratio, s
 
 

@@ -102,27 +102,33 @@ class Schedule:
         if self.kind == "custom":
             if not (self.alpha_fn and self.beta_fn and self.gamma_fn):
                 raise ValueError("custom schedules need alpha_fn, beta_fn, gamma_fn")
+            if self.fd_step <= 0:
+                raise ValueError(f"fd_step must be positive, got {self.fd_step}")
 
 
-@dataclass(frozen=True)
-class ScheduleEval:
-    """Kernel coefficients and their time derivatives at one t."""
+class ScheduleEval(NamedTuple):
+    """Kernel coefficients and their time derivatives, each shaped like t.
 
-    alpha: float
-    beta: float
-    gamma: float
-    d_alpha: float
-    d_beta: float
-    d_gamma: float
+    d_gamma_sq = d(gamma^2)/dt stays finite at the endpoints where d_gamma
+    itself diverges for square-root-shaped gamma; bridge_coefficients needs
+    the finite form.
+    """
+
+    alpha: float | np.ndarray
+    beta: float | np.ndarray
+    gamma: float | np.ndarray
+    d_alpha: float | np.ndarray
+    d_beta: float | np.ndarray
+    d_gamma: float | np.ndarray
+    d_gamma_sq: float | np.ndarray
 
 
-@dataclass(frozen=True)
-class BridgeCoefficients:
+class BridgeCoefficients(NamedTuple):
     """Linear-SDE coefficients of the pinned process: dX = (fX + s xT)dt + g dW."""
 
-    f: float
-    s: float
-    g_sq: float
+    f: float | np.ndarray
+    s: float | np.ndarray
+    g_sq: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -168,166 +174,162 @@ class TimeGrid:
         return len(self.points) - 1
 
 
-class _EvalFull(NamedTuple):
-    # d_gamma_sq = d(gamma^2)/dt stays finite at the endpoints where d_gamma
-    # itself diverges for square-root-shaped gamma; bridge_coefficients needs
-    # the finite form.
-    alpha: float
-    beta: float
-    gamma: float
-    d_alpha: float
-    d_beta: float
-    d_gamma: float
-    d_gamma_sq: float
+def _times(t):
+    """A float (or int) t as a float; anything else as a float64 array copy."""
+    return float(t) if isinstance(t, (float, int)) else np.array(t, dtype=np.float64)
 
 
-def _vp_base(t: float, beta_d: float, beta_min: float):
+def _first_where(bad, *values):
+    """None if bad (a bool, or a bool array) holds nowhere, else the values where it first holds."""
+    if bad is False or not np.any(bad):
+        return None
+    i = np.flatnonzero(bad)[0]
+    return tuple(np.ravel(v)[i] for v in values)
+
+
+def _clamp_rounding(x, message: str, *context):
+    """x with negatives in [-1e-12, 0) set to 0; an entry below -1e-12 raises
+    ValueError(message.format(*context, entry)), context taken at that entry."""
+    at = _first_where(x < -1e-12, *context, x)
+    if at:
+        raise ValueError(message.format(*at))
+    if isinstance(x, float):
+        return 0.0 if x < 0.0 else x
+    return np.where(x < 0.0, 0.0, x)
+
+
+def _vp_base(t, beta_d: float, beta_min: float):
     # Shared closed forms so the t = T evaluation reuses the exact same
     # arithmetic as the reference values at T (endpoints land on 0/1 exactly).
     a_int = 0.5 * beta_d * t * t + beta_min * t
     a_rate = beta_d * t + beta_min
-    e = math.exp(a_int)
-    sigma = math.sqrt(e - 1.0) if e > 1.0 else 0.0
-    scale = math.exp(-0.5 * a_int)
-    return a_int, a_rate, e, sigma, scale
+    e = np.exp(a_int)
+    sigma = np.sqrt(np.maximum(e - 1.0, 0.0))
+    return a_rate, e, sigma, np.exp(-0.5 * a_int)
 
 
-def _i2sb_integral(sched: Schedule, t: float) -> tuple[float, float]:
+def _i2sb_integral(sched: Schedule, t):
     """Returns (sigma_t^2, d(sigma_t^2)/dt) for the piecewise-constant rate."""
-    bp = sched.i2sb_breakpoints
-    vals = sched.i2sb_values
-    u = 0.0
-    rate = vals[-1]
-    for j, v in enumerate(vals):
-        lo, hi = bp[j], bp[j + 1]
-        if t >= hi:
-            u += v * (hi - lo)
-        else:
-            u += v * (t - lo)
-            rate = v
-            break
-    return u, rate
+    bp = np.asarray(sched.i2sb_breakpoints)
+    vals = np.asarray(sched.i2sb_values)
+    cum = np.concatenate(([0.0], np.cumsum(vals * np.diff(bp))))
+    j = np.searchsorted(bp[1:-1], t, side="right")
+    return cum[j] + vals[j] * (t - bp[j]), vals[j]
 
 
-def _eval_full(sched: Schedule, t: float) -> _EvalFull:
+def _kernel(sched: Schedule, t, one):
+    """(alpha, beta, gamma, d_alpha, d_beta, d_gamma, d_gamma_sq) at t; one is 1 shaped like t."""
     if sched.kind == "linear":
         m = sched.gamma_multiplier * sched.gamma_max
-        q = t * (1.0 - t)
-        gamma = m * math.sqrt(q)
+        gamma = m * np.sqrt(t * (1.0 - t))
         d_gamma_sq = m * m * (1.0 - 2.0 * t)
-        with np.errstate(divide="ignore"):
-            d_gamma = float(np.divide(d_gamma_sq, 2.0 * gamma)) if q >= 0 else math.nan
-        return _EvalFull(1.0 - t, t, gamma, -1.0, 1.0, d_gamma, d_gamma_sq)
+        return 1.0 - t, t, gamma, -one, 1.0 * one, d_gamma_sq / (2.0 * gamma), d_gamma_sq
 
     if sched.kind == "trig":
         h = 0.5 * math.pi
-        alpha = math.cos(h * t)
-        beta = math.sin(h * t)
-        gamma = sched.gamma_scale * math.sin(math.pi * t)
-        d_gamma = sched.gamma_scale * math.pi * math.cos(math.pi * t)
-        return _EvalFull(
-            alpha, beta, gamma, -h * beta, h * alpha, d_gamma, 2.0 * gamma * d_gamma
-        )
+        alpha = np.cos(h * t)
+        beta = np.sin(h * t)
+        gamma = sched.gamma_scale * np.sin(math.pi * t)
+        d_gamma = sched.gamma_scale * math.pi * np.cos(math.pi * t)
+        return alpha, beta, gamma, -h * beta, h * alpha, d_gamma, 2.0 * gamma * d_gamma
 
     if sched.kind == "ddbm_ve":
         # sigma_t = t, scale a_t = 1, T = 1: alpha = 1 - t^2, beta = t^2.
         t2 = t * t
-        gamma_sq = t2 * (1.0 - t2)
-        gamma = math.sqrt(gamma_sq) if gamma_sq > 0 else 0.0
-        d_gamma_sq = 2.0 * t - 4.0 * t * t2
-        with np.errstate(divide="ignore"):
-            d_gamma = float(np.divide(1.0 - 2.0 * t2, np.sqrt(1.0 - t2)))
-        return _EvalFull(1.0 - t2, t2, gamma, -2.0 * t, 2.0 * t, d_gamma, d_gamma_sq)
+        gamma = np.sqrt(t2 * (1.0 - t2))
+        d_gamma = (1.0 - 2.0 * t2) / np.sqrt(1.0 - t2)
+        return 1.0 - t2, t2, gamma, -2.0 * t, 2.0 * t, d_gamma, 2.0 * t - 4.0 * t * t2
 
     if sched.kind == "ddbm_vp":
-        _, a_rate, e, sigma, a_t = _vp_base(t, sched.beta_d, sched.beta_min)
-        _, _, e1, sigma1, a_1 = _vp_base(T_HORIZON, sched.beta_d, sched.beta_min)
+        a_rate, e, sigma, a_t = _vp_base(t, sched.beta_d, sched.beta_min)
+        _, e1, _, a_1 = _vp_base(T_HORIZON, sched.beta_d, sched.beta_min)
         # r = (sigma_t^2 a_1^2)/(sigma_1^2 a_t^2) = (E^2 - E)/(E1^2 - E1); the
         # ratio form makes r(T) = 1 exactly so the endpoint pins in IEEE.
         q1 = e1 * e1 - e1
         r = (e * e - e) / q1
         d_r = a_rate * (2.0 * e * e - e) / q1
         d_a = -0.5 * a_rate * a_t
-        alpha = a_t * (1.0 - r)
-        d_alpha = d_a * (1.0 - r) - a_t * d_r
-        beta = (a_t / a_1) * r
-        d_beta = (d_a * r + a_t * d_r) / a_1
-        one_m_r = max(1.0 - r, 0.0)
-        gamma = sigma * math.sqrt(one_m_r)
-        gamma_sq = sigma * sigma * one_m_r
-        d_sigma_sq = a_rate * e
-        d_gamma_sq = d_sigma_sq * one_m_r - sigma * sigma * d_r
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d_gamma = float(np.divide(d_gamma_sq, 2.0 * gamma))
-        return _EvalFull(alpha, beta, gamma, d_alpha, d_beta, d_gamma, d_gamma_sq)
+        one_m_r = np.maximum(1.0 - r, 0.0)
+        gamma = sigma * np.sqrt(one_m_r)
+        d_gamma_sq = a_rate * e * one_m_r - sigma * sigma * d_r
+        return (
+            a_t * (1.0 - r), (a_t / a_1) * r, gamma, d_a * (1.0 - r) - a_t * d_r,
+            (d_a * r + a_t * d_r) / a_1, d_gamma_sq / (2.0 * gamma), d_gamma_sq,
+        )
 
     if sched.kind == "i2sb":
         u, rate = _i2sb_integral(sched, t)
         u_T, _ = _i2sb_integral(sched, T_HORIZON)
         frac = u / u_T
-        gamma_sq = u * (1.0 - frac)
-        gamma = math.sqrt(gamma_sq) if gamma_sq > 0 else 0.0
+        gamma = np.sqrt(np.maximum(u * (1.0 - frac), 0.0))
         d_gamma_sq = rate * (1.0 - 2.0 * frac)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d_gamma = float(np.divide(d_gamma_sq, 2.0 * gamma))
-        return _EvalFull(
-            1.0 - frac, frac, gamma, -rate / u_T, rate / u_T, d_gamma, d_gamma_sq
+        return (
+            1.0 - frac, frac, gamma, -rate / u_T, rate / u_T, d_gamma_sq / (2.0 * gamma), d_gamma_sq
         )
 
     if sched.kind == "edm":
-        return _EvalFull(1.0, 0.0, t, 0.0, 0.0, 1.0, 2.0 * t)
+        return 1.0 * one, 0.0 * one, t, 0.0 * one, 0.0 * one, 1.0 * one, 2.0 * t
 
-    # custom
-    warnings.warn(
-        "custom schedule: derivatives are finite differences, the "
-        "derivative-consistency guarantee does not apply",
-        stacklevel=3,
-    )
-    h = sched.fd_step
-    alpha = float(sched.alpha_fn(t))
-    beta = float(sched.beta_fn(t))
-    gamma = float(sched.gamma_fn(t))
-    lo, hi = max(t - h, 0.0), min(t + h, T_HORIZON)
+    # custom: the callables take one scalar t; derivatives are central
+    # differences, one-sided where the step would leave [0, T].
+    def call(fn, x):
+        return np.reshape([float(fn(float(v))) for v in np.ravel(x)], np.shape(x))
+
+    fns = (sched.alpha_fn, sched.beta_fn, sched.gamma_fn)
+    lo, hi = np.maximum(t - sched.fd_step, 0.0), np.minimum(t + sched.fd_step, T_HORIZON)
+    (a_lo, b_lo, g_lo), (a_hi, b_hi, g_hi) = ([call(fn, x) for fn in fns] for x in (lo, hi))
     span = hi - lo
-    d_alpha = (float(sched.alpha_fn(hi)) - float(sched.alpha_fn(lo))) / span
-    d_beta = (float(sched.beta_fn(hi)) - float(sched.beta_fn(lo))) / span
-    g_hi, g_lo = float(sched.gamma_fn(hi)), float(sched.gamma_fn(lo))
-    d_gamma = (g_hi - g_lo) / span
-    d_gamma_sq = (g_hi * g_hi - g_lo * g_lo) / span
-    return _EvalFull(alpha, beta, gamma, d_alpha, d_beta, d_gamma, d_gamma_sq)
+    return (
+        *(call(fn, t) for fn in fns), (a_hi - a_lo) / span, (b_hi - b_lo) / span,
+        (g_hi - g_lo) / span, (g_hi * g_hi - g_lo * g_lo) / span,
+    )
 
 
-def eval_schedule(sched: Schedule, t: float) -> ScheduleEval:
+def _eval_full(sched: Schedule, t) -> ScheduleEval:
+    t = _times(t)
+    at = _first_where((t < 0.0) | (t > T_HORIZON) | (t != t), t)
+    if at:
+        raise ValueError(f"t = {at[0]} outside [0, {T_HORIZON}]")
+    if sched.kind == "custom":
+        warnings.warn(
+            "custom schedule: derivatives are finite differences, the "
+            "derivative-consistency guarantee does not apply",
+            stacklevel=3,
+        )
+    scalar = isinstance(t, float)
+    # Square-root-shaped gamma divides by zero at the endpoints: +-inf there.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fields = _kernel(sched, t, 1.0 if scalar else np.ones_like(t))
+    return ScheduleEval(*map(float, fields)) if scalar else ScheduleEval(*fields)
+
+
+def eval_schedule(sched: Schedule, t) -> ScheduleEval:
     """Evaluates (alpha, beta, gamma) and time derivatives at t in [0, T].
 
+    t is a float, giving floats, or an array, giving fields shaped like t.
     Derivatives of square-root-shaped gamma diverge at the endpoints; they
     are returned as +-inf there.  All quantities are finite on (0, T).
     """
-    if not 0.0 <= t <= T_HORIZON:
-        raise ValueError(f"t = {t} outside [0, {T_HORIZON}]")
-    fe = _eval_full(sched, t)
-    return ScheduleEval(fe.alpha, fe.beta, fe.gamma, fe.d_alpha, fe.d_beta, fe.d_gamma)
+    return _eval_full(sched, t)
 
 
-def bridge_coefficients(sched: Schedule, t: float) -> BridgeCoefficients:
+def bridge_coefficients(sched: Schedule, t) -> BridgeCoefficients:
     """Linear-SDE coefficients at t: f = da/a, s = db - f b, g^2 = 2(g g' - f g^2).
 
-    Raises on |alpha(t)| < 1e-12, where the drift gain diverges.  A g^2 within
-    -1e-12 of zero is clamped to 0; anything more negative is a schedule error.
+    t is a float or an array, as for eval_schedule.  Raises on |alpha(t)| <
+    1e-12, where the drift gain diverges.  A g^2 within -1e-12 of zero is
+    clamped to 0; anything more negative is a schedule error.
     """
-    if not 0.0 <= t <= T_HORIZON:
-        raise ValueError(f"t = {t} outside [0, {T_HORIZON}]")
-    fe = _eval_full(sched, t)
-    if abs(fe.alpha) < 1e-12:
-        raise ValueError(f"alpha({t}) = {fe.alpha} is singular for the pinned SDE")
-    f = fe.d_alpha / fe.alpha
-    s = fe.d_beta - f * fe.beta
-    g_sq = fe.d_gamma_sq - 2.0 * f * fe.gamma * fe.gamma
-    if g_sq < 0.0:
-        if g_sq < -1e-12:
-            raise ValueError(f"g^2({t}) = {g_sq} is negative; schedule is not a bridge")
-        g_sq = 0.0
-    return BridgeCoefficients(f, s, g_sq)
+    ev = _eval_full(sched, t)
+    at = _first_where(abs(ev.alpha) < 1e-12, t, ev.alpha)
+    if at:
+        raise ValueError("alpha({}) = {} is singular for the pinned SDE".format(*at))
+    f = ev.d_alpha / ev.alpha
+    g_sq = _clamp_rounding(
+        ev.d_gamma_sq - 2.0 * f * ev.gamma * ev.gamma,
+        "g^2({}) = {} is negative; schedule is not a bridge", t,
+    )
+    return BridgeCoefficients(f, ev.d_beta - f * ev.beta, g_sq)
 
 
 def epsilon(
@@ -363,14 +365,12 @@ def epsilon(
     eps = (
         prev.gamma * prev.gamma * b_sq - prev.beta * prev.beta * now.gamma * now.gamma
     ) / (2.0 * b_sq * dt)
-    if eps < 0.0:
-        if eps < -1e-12:
-            raise ValueError(
-                f"i2sb_markovian epsilon is negative ({eps}) at t = {t}, dt = {dt}; "
-                f"the schedule/grid pairing is invalid"
-            )
-        eps = 0.0
-    return eps
+    return _clamp_rounding(
+        eps,
+        "i2sb_markovian epsilon is negative ({2}) at t = {0}, dt = {1}; "
+        "the schedule/grid pairing is invalid",
+        t, dt,
+    )
 
 
 def make_time_grid(
@@ -424,66 +424,52 @@ def verify_reformulation(
     drift vs -sigma sigma' score.  I2SB: the Markovian one-step coefficients
     vs the integrated-noise posterior coefficients on consecutive grid pairs.
     """
-    pts = list(t_grid.points) if isinstance(t_grid, TimeGrid) else [float(t) for t in t_grid]
     if family not in ("ve", "vp", "edm", "i2sb"):
         raise ValueError(f"unknown reformulation family {family!r}")
-    dev = 0.0
+    pts = np.asarray(t_grid.points if isinstance(t_grid, TimeGrid) else t_grid, dtype=np.float64)
+    if pts.ndim != 1 or pts.size < 2 or n_probes < 1:
+        raise ValueError(
+            f"need a 1-d grid of >= 2 times and n_probes >= 1, got {pts.shape}, {n_probes}"
+        )
     x, x_T, score = _probe_states(n_probes, 2)
+    t = pts[:, None, None]  # one probe block per grid time
+
+    def max_abs(*diffs) -> float:
+        return float(max(np.max(np.abs(d)) for d in diffs))
 
     if family == "ve":
-        sched = Schedule("ddbm_ve")
-        for t in pts:
-            bc = bridge_coefficients(sched, t)
-            ours = bc.f * x + bc.s * x_T
-            native = 2.0 * t * (x_T - x) / (1.0 - t * t)
-            dev = max(dev, float(np.max(np.abs(ours - native))))
-            dev = max(dev, abs(bc.g_sq - 2.0 * t))
-        return dev
+        bc = bridge_coefficients(Schedule("ddbm_ve"), t)
+        native = 2.0 * t * (x_T - x) / (1.0 - t * t)
+        return max_abs(bc.f * x + bc.s * x_T - native, bc.g_sq - 2.0 * t)
 
     if family == "vp":
-        sched = Schedule("ddbm_vp", beta_d=beta_d, beta_min=beta_min)
-        _, _, _, sigma1, a_1 = _vp_base(T_HORIZON, beta_d, beta_min)
-        for t in pts:
-            bc = bridge_coefficients(sched, t)
-            ours = bc.f * x + bc.s * x_T
-            _, a_rate, e, sigma, a_t = _vp_base(t, beta_d, beta_min)
-            d_a = -0.5 * a_rate * a_t
-            d_sigma = a_rate * e / (2.0 * sigma)
-            f_native = (d_a / a_t)
-            g_sq_native = 2.0 * sigma * d_sigma - 2.0 * f_native * sigma * sigma
-            denom = sigma1 * sigma1 * a_t * a_t - sigma * sigma * a_1 * a_1
-            h_bar = (a_1 * a_t * x_T - a_1 * a_1 * x) / denom
-            # The conditioned process adds the h-transform pull toward x_T.
-            native = f_native * x + g_sq_native * h_bar
-            dev = max(dev, float(np.max(np.abs(ours - native))))
-            dev = max(dev, abs(bc.g_sq - g_sq_native))
-        return dev
+        bc = bridge_coefficients(Schedule("ddbm_vp", beta_d=beta_d, beta_min=beta_min), t)
+        _, _, sigma1, a_1 = _vp_base(T_HORIZON, beta_d, beta_min)
+        a_rate, e, sigma, a_t = _vp_base(t, beta_d, beta_min)
+        d_a = -0.5 * a_rate * a_t
+        d_sigma = a_rate * e / (2.0 * sigma)
+        f_native = d_a / a_t
+        g_sq_native = 2.0 * sigma * d_sigma - 2.0 * f_native * sigma * sigma
+        denom = sigma1 * sigma1 * a_t * a_t - sigma * sigma * a_1 * a_1
+        h_bar = (a_1 * a_t * x_T - a_1 * a_1 * x) / denom
+        # The conditioned process adds the h-transform pull toward x_T.
+        native = f_native * x + g_sq_native * h_bar
+        return max_abs(bc.f * x + bc.s * x_T - native, bc.g_sq - g_sq_native)
 
     if family == "edm":
-        sched = Schedule("edm")
-        for t in pts:
-            bc = bridge_coefficients(sched, t)
-            ours = bc.f * x + bc.s * x_T - 0.5 * bc.g_sq * score
-            native = -t * score
-            dev = max(dev, float(np.max(np.abs(ours - native))))
-            dev = max(dev, abs(bc.g_sq - 2.0 * t))
-        return dev
+        bc = bridge_coefficients(Schedule("edm"), t)
+        ours = bc.f * x + bc.s * x_T - 0.5 * bc.g_sq * score
+        return max_abs(ours - (-t * score), bc.g_sq - 2.0 * t)
 
     # i2sb: compare Markovian step coefficients against the posterior form
-    # written with the integrated noise rate directly.
+    # written with the integrated noise rate directly, on consecutive pairs.
     sched = Schedule("i2sb", i2sb_breakpoints=i2sb_breakpoints, i2sb_values=i2sb_values)
-    for t_hi, t_lo in zip(pts, pts[1:]):
-        now = _eval_full(sched, t_hi)
-        prev = _eval_full(sched, t_lo)
-        c0 = prev.alpha - now.alpha * prev.beta / now.beta
-        cx = prev.beta / now.beta
-        cn_sq = prev.gamma**2 - prev.beta**2 * now.gamma**2 / now.beta**2
-        u_lo, _ = _i2sb_integral(sched, t_lo)
-        u_hi, _ = _i2sb_integral(sched, t_hi)
-        sig_n_sq = u_lo
-        a_n_sq = u_hi - u_lo
-        tot = sig_n_sq + a_n_sq
-        dev = max(dev, abs(c0 - a_n_sq / tot))
-        dev = max(dev, abs(cx - sig_n_sq / tot))
-        dev = max(dev, abs(cn_sq - sig_n_sq * a_n_sq / tot))
-    return dev
+    t_hi, t_lo = pts[:-1], pts[1:]
+    now, prev = _eval_full(sched, t_hi), _eval_full(sched, t_lo)
+    c0 = prev.alpha - now.alpha * prev.beta / now.beta
+    cx = prev.beta / now.beta
+    cn_sq = prev.gamma**2 - prev.beta**2 * now.gamma**2 / now.beta**2
+    sig_n_sq, _ = _i2sb_integral(sched, t_lo)
+    a_n_sq = _i2sb_integral(sched, t_hi)[0] - sig_n_sq
+    tot = sig_n_sq + a_n_sq
+    return max_abs(c0 - a_n_sq / tot, cx - sig_n_sq / tot, cn_sq - sig_n_sq * a_n_sq / tot)

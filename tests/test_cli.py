@@ -1,6 +1,7 @@
 """End-to-end command runs: exit codes, artifacts, atomicity, determinism."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -90,6 +91,20 @@ class TestVerifySchedule:
         _run("verify-schedule", cfg, out_b)
         for name in ("schedule.csv", "verify.json"):
             assert _read_bytes(out_a, name) == _read_bytes(out_b, name)
+
+    def test_grid_reaching_T_reports_the_singular_endpoint(self, tmp_path):
+        cfg = _write_config(
+            tmp_path, "c.json", {"schedule": LINEAR_SCHEDULE, "grid": {"n_steps": 16, "t_max": 1.0}}
+        )
+        out = tmp_path / "out"
+        assert _run("verify-schedule", cfg, out) == 2
+        assert sorted(os.listdir(out)) == ["manifest.json", "schedule.csv", "verify.json"]
+        verify = _read_json(out, "verify.json")
+        assert verify["passed"] is False
+        assert verify["derivative_deviation"] <= 1e-4
+        assert any("alpha(1.0) = 0.0 is singular" in f for f in verify["failures"])
+        last = _read_bytes(out, "schedule.csv").decode().strip().split("\n")[-1].split(",")
+        assert last[:4] == ["1", "0", "1", "0"]
 
     def test_manifest_echoes_config_without_out(self, tmp_path):
         cfg_dict = {**self.CONFIG, "out": "ignored-dir"}
@@ -196,6 +211,71 @@ class TestConfigErrors:
         assert _run("sample", str(path), out) == 1
         assert not out.exists()
         assert f"{section}.{key}" in capsys.readouterr().err
+
+
+AFD_CONFIG = {
+    "schedule": LINEAR_SCHEDULE,
+    "grid": {"n_steps": 8},
+    "eps_policy": {"kind": "zero"},
+    "task": TASK_1D,
+    "denoiser": {"kind": "analytic"},
+    "sampler": {},
+    "afd": {
+        "boot_values": [0.0, 0.5],
+        "n_conditions": 3,
+        "n_replicates": 4,
+        "feature": {"kind": "random_projection", "d_out": 1, "seed": -1},
+    },
+}
+CONVERGENCE_DTS = [0.04, 0.02, 0.01]
+
+
+@pytest.mark.parametrize(
+    "command, cfg, field",
+    [
+        ("train-denoiser",
+         {"schedule": LINEAR_SCHEDULE, "task": TASK_1D, "train": {"t_min": 0.5, "t_max": 0.4}},
+         "train: need 0 < t_min < t_max"),
+        ("train-denoiser",
+         {"schedule": LINEAR_SCHEDULE, "task": TASK_1D, "train": {"t_max": 1.5}},
+         "train: need 0 < t_min < t_max"),
+        ("train-denoiser",
+         {"schedule": LINEAR_SCHEDULE, "task": TASK_1D, "train": {"iters": 1},
+          "prec": {"sigma0": -0.5}},
+         "prec.sigma0"),
+        ("convergence-study",
+         {"schedule": LINEAR_SCHEDULE, "convergence": {"dts": CONVERGENCE_DTS, "t": 2.0}},
+         "convergence.t"),
+        ("convergence-study",
+         {"schedule": LINEAR_SCHEDULE, "convergence": {"dts": CONVERGENCE_DTS, "d": 0}},
+         "convergence.d"),
+        ("convergence-study",
+         {"schedule": LINEAR_SCHEDULE, "convergence": {"dts": CONVERGENCE_DTS, "n_probes": -1}},
+         "n_probes"),
+        ("convergence-study",
+         {"schedule": LINEAR_SCHEDULE,
+          "convergence": {"dts": CONVERGENCE_DTS, "slope_range": ["a", 1]}},
+         "convergence.slope_range"),
+        ("convergence-study",
+         {"schedule": LINEAR_SCHEDULE, "convergence": {"dts": CONVERGENCE_DTS, "eta": 1.5}},
+         "convergence.eta"),
+        ("convergence-study",
+         {"schedule": LINEAR_SCHEDULE, "convergence": {"dts": CONVERGENCE_DTS, "pairs": 5}},
+         "convergence.pairs"),
+        ("reformulation-check", {"reformulation": {"family": "ve", "n_points": 0}}, "n_points"),
+        ("reformulation-check", {"reformulation": {"family": "ve", "n_probes": 0}}, "n_probes"),
+        ("afd-study", AFD_CONFIG, "afd.feature.seed"),
+    ],
+    ids=["train-t-order", "train-t-max", "train-prec-sigma0", "convergence-t", "convergence-d",
+         "convergence-n-probes", "convergence-slope-range", "convergence-eta",
+         "convergence-pairs", "reformulation-n-points",
+         "reformulation-n-probes", "afd-feature-seed"],
+)
+def test_bad_config_value_exits_1_and_names_the_field(tmp_path, capsys, command, cfg, field):
+    out = tmp_path / "out"
+    assert _run(command, _write_config(tmp_path, "c.json", cfg), out) == 1
+    assert not out.exists()
+    assert field in capsys.readouterr().err
 
 
 class TestArtifactMode:
@@ -463,7 +543,9 @@ class TestTrainDenoiser:
         np.testing.assert_allclose(prec["sigmaT"], 1.0, rtol=0.1, atol=0)
 
     @pytest.mark.parametrize(
-        "corruption", ["nan_weight", "trailing_bytes", "sizes_vs_body", "missing_prec"]
+        "corruption",
+        ["nan_weight", "trailing_bytes", "sizes_vs_body", "missing_prec", "missing_schedule",
+         "nan_sigma0", "string_sigma0"],
     )
     def test_corrupt_model_file_exits_1_without_artifacts(self, tmp_path, corruption):
         train_cfg = _write_config(
@@ -485,7 +567,10 @@ class TestTrainDenoiser:
             header = header.replace(b'"sizes": [3, 4, 1]', b'"sizes": [3, 3, 1]')
         else:
             fields = json.loads(header)
-            del fields["prec"]
+            if corruption.startswith("missing_"):
+                del fields[corruption[len("missing_"):]]
+            else:
+                fields["prec"]["sigma0"] = math.nan if corruption == "nan_sigma0" else "x"
             header = json.dumps(fields).encode()
         model_path = tmp_path / "model.bin"
         model_path.write_bytes(header + b"\n" + body)

@@ -340,6 +340,32 @@ class TestPreconditioning:
         with pytest.raises(ValueError, match="radicand"):
             precondition(Preconditioner(sigma0=0.1, sigmaT=0.1, sigma0T=0.5), LINEAR, 0.9)
 
+    def test_array_equals_the_float_calls(self):
+        prec = Preconditioner(sigma0=0.7, sigmaT=0.4, sigma0T=0.1)
+        ts = np.linspace(0.01, 1.0, 50)
+        got = precondition(prec, LINEAR, ts.reshape(5, 10))
+        rows = [precondition(prec, LINEAR, float(t)) for t in ts]
+        assert all(type(v) is float for row in rows for v in row)
+        for field, column in zip(got, zip(*rows)):
+            assert field.shape == (5, 10)
+            np.testing.assert_array_equal(field.ravel(), column)
+
+    @pytest.mark.parametrize("bad, match", [([0.5, 0.0], "t > 0"), ([0.5, math.nan], "outside"),
+                                            ([0.5, 1.5], "outside")])
+    def test_array_with_a_bad_time_raises(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            precondition(Preconditioner(), LINEAR, np.array(bad))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"sigma0": math.nan}, {"sigmaT": math.inf}, {"sigma0T": -math.inf}, {"sigma0": "x"},
+         {"sigmaT": None}, {"sigma0T": True}, {"sigma0": 0.0}, {"sigmaT": -0.5}],
+        ids=["nan", "inf", "-inf", "str", "none", "bool", "zero-sd", "negative-sd"],
+    )
+    def test_bad_statistics_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="prec"):
+            Preconditioner(**kwargs)
+
     def test_from_pairs_exact_small_sample(self):
         x_0 = np.array([[0.0, 0.0], [2.0, 2.0], [1.0, 4.0]])
         x_T = np.array([[1.0, 0.0], [3.0, 2.0], [2.0, 1.0]])
@@ -409,6 +435,9 @@ class TestMlp:
             MlpHyper(iters=0)
         with pytest.raises(ValueError, match="positive"):
             MlpHyper(lr=0.0)
+        for t_min, t_max in ((0.5, 0.4), (0.01, 1.5), (0.0, 0.5), (0.3, 0.3)):
+            with pytest.raises(ValueError, match="t_min < t_max"):
+                MlpHyper(t_min=t_min, t_max=t_max)
 
     def test_init_shapes_and_zero_biases(self):
         weights, biases = mlp_init([5, 7, 2], seed=1)
@@ -505,6 +534,41 @@ class TestSerialization:
             path.write_bytes(bad)
             with pytest.raises(ValueError, match=match):
                 load_denoiser(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("prec", None),
+            ("schedule", None),
+            ("prec", {"sigma0": math.nan, "sigmaT": 0.5, "sigma0T": 0.125}),
+            ("prec", {"sigma0": "x", "sigmaT": 0.5, "sigma0T": 0.125}),
+            ("prec", {"sigma0": 0.5, "sigmaT": 0.5}),
+            ("prec", {"sigma0": 0.5, "sigmaT": 0.5, "sigma0T": 0.125, "extra": 1.0}),
+            ("prec", [0.5, 0.5, 0.125]),
+            ("schedule", {"kind": "linear"}),
+            ("schedule", "linear"),
+            ("schedule.gamma_max", "x"),
+            ("schedule.i2sb_values", 5),
+            ("schedule.kind", "custom"),
+        ],
+        ids=["no-prec", "no-schedule", "nan-sigma0", "str-sigma0", "prec-missing-key",
+             "prec-extra-key", "prec-list", "schedule-missing-keys", "schedule-str",
+             "str-gamma-max", "scalar-i2sb-values", "custom-kind"],
+    )
+    def test_malformed_header_field_raises_value_error(self, tmp_path, field, value):
+        header_line, body = denoiser_to_bytes(self._tiny_mlp()).split(b"\n", 1)
+        header = json.loads(header_line)
+        key, _, sub = field.partition(".")
+        if sub:
+            header[key][sub] = value
+        elif value is None:
+            del header[key]
+        else:
+            header[key] = value
+        path = tmp_path / "model.bin"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(ValueError):
+            load_denoiser(path)
 
     def test_custom_schedule_not_serializable(self):
         den = self._tiny_mlp()

@@ -329,3 +329,78 @@ class TestCustomSchedule:
     def test_requires_all_three_callables(self):
         with pytest.raises(ValueError):
             Schedule(kind="custom", alpha_fn=lambda t: 1.0 - t)
+
+
+ARRAY_KINDS = PINNED_KINDS + [Schedule(kind="edm"), _custom_quadratic()]
+# Both endpoints, a time next to 0, the interior and the multi-segment i2sb breakpoints.
+T_ARRAY = np.concatenate([[0.0, 1.0, 0.3, 0.7, 1e-9], INTERIOR])
+
+
+def _fields_equal(got, want_rows, shape):
+    for name, field, column in zip(got._fields, got, zip(*want_rows)):
+        assert field.shape == shape, name
+        np.testing.assert_array_equal(field.ravel(), column, err_msg=name)
+
+
+class TestArrayEvaluation:
+    @pytest.mark.parametrize("sched", ARRAY_KINDS, ids=lambda s: s.kind)
+    def test_eval_schedule_on_an_array_equals_the_float_calls(self, sched):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = eval_schedule(sched, T_ARRAY.reshape(2, -1))
+            rows = [eval_schedule(sched, float(t)) for t in T_ARRAY]
+        _fields_equal(got, rows, (2, T_ARRAY.size // 2))
+        assert all(type(v) is float for row in rows for v in row)
+
+    @pytest.mark.parametrize("sched", ARRAY_KINDS, ids=lambda s: s.kind)
+    def test_bridge_coefficients_on_an_array_equal_the_float_calls(self, sched):
+        ts = T_ARRAY[T_ARRAY < 1.0]  # alpha(T) = 0 is singular
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = bridge_coefficients(sched, ts)
+            rows = [bridge_coefficients(sched, float(t)) for t in ts]
+        _fields_equal(got, rows, ts.shape)
+        assert all(type(v) is float for row in rows for v in row)
+
+    def test_linear_kernel_is_its_closed_form_bit_for_bit(self):
+        sched = Schedule(kind="linear", gamma_max=0.125)
+        m = 0.5 * 0.125
+        t = INTERIOR
+        ev = eval_schedule(sched, t)
+        want = [1.0 - t, t, m * np.sqrt(t * (1.0 - t)), -np.ones_like(t), np.ones_like(t)]
+        for got, expected in zip(ev, want):
+            np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(ev.d_gamma_sq, m * m * (1.0 - 2.0 * t))
+        np.testing.assert_array_equal(ev.d_gamma, ev.d_gamma_sq / (2.0 * ev.gamma))
+
+    def test_i2sb_integral_at_and_between_breakpoints(self):
+        sched = PINNED_KINDS[-1]  # rates 0.5, 2.0, 1.0 on [0, .3), [.3, .7), [.7, 1]
+        u = np.array([0.0, 0.15, 0.15 + 0.4, 0.95, 0.95 + 0.15, 1.25])
+        ev = eval_schedule(sched, [0.0, 0.3, 0.5, 0.7, 0.85, 1.0])
+        np.testing.assert_allclose(ev.beta, u / 1.25, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(ev.d_beta, np.array([0.5, 2.0, 2.0, 1.0, 1.0, 1.0]) / 1.25,
+                                   rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("bad", [[0.5, math.nan], [0.5, 1.2], [-0.1, 0.5], [[0.2], [1.5]]])
+    def test_nan_or_out_of_range_entries_raise(self, bad):
+        for fn in (eval_schedule, bridge_coefficients):
+            with pytest.raises(ValueError, match="outside"):
+                fn(Schedule(kind="linear"), np.array(bad))
+
+    def test_singular_entry_names_its_time(self):
+        with pytest.raises(ValueError, match=r"alpha\(1\.0\) = 0\.0 is singular"):
+            bridge_coefficients(Schedule(kind="linear"), np.array([0.5, 1.0]))
+
+    def test_i2sb_markovian_epsilon_checks_the_previous_time(self):
+        policy = EpsilonPolicy(kind="i2sb_markovian", tail_zero_steps=0)
+        with pytest.raises(ValueError, match="outside"):
+            epsilon(policy, Schedule(kind="linear"), 0.05, 0.1, step_index=5, total_steps=40)
+
+    @pytest.mark.parametrize("family", ["ve", "vp", "edm", "i2sb"])
+    def test_reformulation_deviation_is_a_python_float(self, family):
+        assert type(verify_reformulation(family, np.linspace(0.1, 0.9, 5))) is float
+
+    def test_reformulation_needs_a_grid_and_probes(self):
+        for family, grid, n_probes in (("i2sb", [0.5], 32), ("ve", [], 32), ("ve", [0.4, 0.5], 0)):
+            with pytest.raises(ValueError, match="need a 1-d grid of >= 2 times and n_probes >= 1"):
+                verify_reformulation(family, grid, n_probes=n_probes)
