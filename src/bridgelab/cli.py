@@ -78,232 +78,204 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Config access helpers
+# Config specs and the one reader
+#
+# A spec maps each key of a section to (type, default, bound).  The default
+# _REQUIRED makes the key required, and None leaves an absent key out, so the
+# library's own default applies.  The bound is the minimum of an integer, the
+# choices of a string or the rank of an array.  A type that is itself a spec
+# reads a nested section.  A "kind" entry that is a dict maps each kind to
+# the spec of the section's other keys.
+
+_REQUIRED = object()
+_NUMBER = ("number", None, None)
+_COUNT = ("integer", _REQUIRED, 1)
+_VECTOR, _MATRIX = ("array", _REQUIRED, 1), ("array", _REQUIRED, 2)
+_JOINT = {"mean0": _VECTOR, "meanT": _VECTOR, "cov00": _MATRIX, "covTT": _MATRIX, "cov0T": _MATRIX}
+_I2SB = {"i2sb_breakpoints": ("array", None, 1), "i2sb_values": ("array", None, 1)}
+# reformulation-check family -> the schedule kind it is checked on
+_FAMILIES = {"ve": "ddbm_ve", "vp": "ddbm_vp", "edm": "edm", "i2sb": "i2sb"}
+
+_SPECS = {
+    "schedule": {
+        "kind": ("string", _REQUIRED, tuple(k for k in SCHEDULE_KINDS if k != "custom")),
+        "gamma_max": _NUMBER, "gamma_multiplier": _NUMBER, "gamma_scale": _NUMBER,
+        "beta_d": _NUMBER, "beta_min": _NUMBER, **_I2SB,
+    },
+    "grid": {"n_steps": _COUNT, "t_min": _NUMBER, "t_max": _NUMBER, "rho": _NUMBER},
+    "eps_policy": {
+        "kind": ("string", _REQUIRED, EPSILON_KINDS), "eta": _NUMBER, "const_value": _NUMBER,
+        "scale_by_gamma_sq": ("boolean", None, None), "tail_zero_steps": ("integer", None, 0),
+    },
+    "task": {"kind": {
+        "joint_gaussian": _JOINT,
+        "gmm_coupling": {"weights": _VECTOR, "components": ("list", _REQUIRED, None)},
+    }},
+    "denoiser": {"kind": {"analytic": {}, "mlp": {"path": ("string", _REQUIRED, None)}}},
+    "sampler": {
+        "variant": ("string", None, VARIANTS), "boot_b": _NUMBER,
+        "record_trajectory": ("boolean", None, None),
+    },
+    "forward": {
+        "x0": _VECTOR, "xT": _VECTOR, "n_paths": _COUNT, "record": ("boolean", True, None),
+    },
+    "sample": {"n_conditions": _COUNT, "n_replicates": ("integer", 1, 1)},
+    "train": {
+        "layers": ("integer", None, 1), "width": ("integer", None, 1), "lr": _NUMBER,
+        "batch": ("integer", None, 1), "iters": ("integer", None, 1),
+        "t_min": _NUMBER, "t_max": _NUMBER,
+    },
+    "prec": {
+        "estimate_from": ("integer", None, 2),
+        "sigma0": _NUMBER, "sigmaT": _NUMBER, "sigma0T": _NUMBER,
+    },
+    "afd": {
+        "boot_values": _VECTOR, "n_conditions": _COUNT, "n_replicates": ("integer", _REQUIRED, 2),
+        "feature": ({"kind": {
+            "identity": {},
+            "random_projection": {"d_out": _COUNT, "seed": ("integer", 0, 0)},
+        }}, None, None),
+    },
+    "convergence": {
+        "t": ("number", 0.5, None), "dts": _VECTOR, "eta": ("number", 0.3, None),
+        "d": ("integer", 2, 1), "n_probes": ("integer", 32, 1),
+        "pairs": ("list", (("euler_z", "gamma_simplified"), ("gamma_simplified", "dbim")), None),
+        "slope_range": ("array or null", (1.8, 2.2), 1),
+    },
+    "reformulation": {
+        "family": ("string", _REQUIRED, tuple(_FAMILIES)), "threshold": ("number", 1e-8, None),
+        "t_lo": ("number", 0.1, None), "t_hi": ("number", 0.9, None),
+        "n_points": ("integer", 25, 2), "n_probes": ("integer", 32, 1),
+        "beta_d": _NUMBER, "beta_min": _NUMBER, **_I2SB,
+    },
+}
+
+# type -> (the Python types it takes, what an error says it expected)
+_TYPES = {
+    "number": ((int, float), "a number"),
+    "integer": (int, "an integer"),
+    "string": (str, "a string"),
+    "boolean": (bool, "true/false"),
+    "list": (list, "a list"),
+}
 
 
-def _section(cfg: dict, key: str, path: str, required: bool = True) -> dict | None:
-    if key not in cfg:
+def _read(parent: dict, key, spec: dict, path: str | None = None, required: bool = True):
+    """The validated values of the section parent[key], or None if it is absent and optional.
+
+    Unknown keys are rejected; every error names path (default: key) and the key.
+    """
+    path = str(key) if path is None else path
+    if key not in parent:
         if required:
-            raise ConfigError(f"{path}{key}: required section is missing")
+            raise ConfigError(f"{path}: required section is missing")
         return None
-    val = cfg[key]
-    if not isinstance(val, dict):
-        raise ConfigError(f"{path}{key}: expected an object, got {type(val).__name__}")
-    return val
-
-
-def _check_keys(section: dict, allowed: set[str], path: str) -> None:
-    unknown = sorted(set(section) - allowed)
+    section = parent[key]
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(section).__name__}")
+    if isinstance(spec.get("kind"), dict):
+        kind_entry = ("string", _REQUIRED, tuple(spec["kind"]))
+        spec = {"kind": kind_entry, **spec["kind"][_value(section, "kind", kind_entry, path)]}
+    unknown = sorted(set(section) - set(spec))
     if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
+        raise ConfigError(f"{path}: unknown key(s) {unknown}; allowed: {sorted(spec)}")
+    vals = {name: _value(section, name, entry, path) for name, entry in spec.items()}
+    return {name: val for name, val in vals.items() if val is not None}
 
 
-def _num(section: dict, key: str, path: str, default=None) -> float | None:
+def _value(section: dict, key: str, entry: tuple, path: str):
+    typ, default, bound = entry
+    where = f"{path}.{key}"
     if key not in section:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}: required value is missing")
         return default
     val = section[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
+    if isinstance(typ, dict):
+        return _read(section, key, typ, where)
+    if typ.startswith("array"):
+        if val is None and typ == "array or null":
+            return None
+        arr = _build(where, np.asarray, val, dtype=np.float64)
+        if not np.all(np.isfinite(arr)):
+            raise ConfigError(f"{where}: contains non-finite values")
+        if arr.ndim != bound:
+            raise ConfigError(f"{where}: expected a {bound}-d array, got {arr.ndim}-d")
+        return arr
+    types, expected = _TYPES[typ]
+    # bool is an int subclass; only boolean keys take true/false
+    if isinstance(val, bool) != (typ == "boolean") or not isinstance(val, types):
+        raise ConfigError(f"{where}: expected {expected}, got {val!r}")
+    if typ == "number":
+        num = _build(where, float, val)
+        if not math.isfinite(num):
+            raise ConfigError(f"{where}: expected a finite number, got {val!r}")
+        return num
+    if bound is not None and typ == "string" and val not in bound:
+        raise ConfigError(f"{where}: {val!r} is not one of {bound}")
+    if bound is not None and typ == "integer" and val < bound:
+        raise ConfigError(f"{where}: expected an integer >= {bound}, got {val}")
+    return val
+
+
+def _build(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with the error a bad value or file raises in it reported at path.
+
+    LinAlgError is a ValueError; TypeError and OverflowError come from numbers and arrays
+    that cannot be converted, OSError from a file that cannot be read.
+    """
     try:
-        num = float(val)
-    except OverflowError:
-        num = math.inf
-    if not math.isfinite(num):
-        raise ConfigError(f"{path}.{key}: expected a finite number, got {val!r}")
-    return num
-
-
-def _intval(section: dict, key: str, path: str, default=None, minimum=None) -> int | None:
-    if key not in section:
-        return default
-    val = section[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {val!r}")
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{path}.{key}: expected an integer >= {minimum}, got {val}")
-    return val
-
-
-def _strval(section: dict, key: str, path: str, default=None, required: bool = False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"{path}.{key}: required value is missing")
-        return default
-    val = section[key]
-    if not isinstance(val, str):
-        raise ConfigError(f"{path}.{key}: expected a string, got {val!r}")
-    return val
-
-
-def _boolval(section: dict, key: str, path: str, default=False) -> bool:
-    if key not in section:
-        return default
-    val = section[key]
-    if not isinstance(val, bool):
-        raise ConfigError(f"{path}.{key}: expected true/false, got {val!r}")
-    return val
-
-
-def _array(section: dict, key: str, path: str, required: bool = True):
-    if key not in section:
-        if required:
-            raise ConfigError(f"{path}.{key}: required value is missing")
-        return None
-    try:
-        arr = np.asarray(section[key], dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(f"{path}.{key}: not a numeric array ({err})") from err
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{path}.{key}: contains non-finite values")
-    return arr
+        return make(*args, **kwargs)
+    except (ValueError, TypeError, OverflowError, OSError) as err:
+        raise ConfigError(f"{path}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
-# Section parsers
+# Section parsers.  Each command has a parser that reads and builds
+# everything the run needs, so a bad config fails before any computation.
 
 
-def _parse_schedule(cfg: dict, path: str = "schedule") -> Schedule:
-    section = _section(cfg, "schedule", "")
-    allowed = {
-        "kind",
-        "gamma_max",
-        "gamma_multiplier",
-        "gamma_scale",
-        "beta_d",
-        "beta_min",
-        "i2sb_breakpoints",
-        "i2sb_values",
-    }
-    _check_keys(section, allowed, path)
-    kind = _strval(section, "kind", path, required=True)
-    if kind == "custom":
-        raise ConfigError(f"{path}.kind: custom schedules need callables and have no config form")
-    if kind not in SCHEDULE_KINDS:
-        raise ConfigError(f"{path}.kind: {kind!r} is not one of {SCHEDULE_KINDS}")
-    kwargs: dict = {"kind": kind}
-    for key in ("gamma_max", "gamma_multiplier", "gamma_scale", "beta_d", "beta_min"):
-        val = _num(section, key, path)
-        if val is not None:
-            kwargs[key] = val
-    for key in ("i2sb_breakpoints", "i2sb_values"):
-        if key in section:
-            arr = _array(section, key, path)
-            kwargs[key] = tuple(float(v) for v in arr)
-    try:
-        return Schedule(**kwargs)
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from err
+def _schedule(path: str, kind: str, **vals) -> Schedule:
+    vals = {k: tuple(v.tolist()) if isinstance(v, np.ndarray) else v for k, v in vals.items()}
+    return _build(path, Schedule, kind, **vals)
 
 
-def _parse_grid(cfg: dict, path: str = "grid") -> TimeGrid:
-    section = _section(cfg, "grid", "")
-    _check_keys(section, {"n_steps", "t_min", "t_max", "rho"}, path)
-    n_steps = _intval(section, "n_steps", path)
-    if n_steps is None:
-        raise ConfigError(f"{path}.n_steps: required value is missing")
-    kwargs = {}
-    for key in ("t_min", "t_max", "rho"):
-        val = _num(section, key, path)
-        if val is not None:
-            kwargs[key] = val
-    try:
-        return make_time_grid(n_steps, **kwargs)
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from err
+def _parse_schedule(cfg: dict) -> Schedule:
+    return _schedule("schedule", **_read(cfg, "schedule", _SPECS["schedule"]))
 
 
-def _parse_eps_policy(cfg: dict, path: str = "eps_policy") -> EpsilonPolicy:
-    section = _section(cfg, "eps_policy", "")
-    _check_keys(section, {"kind", "eta", "const_value", "scale_by_gamma_sq", "tail_zero_steps"}, path)
-    kind = _strval(section, "kind", path, required=True)
-    if kind not in EPSILON_KINDS:
-        raise ConfigError(f"{path}.kind: {kind!r} is not one of {EPSILON_KINDS}")
-    kwargs: dict = {"kind": kind}
-    for key in ("eta", "const_value"):
-        val = _num(section, key, path)
-        if val is not None:
-            kwargs[key] = val
-    if "scale_by_gamma_sq" in section:
-        kwargs["scale_by_gamma_sq"] = _boolval(section, "scale_by_gamma_sq", path)
-    tail = _intval(section, "tail_zero_steps", path)
-    if tail is not None:
-        kwargs["tail_zero_steps"] = tail
-    try:
-        return EpsilonPolicy(**kwargs)
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from err
+def _parse_grid(cfg: dict) -> TimeGrid:
+    vals = _read(cfg, "grid", _SPECS["grid"])
+    return _build("grid", make_time_grid, vals.pop("n_steps"), **vals)
 
 
-def _parse_joint_gaussian(section: dict, path: str) -> JointGaussian:
-    _check_keys(section, {"kind", "mean0", "meanT", "cov00", "covTT", "cov0T"}, path)
-    fields = {
-        key: _array(section, key, path) for key in ("mean0", "meanT", "cov00", "covTT", "cov0T")
-    }
-    try:
-        return JointGaussian(**fields)
-    except (ValueError, np.linalg.LinAlgError) as err:
-        raise ConfigError(f"{path}: {err}") from err
+def _parse_task(cfg: dict):
+    vals = _read(cfg, "task", _SPECS["task"])
+    if vals.pop("kind") == "joint_gaussian":
+        return _build("task", JointGaussian, **vals)
+    comps = dict(enumerate(vals["components"]))
+    paths = {i: f"task.components[{i}]" for i in comps}
+    parts = [_build(paths[i], JointGaussian, **_read(comps, i, _JOINT, paths[i])) for i in comps]
+    return _build("task", GmmCoupling, vals["weights"], parts)
 
 
-def _parse_task(cfg: dict, path: str = "task"):
-    section = _section(cfg, "task", "")
-    kind = _strval(section, "kind", path, required=True)
-    if kind == "joint_gaussian":
-        return _parse_joint_gaussian(section, path)
-    if kind == "gmm_coupling":
-        _check_keys(section, {"kind", "weights", "components"}, path)
-        weights = _array(section, "weights", path)
-        comps_raw = section.get("components")
-        if not isinstance(comps_raw, list) or not comps_raw:
-            raise ConfigError(f"{path}.components: expected a non-empty list")
-        comps = []
-        for i, comp in enumerate(comps_raw):
-            if not isinstance(comp, dict):
-                raise ConfigError(f"{path}.components[{i}]: expected an object")
-            comp = {**comp, "kind": "joint_gaussian"}
-            comps.append(_parse_joint_gaussian(comp, f"{path}.components[{i}]"))
-        try:
-            return GmmCoupling(tuple(float(w) for w in weights), tuple(comps))
-        except ValueError as err:
-            raise ConfigError(f"{path}: {err}") from err
-    raise ConfigError(f"{path}.kind: {kind!r} is not one of ('joint_gaussian', 'gmm_coupling')")
-
-
-def _parse_denoiser(cfg: dict, task, sched: Schedule, path: str = "denoiser"):
-    section = _section(cfg, "denoiser", "")
-    kind = _strval(section, "kind", path, required=True)
-    if kind == "analytic":
-        _check_keys(section, {"kind"}, path)
+def _parse_denoiser(cfg: dict, task, sched: Schedule):
+    vals = _read(cfg, "denoiser", _SPECS["denoiser"])
+    if vals["kind"] == "analytic":
         if isinstance(task, JointGaussian):
             return AnalyticGaussianDenoiser(task, sched)
         return AnalyticGmmDenoiser(task, sched)
-    if kind == "mlp":
-        _check_keys(section, {"kind", "path"}, path)
-        model_path = _strval(section, "path", path, required=True)
-        if not os.path.isfile(model_path):
-            raise ConfigError(f"{path}.path: file {model_path!r} does not exist")
-        try:
-            return load_denoiser(model_path)
-        except ValueError as err:
-            raise ConfigError(f"{path}.path: cannot load {model_path!r} ({err})") from err
-    raise ConfigError(f"{path}.kind: {kind!r} is not one of ('analytic', 'mlp')")
+    return _build("denoiser.path", load_denoiser, vals["path"])
 
 
-def _parse_sampler(cfg: dict, sched, eps_policy, grid, seed: int, path: str = "sampler") -> SamplerConfig:
-    section = _section(cfg, "sampler", "")
-    _check_keys(section, {"variant", "boot_b", "record_trajectory"}, path)
-    try:
-        return SamplerConfig(
-            schedule=sched,
-            eps_policy=eps_policy,
-            grid=grid,
-            variant=_strval(section, "variant", path, default="gamma_simplified"),
-            boot_b=_num(section, "boot_b", path, 0.0),
-            seed=seed,
-            record_trajectory=_boolval(section, "record_trajectory", path),
-        )
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from err
+def _parse_sampling(cfg: dict, seed: int):
+    """Task, denoiser and sampler config of sample and afd-study."""
+    sched, grid = _parse_schedule(cfg), _parse_grid(cfg)
+    eps = _build("eps_policy", EpsilonPolicy, **_read(cfg, "eps_policy", _SPECS["eps_policy"]))
+    task = _parse_task(cfg)
+    den = _parse_denoiser(cfg, task, sched)
+    sampler = _read(cfg, "sampler", _SPECS["sampler"])
+    return task, den, _build("sampler", SamplerConfig, sched, eps, grid, seed=seed, **sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +332,16 @@ def _write_artifacts(out_dir: str, artifacts: dict[str, bytes]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Command runners.  Each returns (artifacts, failures); failures non-empty
-# means exit code 2.
+# Commands.  Each is a parser, which takes (cfg, seed) and returns a tuple,
+# and a runner, which takes (*that tuple, seed, threads) and returns
+# (artifacts, failures); failures non-empty means exit code 2.
 
 
-def _run_verify_schedule(cfg: dict, seed: int, threads: int):
-    sched = _parse_schedule(cfg)
-    grid = _parse_grid(cfg)
+def _parse_verify_schedule(cfg: dict, seed: int):
+    return _parse_schedule(cfg), _parse_grid(cfg)
+
+
+def _run_verify_schedule(sched, grid, seed: int, threads: int):
     ts = np.array(grid.points[::-1])
     ev = eval_schedule(sched, ts)
     failures = []
@@ -423,22 +398,18 @@ def _run_verify_schedule(cfg: dict, seed: int, threads: int):
     return artifacts, failures
 
 
-def _run_simulate_forward(cfg: dict, seed: int, threads: int):
-    sched = _parse_schedule(cfg)
-    grid = _parse_grid(cfg)
-    section = _section(cfg, "forward", "")
-    _check_keys(section, {"x0", "xT", "n_paths", "record"}, "forward")
-    x0 = _array(section, "x0", "forward")
-    xT = _array(section, "xT", "forward")
-    n_paths = _intval(section, "n_paths", "forward")
-    if n_paths is None or n_paths < 1:
-        raise ConfigError("forward.n_paths: a positive integer is required")
-    record = _boolval(section, "record", "forward", default=True)
-    if x0.ndim != 1 or x0.shape != xT.shape:
+def _parse_simulate_forward(cfg: dict, seed: int):
+    sched, grid = _parse_schedule(cfg), _parse_grid(cfg)
+    fwd = _read(cfg, "forward", _SPECS["forward"])
+    if fwd["x0"].shape != fwd["xT"].shape:
         raise ConfigError("forward.x0/forward.xT: expected matching 1-d vectors")
+    return sched, grid, fwd
 
+
+def _run_simulate_forward(sched, grid, fwd, seed: int, threads: int):
+    x0, record = fwd["x0"], fwd["record"]
     ens = simulate_ensemble(
-        sched, x0, xT, grid, "forward", n_paths, seed, threads=threads, record=record
+        sched, x0, fwd["xT"], grid, "forward", fwd["n_paths"], seed, threads=threads, record=record
     )
     mom = estimate_marginal_moments(ens, -1)
     artifacts = {
@@ -461,20 +432,12 @@ def _run_simulate_forward(cfg: dict, seed: int, threads: int):
     return artifacts, []
 
 
-def _run_sample(cfg: dict, seed: int, threads: int):
-    sched = _parse_schedule(cfg)
-    grid = _parse_grid(cfg)
-    eps_policy = _parse_eps_policy(cfg)
-    task = _parse_task(cfg)
-    den = _parse_denoiser(cfg, task, sched)
-    sampler_cfg = _parse_sampler(cfg, sched, eps_policy, grid, seed)
-    section = _section(cfg, "sample", "")
-    _check_keys(section, {"n_conditions", "n_replicates"}, "sample")
-    n_conditions = _intval(section, "n_conditions", "sample")
-    n_replicates = _intval(section, "n_replicates", "sample", default=1)
-    if not n_conditions or n_conditions < 1 or n_replicates < 1:
-        raise ConfigError("sample.n_conditions/n_replicates: positive integers are required")
+def _parse_sample(cfg: dict, seed: int):
+    return (*_parse_sampling(cfg, seed), _read(cfg, "sample", _SPECS["sample"]))
 
+
+def _run_sample(task, den, sampler_cfg, vals, seed: int, threads: int):
+    n_conditions, n_replicates = vals["n_conditions"], vals["n_replicates"]
     conds = sample_condition(task, n_conditions, _rng.stream(seed, _rng.TAG_TASK))
     xT_batch = np.repeat(conds, n_replicates, axis=0)
     result = sample(sampler_cfg, den, xT_batch, threads=threads)
@@ -501,43 +464,22 @@ def _run_sample(cfg: dict, seed: int, threads: int):
     return artifacts, []
 
 
-def _run_train_denoiser(cfg: dict, seed: int, threads: int):
-    sched = _parse_schedule(cfg)
-    task = _parse_task(cfg)
-    section = _section(cfg, "train", "")
-    allowed = {"layers", "width", "lr", "batch", "iters", "t_min", "t_max"}
-    _check_keys(section, allowed, "train")
-    kwargs: dict = {"seed": seed}
-    for key in ("layers", "width", "batch", "iters"):
-        val = _intval(section, key, "train")
-        if val is not None:
-            kwargs[key] = val
-    for key in ("lr", "t_min", "t_max"):
-        val = _num(section, key, "train")
-        if val is not None:
-            kwargs[key] = val
-    try:
-        hyper = MlpHyper(**kwargs)
-    except ValueError as err:
-        raise ConfigError(f"train: {err}") from err
+def _parse_train_denoiser(cfg: dict, seed: int):
+    sched, task = _parse_schedule(cfg), _parse_task(cfg)
+    hyper = _build("train", MlpHyper, seed=seed, **_read(cfg, "train", _SPECS["train"]))
+    prec = _read(cfg, "prec", _SPECS["prec"], required=False) or {}
+    n_est = prec.pop("estimate_from", None)
+    if n_est is None:
+        return sched, task, hyper, _build("prec", Preconditioner, **prec)
+    if prec:
+        raise ConfigError(f"prec: estimate_from excludes {sorted(prec)}")
+    gen = _rng.stream(seed, _rng.TAG_TASK)
+    return sched, task, hyper, _build(
+        "prec", lambda: Preconditioner.from_pairs(*sample_pair(task, n_est, gen))
+    )
 
-    prec_section = _section(cfg, "prec", "", required=False)
-    if prec_section is None:
-        prec = Preconditioner()
-    elif "estimate_from" in prec_section:
-        _check_keys(prec_section, {"estimate_from"}, "prec")
-        n_est = _intval(prec_section, "estimate_from", "prec")
-        if not n_est or n_est < 2:
-            raise ConfigError("prec.estimate_from: an integer >= 2 is required")
-        x0_est, xT_est = sample_pair(task, n_est, _rng.stream(seed, _rng.TAG_TASK))
-        prec = Preconditioner.from_pairs(x0_est, xT_est)
-    else:
-        _check_keys(prec_section, {"sigma0", "sigmaT", "sigma0T"}, "prec")
-        try:
-            prec = Preconditioner(**{key: _num(prec_section, key, "prec") for key in prec_section})
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
 
+def _run_train_denoiser(sched, task, hyper, prec, seed: int, threads: int):
     den, running = train_mlp_denoiser(task, sched, prec, hyper)
     test_mse = test_mse_vs_analytic(den, task, seed=seed)
     artifacts = {
@@ -554,39 +496,22 @@ def _run_train_denoiser(cfg: dict, seed: int, threads: int):
     return artifacts, []
 
 
-def _run_afd_study(cfg: dict, seed: int, threads: int):
-    sched = _parse_schedule(cfg)
-    grid = _parse_grid(cfg)
-    eps_policy = _parse_eps_policy(cfg)
-    task = _parse_task(cfg)
-    den = _parse_denoiser(cfg, task, sched)
-    base_cfg = _parse_sampler(cfg, sched, eps_policy, grid, seed)
-    section = _section(cfg, "afd", "")
-    _check_keys(section, {"boot_values", "n_conditions", "n_replicates", "feature"}, "afd")
-    boot_values = _array(section, "boot_values", "afd")
-    n_conditions = _intval(section, "n_conditions", "afd")
-    n_replicates = _intval(section, "n_replicates", "afd")
-    if not n_conditions or not n_replicates or n_conditions < 1 or n_replicates < 2:
-        raise ConfigError("afd.n_conditions/n_replicates: need >= 1 condition and >= 2 replicates")
-    if boot_values.ndim != 1 or boot_values.size < 1 or np.any(boot_values < 0):
+def _parse_afd_study(cfg: dict, seed: int):
+    task, den, base_cfg = _parse_sampling(cfg, seed)
+    vals = _read(cfg, "afd", _SPECS["afd"])
+    if vals["boot_values"].size < 1 or np.any(vals["boot_values"] < 0):
         raise ConfigError("afd.boot_values: expected a non-empty list of values >= 0")
+    feature = vals.get("feature", {"kind": "identity"})
+    if feature["kind"] == "random_projection":
+        vals["feature"] = random_projection(task.d, feature["d_out"], feature["seed"])
+    else:
+        vals["feature"] = Identity()
+    return task, den, base_cfg, vals
 
-    feature = Identity()
-    feat_section = _section(section, "feature", "afd.", required=False)
-    if feat_section is not None:
-        kind = _strval(feat_section, "kind", "afd.feature", required=True)
-        if kind == "random_projection":
-            _check_keys(feat_section, {"kind", "d_out", "seed"}, "afd.feature")
-            d_out = _intval(feat_section, "d_out", "afd.feature")
-            if not d_out or d_out < 1:
-                raise ConfigError("afd.feature.d_out: a positive integer is required")
-            proj_seed = _intval(feat_section, "seed", "afd.feature", 0, minimum=0)
-            feature = random_projection(task.d, d_out, proj_seed)
-        elif kind != "identity":
-            raise ConfigError(
-                f"afd.feature.kind: {kind!r} is not one of ('identity', 'random_projection')"
-            )
 
+def _run_afd_study(task, den, base_cfg, vals, seed: int, threads: int):
+    boot_values, feature = vals["boot_values"], vals["feature"]
+    n_conditions, n_replicates = vals["n_conditions"], vals["n_replicates"]
     conds = sample_condition(task, n_conditions, _rng.stream(seed, _rng.TAG_TASK))
     xT_batch = np.repeat(conds, n_replicates, axis=0)
     afd_values = []
@@ -618,55 +543,45 @@ def _run_afd_study(cfg: dict, seed: int, threads: int):
     return artifacts, []
 
 
-def _run_convergence_study(cfg: dict, seed: int, threads: int):
+def _parse_convergence_study(cfg: dict, seed: int):
     sched = _parse_schedule(cfg)
-    section = _section(cfg, "convergence", "")
-    allowed = {"t", "dts", "eta", "d", "n_probes", "pairs", "slope_range"}
-    _check_keys(section, allowed, "convergence")
-    t = _num(section, "t", "convergence", 0.5)
-    eta = _num(section, "eta", "convergence", 0.3)
-    d = _intval(section, "d", "convergence", 2, minimum=1)
-    n_probes = _intval(section, "n_probes", "convergence", 32, minimum=1)
+    vals = _read(cfg, "convergence", _SPECS["convergence"])
+    t, dts = vals["t"], vals["dts"]
     if not 0.0 < t <= T_HORIZON:
         raise ConfigError(f"convergence.t: need 0 < t <= {T_HORIZON}, got {t}")
-    dts = _array(section, "dts", "convergence")
-    if dts.ndim != 1 or dts.size < 3 or np.any(dts <= 0) or np.any(dts > t):
+    if dts.size < 3 or np.any(dts <= 0) or np.any(dts > t):
         raise ConfigError("convergence.dts: need >= 3 positive step sizes no larger than t")
-    pairs_raw = section.get(
-        "pairs", [["euler_z", "gamma_simplified"], ["gamma_simplified", "dbim"]]
-    )
-    if not isinstance(pairs_raw, list):
-        raise ConfigError(f"convergence.pairs: expected a list of variant pairs, got {pairs_raw!r}")
-    pairs = []
-    for i, pair in enumerate(pairs_raw):
+    for i, pair in enumerate(vals["pairs"]):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ConfigError(f"convergence.pairs[{i}]: expected a pair of variant names")
         for name in pair:
             if name not in VARIANTS:
                 raise ConfigError(f"convergence.pairs[{i}]: {name!r} is not one of {VARIANTS}")
-        pairs.append((pair[0], pair[1]))
-    slope_range = section.get("slope_range", [1.8, 2.2])
+    slope_range = vals.get("slope_range")
     if slope_range is not None:
-        arr = _array({"slope_range": slope_range}, "slope_range", "convergence")
-        if arr.shape != (2,) or not arr[0] <= arr[1]:
+        if len(slope_range) != 2 or not slope_range[0] <= slope_range[1]:
             raise ConfigError("convergence.slope_range: expected [lo, hi] with lo <= hi, or null")
-        slope_range = (float(arr[0]), float(arr[1]))
+        vals["slope_range"] = (float(slope_range[0]), float(slope_range[1]))
+    policy = _build(
+        "convergence.eta", EpsilonPolicy, "eta_scaled", eta=vals["eta"], tail_zero_steps=0
+    )
+    return sched, policy, vals
 
+
+def _run_convergence_study(sched, policy, vals, seed: int, threads: int):
+    t, eta, dts, slope_range = vals["t"], vals["eta"], vals["dts"], vals.get("slope_range")
+    n_probes, d = vals["n_probes"], vals["d"]
     gen = _rng.stream(seed, _rng.TAG_PROBE)
     x_hat0 = gen.standard_normal((n_probes, d))
     anchor = gen.standard_normal((n_probes, d))
     zh = gen.standard_normal((n_probes, d))
     ev = eval_schedule(sched, t)
     x_t = ev.alpha * x_hat0 + ev.beta * anchor + ev.gamma * zh
-    try:
-        policy = EpsilonPolicy(kind="eta_scaled", eta=eta, tail_zero_steps=0)
-    except ValueError as err:
-        raise ConfigError(f"convergence.eta: {err}") from err
 
     rows = []
     slopes = {}
     failures = []
-    for a_name, b_name in pairs:
+    for a_name, b_name in vals["pairs"]:
         diffs = []
         for dt in dts:
             eps = epsilon(policy, sched, t, float(dt), 1, 2)
@@ -702,44 +617,21 @@ def _run_convergence_study(cfg: dict, seed: int, threads: int):
     return artifacts, failures
 
 
-def _run_reformulation_check(cfg: dict, seed: int, threads: int):
-    section = _section(cfg, "reformulation", "")
-    allowed = {
-        "family",
-        "threshold",
-        "t_lo",
-        "t_hi",
-        "n_points",
-        "n_probes",
-        "beta_d",
-        "beta_min",
-        "i2sb_breakpoints",
-        "i2sb_values",
-    }
-    _check_keys(section, allowed, "reformulation")
-    family = _strval(section, "family", "reformulation", required=True)
-    if family not in ("ve", "vp", "edm", "i2sb"):
-        raise ConfigError(
-            f"reformulation.family: {family!r} is not one of ('ve', 'vp', 'edm', 'i2sb')"
-        )
-    threshold = _num(section, "threshold", "reformulation", 1e-8)
-    t_lo = _num(section, "t_lo", "reformulation", 0.1)
-    t_hi = _num(section, "t_hi", "reformulation", 0.9)
-    n_points = _intval(section, "n_points", "reformulation", 25, minimum=2)
-    n_probes = _intval(section, "n_probes", "reformulation", 32, minimum=1)
-    if not (0 < t_lo < t_hi < T_HORIZON):
+def _parse_reformulation_check(cfg: dict, seed: int):
+    vals = _read(cfg, "reformulation", _SPECS["reformulation"])
+    if not (0 < vals["t_lo"] < vals["t_hi"] < T_HORIZON):
         raise ConfigError("reformulation.t_lo/t_hi: need 0 < t_lo < t_hi < 1")
-    kwargs: dict = {"n_probes": n_probes}
-    for key in ("beta_d", "beta_min"):
-        val = _num(section, key, "reformulation")
-        if val is not None:
-            kwargs[key] = val
-    for key in ("i2sb_breakpoints", "i2sb_values"):
-        if key in section:
-            kwargs[key] = tuple(float(v) for v in _array(section, key, "reformulation"))
+    keys = ("beta_d", "beta_min", *_I2SB)
+    # verify_reformulation builds this schedule from the same values.
+    given = {k: vals[k] for k in keys if k in vals}
+    sched = _schedule("reformulation", _FAMILIES[vals["family"]], **given)
+    return vals, {k: getattr(sched, k) for k in keys}
 
-    t_grid = np.linspace(t_lo, t_hi, n_points)
-    deviation = verify_reformulation(family, t_grid, **kwargs)
+
+def _run_reformulation_check(vals, sched_kw, seed: int, threads: int):
+    family, threshold = vals["family"], vals["threshold"]
+    t_grid = np.linspace(vals["t_lo"], vals["t_hi"], vals["n_points"])
+    deviation = verify_reformulation(family, t_grid, n_probes=vals["n_probes"], **sched_kw)
     passed = deviation <= threshold
     failures = [] if passed else [
         f"reformulation deviation for {family} is {deviation}, above threshold {threshold}"
@@ -758,13 +650,13 @@ def _run_reformulation_check(cfg: dict, seed: int, threads: int):
 
 
 _RUNNERS = {
-    "verify-schedule": _run_verify_schedule,
-    "simulate-forward": _run_simulate_forward,
-    "sample": _run_sample,
-    "train-denoiser": _run_train_denoiser,
-    "afd-study": _run_afd_study,
-    "convergence-study": _run_convergence_study,
-    "reformulation-check": _run_reformulation_check,
+    "verify-schedule": (_parse_verify_schedule, _run_verify_schedule),
+    "simulate-forward": (_parse_simulate_forward, _run_simulate_forward),
+    "sample": (_parse_sample, _run_sample),
+    "train-denoiser": (_parse_train_denoiser, _run_train_denoiser),
+    "afd-study": (_parse_afd_study, _run_afd_study),
+    "convergence-study": (_parse_convergence_study, _run_convergence_study),
+    "reformulation-check": (_parse_reformulation_check, _run_reformulation_check),
 }
 
 
@@ -788,7 +680,7 @@ def main(argv=None) -> int:
                 cfg = json.load(fh)
         except OSError as err:
             raise ConfigError(f"config: cannot read {args.config!r} ({err})") from err
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # a JSONDecodeError, or an integer too long to convert
             raise ConfigError(f"config: invalid JSON ({err})") from err
         if not isinstance(cfg, dict):
             raise ConfigError("config: top level must be an object")
@@ -802,7 +694,8 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
 
-        artifacts, failures = _RUNNERS[args.command](cfg, seed, args.threads)
+        parse, run = _RUNNERS[args.command]
+        artifacts, failures = run(*parse(cfg, seed), seed, args.threads)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1

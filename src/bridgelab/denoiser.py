@@ -52,9 +52,14 @@ class JointGaussian:
         self.cov00 = _as_matrix(self.cov00)
         self.covTT = _as_matrix(self.covTT)
         self.cov0T = _as_matrix(self.cov0T)
+        if self.mean0.ndim != 1:
+            raise ValueError(f"mean0 must be a vector, got shape {self.mean0.shape}")
         d = self.mean0.shape[0]
         if self.meanT.shape != (d,):
             raise ValueError("mean0 and meanT must share one dimension d")
+        for name in ("cov00", "covTT", "cov0T"):
+            if getattr(self, name).shape != (d, d):
+                raise ValueError(f"{name} must be ({d}, {d}), got {getattr(self, name).shape}")
         full = np.block([[self.cov00, self.cov0T], [self.cov0T.T, self.covTT]])
         if np.min(np.linalg.eigvalsh(full)) < -1e-10:
             raise ValueError("joint covariance is not positive semidefinite")
@@ -188,6 +193,8 @@ def _posterior_mean(
     weighted by their responsibilities; a single one needs none.
     """
     ev = eval_schedule(sched, t)
+    if ev.gamma < 1e-12:
+        raise ValueError(f"gamma({t}) = {ev.gamma} is singular")
     x_t = np.asarray(x_t, dtype=np.float64)
     squeeze = x_t.ndim == 1
     x_t2 = np.atleast_2d(x_t)

@@ -1,12 +1,16 @@
 """End-to-end command runs: exit codes, artifacts, atomicity, determinism."""
 
+import copy
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bridgelab import cli
 from bridgelab.cli import main
 
 LINEAR_SCHEDULE = {"kind": "linear", "gamma_max": 0.125}
@@ -140,6 +144,14 @@ class TestConfigErrors:
         path.write_text("{not json")
         assert _run("verify-schedule", str(path), tmp_path / "out") == 1
 
+    def test_integer_too_long_to_convert_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text('{"schedule": {"kind": "linear"}, "grid": {"n_steps": 1%s}}' % ("0" * 5000))
+        out = tmp_path / "out"
+        assert _run("verify-schedule", str(path), out) == 1
+        assert not out.exists()
+        assert "config: invalid JSON" in capsys.readouterr().err
+
     def test_missing_seed_exits_1(self, tmp_path):
         cfg = _write_config(
             tmp_path, "c.json", {"schedule": LINEAR_SCHEDULE, "grid": {"n_steps": 4}}
@@ -228,6 +240,15 @@ AFD_CONFIG = {
     },
 }
 CONVERGENCE_DTS = [0.04, 0.02, 0.01]
+SAMPLE_CONFIG = {
+    "schedule": LINEAR_SCHEDULE,
+    "grid": {"n_steps": 8},
+    "eps_policy": {"kind": "zero"},
+    "task": TASK_1D,
+    "denoiser": {"kind": "analytic"},
+    "sampler": {},
+    "sample": {"n_conditions": 4},
+}
 
 
 @pytest.mark.parametrize(
@@ -265,11 +286,25 @@ CONVERGENCE_DTS = [0.04, 0.02, 0.01]
         ("reformulation-check", {"reformulation": {"family": "ve", "n_points": 0}}, "n_points"),
         ("reformulation-check", {"reformulation": {"family": "ve", "n_probes": 0}}, "n_probes"),
         ("afd-study", AFD_CONFIG, "afd.feature.seed"),
+        ("reformulation-check", {"reformulation": {"family": "vp", "beta_d": -1.0}},
+         "reformulation"),
+        ("reformulation-check",
+         {"reformulation": {"family": "i2sb", "i2sb_breakpoints": [0.0, 0.5]}},
+         "reformulation"),
+        ("sample",
+         {**SAMPLE_CONFIG, "task": {**TASK_1D, "mean0": [0.35, 0.1], "meanT": [0.5, 0.2]}},
+         "task: cov00"),
+        ("sample", {**SAMPLE_CONFIG, "task": {**TASK_1D, "cov00": [[[0.29]]]}}, "task.cov00"),
+        ("verify-schedule",
+         {"schedule": {"kind": "i2sb", "i2sb_breakpoints": 0.5}, "grid": {"n_steps": 4}},
+         "schedule.i2sb_breakpoints"),
     ],
     ids=["train-t-order", "train-t-max", "train-prec-sigma0", "convergence-t", "convergence-d",
          "convergence-n-probes", "convergence-slope-range", "convergence-eta",
          "convergence-pairs", "reformulation-n-points",
-         "reformulation-n-probes", "afd-feature-seed"],
+         "reformulation-n-probes", "afd-feature-seed", "reformulation-vp-beta-d",
+         "reformulation-i2sb-breakpoints", "task-2d-means-1x1-blocks", "task-3d-cov",
+         "schedule-scalar-breakpoints"],
 )
 def test_bad_config_value_exits_1_and_names_the_field(tmp_path, capsys, command, cfg, field):
     out = tmp_path / "out"
@@ -355,6 +390,15 @@ class TestSample:
         assert _run("sample", cfg, out_b, seed=7, threads=4) == 0
         for name in ("sample.csv", "moments.json", "diagnostics.json"):
             assert _read_bytes(out_a, name) == _read_bytes(out_b, name)
+
+    def test_grid_reaching_T_fails_with_a_named_error(self, tmp_path, capsys):
+        cfg = _write_config(
+            tmp_path, "c.json", {**self.CONFIG, "grid": {"n_steps": 8, "t_max": 1.0}}
+        )
+        out = tmp_path / "out"
+        assert _run("sample", cfg, out) == 2
+        assert not out.exists()
+        assert "gamma(1.0) = 0.0 is singular" in capsys.readouterr().err
 
     def test_trajectory_artifact_when_requested(self, tmp_path):
         cfg_dict = {
@@ -604,3 +648,95 @@ class TestTrainDenoiser:
             },
         )
         assert _run("sample", cfg, tmp_path / "out") == 1
+
+
+# One valid config per command (two for sample: each task kind and denoiser kind).
+PARSE_BASES = [
+    ("verify-schedule", {"schedule": LINEAR_SCHEDULE, "grid": {"n_steps": 4}}),
+    ("verify-schedule",
+     {"schedule": {"kind": "i2sb", "i2sb_breakpoints": [0.0, 1.0], "i2sb_values": [1.0]},
+      "grid": {"n_steps": 4, "t_min": 0.1, "t_max": 0.9, "rho": 1.0}}),
+    ("simulate-forward",
+     {"schedule": LINEAR_SCHEDULE, "grid": {"n_steps": 4},
+      "forward": {"x0": [0.0], "xT": [1.0], "n_paths": 4, "record": False}}),
+    ("sample",
+     {**SAMPLE_CONFIG,
+      "eps_policy": {"kind": "constant", "eta": 0.3, "const_value": 0.1,
+                     "scale_by_gamma_sq": True, "tail_zero_steps": 1},
+      "sampler": {"variant": "dbim", "boot_b": 0.1, "record_trajectory": False},
+      "sample": {"n_conditions": 4, "n_replicates": 2}}),
+    ("sample", {**SAMPLE_CONFIG, "task": GMM_TASK, "denoiser": {"kind": "mlp", "path": "m.bin"}}),
+    ("train-denoiser",
+     {"schedule": LINEAR_SCHEDULE, "task": TASK_1D,
+      "train": {"layers": 1, "width": 4, "lr": 0.05, "batch": 8, "iters": 5, "t_min": 0.1,
+                "t_max": 0.9},
+      "prec": {"sigma0": 0.5, "sigmaT": 0.5, "sigma0T": 0.1}}),
+    ("train-denoiser",
+     {"schedule": LINEAR_SCHEDULE, "task": TASK_1D, "train": {}, "prec": {"estimate_from": 8}}),
+    ("afd-study", {**AFD_CONFIG, "afd": {**AFD_CONFIG["afd"], "feature": {
+        "kind": "random_projection", "d_out": 1, "seed": 0}}}),
+    ("convergence-study",
+     {"schedule": LINEAR_SCHEDULE,
+      "convergence": {"t": 0.5, "dts": CONVERGENCE_DTS, "eta": 0.3, "d": 2, "n_probes": 4,
+                      "pairs": [["euler_z", "dbim"]], "slope_range": [1.8, 2.2]}}),
+    ("reformulation-check",
+     {"reformulation": {"family": "i2sb", "threshold": 1e-8, "t_lo": 0.1, "t_hi": 0.9,
+                        "n_points": 3, "n_probes": 2, "beta_d": 2.0, "beta_min": 0.1,
+                        "i2sb_breakpoints": [0.0, 1.0], "i2sb_values": [1.0]}}),
+]
+
+
+def _key_paths(cfg: dict) -> list[tuple]:
+    """Every section of cfg and every key its spec defines there, as key paths."""
+    paths = []
+
+    def walk(section, spec, prefix):
+        if isinstance(spec.get("kind"), dict):
+            spec = {"kind": None, **spec["kind"][section["kind"]]}
+        for key, entry in spec.items():
+            paths.append((*prefix, key))
+            if entry is not None and isinstance(entry[0], dict) and key in section:
+                walk(section[key], entry[0], (*prefix, key))
+
+    for name, spec in cli._SPECS.items():
+        if name in cfg:
+            paths.append((name,))
+            walk(cfg[name], spec, (name,))
+    for i, comp in enumerate(cfg.get("task", {}).get("components", [])):
+        walk(comp, cli._JOINT, ("task", "components", i))
+    return paths
+
+
+PARSE_CASES = [(command, cfg, path) for command, cfg in PARSE_BASES for path in _key_paths(cfg)]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6) | st.floats() | st.integers(-64, 64),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+def test_every_spec_key_is_exercised():
+    covered = {path[:2] for _, _, path in PARSE_CASES if len(path) > 1}
+    for section, spec in cli._SPECS.items():
+        keys = set(spec)
+        if isinstance(spec.get("kind"), dict):
+            keys |= {key for sub in spec["kind"].values() for key in sub}
+        assert {(section, key) for key in keys} <= covered
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=st.sampled_from(PARSE_CASES), value=JSON_VALUES)
+def test_parsers_reject_any_value_with_a_config_error(case, value):
+    """Any JSON value at any key: the command's parser returns or raises ConfigError."""
+    command, cfg, path = case
+    cfg = copy.deepcopy(cfg)
+    section = cfg
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    parse, _ = cli._RUNNERS[command]
+    try:
+        parse(cfg, 0)
+    except cli.ConfigError:
+        pass

@@ -85,6 +85,22 @@ class TestPairedDistributions:
         with pytest.raises(ValueError, match="dimension"):
             JointGaussian([0.0, 0.0], [0.0], [[1.0]], [[1.0]], [[0.0]])
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("mean0", [[0.35]], "mean0 must be a vector"),
+            ("cov00", [[[0.29]]], r"cov00 must be \(1, 1\)"),
+            ("covTT", [[1.0, 0.0], [0.0, 1.0]], r"covTT must be \(1, 1\)"),
+            ("cov0T", [[0.5, 0.5]], r"cov0T must be \(1, 1\)"),
+        ],
+        ids=["matrix-mean", "3d-cov00", "2x2-covTT", "1x2-cov0T"],
+    )
+    def test_joint_gaussian_rejects_misshapen_blocks(self, field, value, match):
+        fields = {"mean0": [0.35], "meanT": [0.5], "cov00": [[0.29]], "covTT": [[1.0]],
+                  "cov0T": [[0.5]], field: value}
+        with pytest.raises(ValueError, match=match):
+            JointGaussian(**fields)
+
     def test_conditional_blocks(self):
         dist = _task_1d()
         gain, cov_c = dist.conditional()
@@ -197,6 +213,15 @@ class TestAnalyticDenoise:
         dist = JointGaussian([0.35], [0.5], [[0.25]], [[1.0]], [[0.5]])
         with pytest.raises(ValueError, match="singular"):
             analytic_denoise(dist, LINEAR, np.array([0.4]), np.array([0.8]), 0.5)
+
+    @pytest.mark.parametrize(
+        "den",
+        [AnalyticGaussianDenoiser(_task_1d(), LINEAR), AnalyticGmmDenoiser(_gmm_2comp(), LINEAR)],
+        ids=["single", "mixture"],
+    )
+    def test_gamma_singular_at_T_is_named(self, den):
+        with pytest.raises(ValueError, match=r"gamma\(1\.0\) = 0\.0 is singular"):
+            denoise(den, np.array([[0.4], [0.1]]), np.array([0.8]), 1.0)
 
 
 class TestScoreIdentity:
