@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import math
 import os
@@ -45,7 +44,6 @@ from .sampler import (
     SamplerConfig,
     apply_step,
     sample,
-    sample_result_csv_rows,
     step_coefficients,
 )
 from .schedule import (
@@ -62,15 +60,17 @@ from .schedule import (
     verify_reformulation,
 )
 
-COMMANDS = (
-    "verify-schedule",
-    "simulate-forward",
-    "sample",
-    "train-denoiser",
-    "afd-study",
-    "convergence-study",
-    "reformulation-check",
-)
+_SAMPLING = ("schedule", "grid", "eps_policy", "task", "denoiser", "sampler")
+# command -> the top-level config sections it reads; seed and out are read by main
+COMMANDS = {
+    "verify-schedule": ("schedule", "grid"),
+    "simulate-forward": ("schedule", "grid", "forward"),
+    "sample": (*_SAMPLING, "sample"),
+    "train-denoiser": ("schedule", "task", "train", "prec"),
+    "afd-study": (*_SAMPLING, "afd"),
+    "convergence-study": ("schedule", "convergence"),
+    "reformulation-check": ("reformulation",),
+}
 
 
 class ConfigError(Exception):
@@ -196,6 +196,10 @@ def _value(section: dict, key: str, entry: tuple, path: str):
     if typ.startswith("array"):
         if val is None and typ == "array or null":
             return None
+        leaves = _build(where, np.asarray, val, dtype=object).flat
+        # only numbers: a float64 np.asarray would also take "0.35", true and false
+        if not all(type(x) in (int, float) for x in leaves):
+            raise ConfigError(f"{where}: expected an array of numbers, got {val!r}")
         arr = _build(where, np.asarray, val, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise ConfigError(f"{where}: contains non-finite values")
@@ -265,7 +269,10 @@ def _parse_denoiser(cfg: dict, task, sched: Schedule):
         if isinstance(task, JointGaussian):
             return AnalyticGaussianDenoiser(task, sched)
         return AnalyticGmmDenoiser(task, sched)
-    return _build("denoiser.path", load_denoiser, vals["path"])
+    den = _build("denoiser.path", load_denoiser, vals["path"])
+    if den.d != task.d:
+        raise ConfigError(f"denoiser.path: the model is {den.d}-d, the task {task.d}-d")
+    return den
 
 
 def _parse_sampling(cfg: dict, seed: int):
@@ -282,16 +289,25 @@ def _parse_sampling(cfg: dict, seed: int):
 # Artifact encoding
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+_BLOCK_ROWS = 4096
 
 
-def _csv_bytes(header: list[str], rows) -> bytes:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row) + "\n")
-    return buf.getvalue().encode()
+def _csv_bytes(header: list[str], columns) -> bytes:
+    """CSV of equal-length columns: floats to 17 significant digits, integers and labels as is.
+
+    Rows are formatted and encoded a block at a time, so no text copy of the table is held.
+    """
+    columns = [np.asarray(col) for col in columns]
+    template = ",".join("%.17g" if col.dtype.kind == "f" else "%s" for col in columns) + "\n"
+    blocks = [(",".join(header) + "\n").encode()]
+    k = len(columns)
+    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [col[lo : lo + _BLOCK_ROWS].tolist() for col in columns]
+        cells = [None] * (k * len(block[0]))  # the block's values in row order
+        for j, values in enumerate(block):
+            cells[j::k] = values
+        blocks.append((template * len(block[0]) % tuple(cells)).encode())
+    return b"".join(blocks)
 
 
 def _jsonable(obj):
@@ -351,7 +367,6 @@ def _run_verify_schedule(sched, grid, seed: int, threads: int):
     except ValueError as err:
         failures.append(f"bridge_coefficients on the grid: {err}")
         co, min_g_sq = (np.full_like(ts, math.nan),) * 3, math.nan
-    rows = np.column_stack([ts, *ev[:6], *co])
 
     ends = eval_schedule(sched, np.array([0.0, T_HORIZON]))
     endpoint_dev = float(np.max(np.abs([ends.alpha - (1, 0), ends.beta - (0, 1), ends.gamma])))
@@ -381,7 +396,7 @@ def _run_verify_schedule(sched, grid, seed: int, threads: int):
     artifacts = {
         "schedule.csv": _csv_bytes(
             ["t", "alpha", "beta", "gamma", "d_alpha", "d_beta", "d_gamma", "f", "s", "g_sq"],
-            rows,
+            [ts, *ev[:6], *co],
         ),
         "verify.json": _json_bytes(
             {
@@ -424,9 +439,11 @@ def _run_simulate_forward(sched, grid, fwd, seed: int, threads: int):
         )
     }
     if record:
+        # path-major, then time
+        n, m, d = ens.paths.shape
         artifacts["forward.csv"] = _csv_bytes(
-            ["path_id", "time"] + [f"x_{j}" for j in range(x0.shape[0])],
-            ((str(pid), t, *x) for pid, t, *x in ens.to_csv_rows()),
+            ["path_id", "time"] + [f"x_{j}" for j in range(d)],
+            [np.repeat(np.arange(n), m), np.tile(ens.times, n), *ens.paths.reshape(n * m, d).T],
         )
         artifacts["forward.traj"] = ens.to_binary()
     return artifacts, []
@@ -444,9 +461,10 @@ def _run_sample(task, den, sampler_cfg, vals, seed: int, threads: int):
     d = xT_batch.shape[1]
     x0 = result.x0_batch
     artifacts = {
+        # each condition's replicates in consecutive rows
         "sample.csv": _csv_bytes(
             ["row_id", "replicate_id"] + [f"x_{j}" for j in range(d)],
-            ((str(r), str(rep), *x) for r, rep, *x in sample_result_csv_rows(result, n_conditions)),
+            [*np.divmod(np.arange(x0.shape[0]), n_replicates), *x0.T],
         ),
         "moments.json": _json_bytes(
             {
@@ -514,23 +532,21 @@ def _run_afd_study(task, den, base_cfg, vals, seed: int, threads: int):
     n_conditions, n_replicates = vals["n_conditions"], vals["n_replicates"]
     conds = sample_condition(task, n_conditions, _rng.stream(seed, _rng.TAG_TASK))
     xT_batch = np.repeat(conds, n_replicates, axis=0)
-    afd_values = []
-    group_rows = []
+    afd_values, group_afds = [], []
     for b in boot_values:
         cfg_b = dataclasses.replace(base_cfg, boot_b=float(b), record_trajectory=False)
         result = sample(cfg_b, den, xT_batch, threads=threads)
-        groups = [
-            result.x0_batch[i * n_replicates : (i + 1) * n_replicates] for i in range(n_conditions)
-        ]
-        report = afd(ConditionedSamples(groups, feature))
+        report = afd(ConditionedSamples(np.split(result.x0_batch, n_conditions), feature))
         afd_values.append(report.afd)
-        group_rows.extend((float(b), str(g), v) for g, v in enumerate(report.per_group))
+        group_afds.append(report.per_group)
 
     nondecreasing = all(a <= b + 1e-15 for a, b in zip(afd_values, afd_values[1:]))
     artifacts = {
-        "afd.csv": _csv_bytes(["boot_b", "afd"], zip(boot_values, afd_values)),
+        "afd.csv": _csv_bytes(["boot_b", "afd"], [boot_values, afd_values]),
         "afd_groups.csv": _csv_bytes(
-            ["boot_b", "group_id", "afd"], ((b, g, v) for b, g, v in group_rows)
+            ["boot_b", "group_id", "afd"],
+            [np.repeat(boot_values, n_conditions),
+             np.tile(np.arange(n_conditions), boot_values.size), np.concatenate(group_afds)],
         ),
         "afd.json": _json_bytes(
             {
@@ -578,7 +594,7 @@ def _run_convergence_study(sched, policy, vals, seed: int, threads: int):
     ev = eval_schedule(sched, t)
     x_t = ev.alpha * x_hat0 + ev.beta * anchor + ev.gamma * zh
 
-    rows = []
+    all_diffs = []
     slopes = {}
     failures = []
     for a_name, b_name in vals["pairs"]:
@@ -591,7 +607,7 @@ def _run_convergence_study(sched, policy, vals, seed: int, threads: int):
             )
             diff = float(np.mean(np.linalg.norm(out_a - out_b, axis=1)))
             diffs.append(diff)
-            rows.append((f"{a_name}|{b_name}", float(dt), diff))
+        all_diffs += diffs
         slope = convergence_slope(dts, diffs)
         slopes[f"{a_name}|{b_name}"] = slope
         if slope_range is not None and not (slope_range[0] <= slope <= slope_range[1]):
@@ -602,7 +618,9 @@ def _run_convergence_study(sched, policy, vals, seed: int, threads: int):
 
     artifacts = {
         "convergence.csv": _csv_bytes(
-            ["pair", "dt", "mean_diff"], ((p, dt, df) for p, dt, df in rows)
+            ["pair", "dt", "mean_diff"],
+            [np.repeat([f"{a}|{b}" for a, b in vals["pairs"]], dts.size),
+             np.tile(dts, len(vals["pairs"])), all_diffs],
         ),
         "convergence.json": _json_bytes(
             {
@@ -684,6 +702,9 @@ def main(argv=None) -> int:
             raise ConfigError(f"config: invalid JSON ({err})") from err
         if not isinstance(cfg, dict):
             raise ConfigError("config: top level must be an object")
+        unknown = sorted(set(cfg) - {"seed", "out", *COMMANDS[args.command]})
+        if unknown:
+            raise ConfigError(f"config: unknown section(s) {unknown} for {args.command}")
 
         seed = args.seed if args.seed is not None else cfg.get("seed")
         if seed is None or isinstance(seed, bool) or not isinstance(seed, int):

@@ -64,13 +64,6 @@ class PathEnsemble:
             raise ValueError("path-ensemble times and states must be finite")
         return cls(values[m:].reshape(n, m, d).copy(), values[:m].copy(), seed)
 
-    def to_csv_rows(self):
-        """Yields (path_id, time, x_0, .., x_{d-1}) rows."""
-        n, m, _ = self.paths.shape
-        for p in range(n):
-            for k in range(m):
-                yield (p, float(self.times[k]), *map(float, self.paths[p, k]))
-
 
 @dataclass
 class MomentEstimate:

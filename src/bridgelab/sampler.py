@@ -204,18 +204,3 @@ def sample(cfg: SamplerConfig, den: Denoiser, xT_batch: np.ndarray, threads: int
     x0hat_change[0] = math.nan
     return SampleResult(x0_batch, trajectories, eps_used, x0hat_change)
 
-
-def sample_result_csv_rows(result: SampleResult, n_conditions: int):
-    """Yields (row_id, replicate_id, *x) with replicates grouped contiguously.
-
-    The batch is laid out as n_conditions blocks of equal replicate count;
-    row_id indexes the condition and replicate_id the repeat within it.
-    """
-    n = result.x0_batch.shape[0]
-    if n_conditions < 1 or n % n_conditions != 0:
-        raise ValueError(
-            f"batch of {n} rows does not split into {n_conditions} equal condition groups"
-        )
-    per = n // n_conditions
-    for i in range(n):
-        yield (i // per, i % per, *result.x0_batch[i])

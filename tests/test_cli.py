@@ -22,6 +22,14 @@ TASK_1D = {
     "covTT": [[1.0]],
     "cov0T": [[0.5]],
 }
+TASK_2D = {
+    **TASK_1D,
+    "mean0": [0.35, 0.1],
+    "meanT": [0.5, 0.2],
+    "cov00": [[0.29, 0.0], [0.0, 0.2]],
+    "covTT": [[1.0, 0.0], [0.0, 1.0]],
+    "cov0T": [[0.5, 0.0], [0.0, 0.3]],
+}
 GMM_TASK = {
     "kind": "gmm_coupling",
     "weights": [0.5, 0.5],
@@ -298,13 +306,20 @@ SAMPLE_CONFIG = {
         ("verify-schedule",
          {"schedule": {"kind": "i2sb", "i2sb_breakpoints": 0.5}, "grid": {"n_steps": 4}},
          "schedule.i2sb_breakpoints"),
+        ("train-denoiser",
+         {"schedule": LINEAR_SCHEDULE, "task": TASK_1D, "train": {"iters": 1},
+          "precs": {"sigma0": 7.0}},
+         "precs"),
+        ("sample", {**SAMPLE_CONFIG, "task": {**TASK_1D, "mean0": ["0.35"]}}, "task.mean0"),
+        ("sample", {**SAMPLE_CONFIG, "task": {**TASK_1D, "covTT": [[True]]}}, "task.covTT"),
     ],
     ids=["train-t-order", "train-t-max", "train-prec-sigma0", "convergence-t", "convergence-d",
          "convergence-n-probes", "convergence-slope-range", "convergence-eta",
          "convergence-pairs", "reformulation-n-points",
          "reformulation-n-probes", "afd-feature-seed", "reformulation-vp-beta-d",
          "reformulation-i2sb-breakpoints", "task-2d-means-1x1-blocks", "task-3d-cov",
-         "schedule-scalar-breakpoints"],
+         "schedule-scalar-breakpoints", "top-level-unknown-section", "array-string-leaf",
+         "array-boolean-leaf"],
 )
 def test_bad_config_value_exits_1_and_names_the_field(tmp_path, capsys, command, cfg, field):
     out = tmp_path / "out"
@@ -327,6 +342,34 @@ class TestArtifactMode:
             os.umask(previous)
         for name in os.listdir(out):
             assert os.stat(out / name).st_mode & 0o777 == mode, name
+
+
+class TestCsvEncoder:
+    EDGES = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 1 / 3, 1e-7, 0.1, -2.5e-300]
+
+    @staticmethod
+    def _reference(header, columns) -> bytes:
+        """Row by row: labels as str, floats with format(x, ".17g")."""
+        lines = [",".join(header)]
+        for row in zip(*columns):
+            lines.append(",".join(
+                str(v) if isinstance(v, (int, str)) else format(v, ".17g") for v in row
+            ))
+        return "".join(line + "\n" for line in lines).encode()
+
+    @pytest.mark.parametrize("label", ["int", "str"])
+    @pytest.mark.parametrize("position", [0, 1], ids=["first", "middle"])
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1], ids=["0", "B-1", "B", "B+1"])
+    def test_matches_a_row_wise_reference_byte_for_byte(self, label, position, offset):
+        n = 0 if offset is None else cli._BLOCK_ROWS + offset
+        edges = (self.EDGES * (n // len(self.EDGES) + 1))[:n]
+        labels = list(range(-3, n - 3)) if label == "int" else [f"v{i}|w" for i in range(n)]
+        columns = [edges, edges[::-1]]
+        columns.insert(position, labels)
+        header = ["a", "b", "c"]
+        got = cli._csv_bytes(header, [np.array(col) for col in columns])
+        assert got == self._reference(header, columns)
+        assert got.count(b"\n") == 1 + n
 
 
 class TestReformulationCheck:
@@ -414,6 +457,26 @@ class TestSample:
         ens = PathEnsemble.from_binary(_read_bytes(out, "sample.traj"))
         assert ens.paths.shape == (10, 9, 1)
 
+    def test_csv_groups_replicates_and_holds_the_last_trajectory_slice(self, tmp_path):
+        cfg_dict = {
+            **self.CONFIG,
+            "task": TASK_2D,
+            "sampler": {**self.CONFIG["sampler"], "record_trajectory": True},
+            "sample": {"n_conditions": 5, "n_replicates": 3},
+        }
+        out = tmp_path / "out"
+        assert _run("sample", _write_config(tmp_path, "c.json", cfg_dict), out) == 0
+        from bridgelab.dynamics import PathEnsemble
+
+        ens = PathEnsemble.from_binary(_read_bytes(out, "sample.traj"))
+        header, *lines = _read_bytes(out, "sample.csv").decode().splitlines()
+        assert header == "row_id,replicate_id,x_0,x_1"
+        rows = [line.split(",") for line in lines]
+        ids = [(int(r[0]), int(r[1])) for r in rows]
+        assert ids == [(i, k) for i in range(5) for k in range(3)]
+        x = np.array([[float(v) for v in r[2:]] for r in rows])
+        assert x.tobytes() == ens.paths[:, -1, :].tobytes()
+
 
 class TestSimulateForward:
     def test_writes_moments_and_paths(self, tmp_path):
@@ -436,6 +499,28 @@ class TestSimulateForward:
 
         ens = PathEnsemble.from_binary(_read_bytes(out, "forward.traj"))
         assert ens.paths.shape == (500, 51, 1)
+
+    def test_csv_is_path_major_and_matches_the_trajectory_bit_exactly(self, tmp_path):
+        cfg = _write_config(
+            tmp_path, "c.json",
+            {
+                "schedule": LINEAR_SCHEDULE,
+                "grid": {"n_steps": 6},
+                "forward": {"x0": [0.0, 2.0], "xT": [1.0, -1.0], "n_paths": 7, "record": True},
+            },
+        )
+        out = tmp_path / "out"
+        assert _run("simulate-forward", cfg, out, seed=5) == 0
+        from bridgelab.dynamics import PathEnsemble
+
+        ens = PathEnsemble.from_binary(_read_bytes(out, "forward.traj"))
+        header, *lines = _read_bytes(out, "forward.csv").decode().splitlines()
+        assert header == "path_id,time,x_0,x_1"
+        rows = [line.split(",") for line in lines]
+        assert [int(r[0]) for r in rows] == [p for p in range(7) for _ in range(7)]
+        values = np.array([[float(v) for v in r[1:]] for r in rows])
+        assert values[:, 0].tobytes() == np.tile(ens.times, 7).tobytes()
+        assert values[:, 1:].tobytes() == ens.paths.reshape(49, 2).tobytes()
 
     def test_record_false_skips_path_artifacts(self, tmp_path):
         cfg = _write_config(
@@ -648,6 +733,24 @@ class TestTrainDenoiser:
             },
         )
         assert _run("sample", cfg, tmp_path / "out") == 1
+
+    @pytest.mark.parametrize("command", ["sample", "afd-study"])
+    def test_model_of_another_dimension_exits_1_without_artifacts(self, tmp_path, capsys, command):
+        from bridgelab.denoiser import MlpDenoiser, Preconditioner, mlp_init, save_denoiser
+        from bridgelab.schedule import Schedule
+
+        model_path = tmp_path / "model.bin"
+        weights, biases = mlp_init([3, 4, 1], seed=0)
+        save_denoiser(
+            MlpDenoiser(weights, biases, Preconditioner(), Schedule(**LINEAR_SCHEDULE)), model_path
+        )
+        base = SAMPLE_CONFIG if command == "sample" else {
+            **AFD_CONFIG, "afd": {**AFD_CONFIG["afd"], "feature": {"kind": "identity"}}}
+        cfg = {**base, "task": TASK_2D, "denoiser": {"kind": "mlp", "path": str(model_path)}}
+        out = tmp_path / "out"
+        assert _run(command, _write_config(tmp_path, "c.json", cfg), out) == 1
+        assert not out.exists()
+        assert "denoiser.path" in capsys.readouterr().err
 
 
 # One valid config per command (two for sample: each task kind and denoiser kind).

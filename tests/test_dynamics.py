@@ -318,15 +318,6 @@ class TestPathEnsembleSerialization:
             with pytest.raises(ValueError, match=match):
                 PathEnsemble.from_binary(bad)
 
-    def test_csv_rows_enumerate_path_then_time(self):
-        paths = np.arange(8, dtype=np.float64).reshape(2, 2, 2)
-        ens = PathEnsemble(paths, np.array([0.1, 0.2]), 0)
-        rows = list(ens.to_csv_rows())
-        assert rows[0] == (0, 0.1, 0.0, 1.0)
-        assert rows[1] == (0, 0.2, 2.0, 3.0)
-        assert rows[2] == (1, 0.1, 4.0, 5.0)
-        assert len(rows) == 4
-
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="paths"):
             PathEnsemble(np.zeros((2, 3)), np.array([0.1]), 0)

@@ -18,7 +18,6 @@ from bridgelab.sampler import (
     SamplerConfig,
     sample,
     apply_step,
-    sample_result_csv_rows,
     step_coefficients,
     step_dbim,
     step_euler_z,
@@ -464,32 +463,3 @@ class TestSampleLoop:
         )
         with pytest.raises(ValueError, match=r"rows \[0:2\), step \d+ at t = "):
             sample(cfg, den, np.array([[0.8], [0.1]]))
-
-
-class TestCsvRows:
-    def test_rows_group_replicates_contiguously(self):
-        from bridgelab.sampler import SampleResult
-
-        res = SampleResult(
-            x0_batch=np.arange(8, dtype=np.float64).reshape(4, 2),
-            trajectories=None,
-            eps_used=np.zeros(1),
-            x0hat_change=np.full(1, np.nan),
-        )
-        rows = list(sample_result_csv_rows(res, 2))
-        assert rows[0] == (0, 0, 0.0, 1.0)
-        assert rows[1] == (0, 1, 2.0, 3.0)
-        assert rows[2] == (1, 0, 4.0, 5.0)
-        assert rows[3] == (1, 1, 6.0, 7.0)
-
-    def test_indivisible_batch_rejected(self):
-        from bridgelab.sampler import SampleResult
-
-        res = SampleResult(
-            x0_batch=np.zeros((4, 1)),
-            trajectories=None,
-            eps_used=np.zeros(1),
-            x0hat_change=np.full(1, np.nan),
-        )
-        with pytest.raises(ValueError, match="does not split"):
-            list(sample_result_csv_rows(res, 3))
