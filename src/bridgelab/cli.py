@@ -573,6 +573,10 @@ def _parse_convergence_study(cfg: dict, seed: int):
         for name in pair:
             if name not in VARIANTS:
                 raise ConfigError(f"convergence.pairs[{i}]: {name!r} is not one of {VARIANTS}")
+        if pair[0] == pair[1]:
+            raise ConfigError(f"convergence.pairs[{i}]: a variant paired with itself never differs")
+        if pair in vals["pairs"][:i]:
+            raise ConfigError(f"convergence.pairs[{i}]: {list(pair)} is listed twice")
     slope_range = vals.get("slope_range")
     if slope_range is not None:
         if len(slope_range) != 2 or not slope_range[0] <= slope_range[1]:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -171,77 +171,131 @@ def _chol_psd(cov: np.ndarray) -> np.ndarray:
         return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
 
 
-def _gauss_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    d = cov.shape[0]
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0:
-        raise ValueError("covariance must be positive definite")
-    diff = x - mean
-    maha = np.einsum("ni,ni->n", diff, np.linalg.solve(cov, diff.T).T)
-    return -0.5 * (maha + logdet + d * math.log(2.0 * math.pi))
+class _Plan(NamedTuple):
+    """E[x0 | x_t, xT] at one time t (or one t per row) as one affine map.
 
-
-def _posterior_mean(
-    weights: Sequence[float], components: Sequence[JointGaussian], sched: Schedule,
-    x_t: np.ndarray, xT: np.ndarray, t: float,
-) -> np.ndarray:
-    """E[x0 | x_t, xT] under a mixture of jointly Gaussian pairs.
-
-    Per component: Gaussian conditioning in precision form, combining the
-    prior x0 | xT from the joint blocks with the kernel likelihood
-    x_t | x0, xT = N(alpha x0 + beta xT, gamma^2 I).  Several components are
-    weighted by their responsibilities; a single one needs none.
+    u = x_t X + xT Y + c holds, per component k, the mean x_t P_k^T + xT Q_k^T
+    + r_k.  A mixture appends, per component, the whitened residuals of x_t
+    given xT and of xT, whose squared norms are the two quadratic forms of its
+    responsibility; log_norm holds log w_k minus the half log-determinants,
+    shaped (k, 1), or (k, n) for one t per row.
     """
+
+    X: np.ndarray
+    Y: np.ndarray
+    c: np.ndarray
+    log_norm: np.ndarray | None
+
+
+def _whiten(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(W, half log-determinant) with W W^T = cov^-1, for a (stack of) covariance(s)."""
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise ValueError("covariance must be positive definite") from None
+    half_logdet = np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return np.swapaxes(np.linalg.inv(chol), -1, -2), half_logdet
+
+
+def _plan(dist: Union[JointGaussian, GmmCoupling], sched: Schedule, t) -> _Plan:
+    """The plan of E[x0 | x_t, xT] at t, a float or an (n,) array.
+
+    Per component, with x0 | xT = N(mean0 + M(xT - meanT), C) and the kernel
+    x_t | x0, xT = N(alpha x0 + beta xT, gamma^2 I), conditioning in the
+    gamma-stable precision form Lam = gamma^2 C^-1 + alpha^2 I gives
+    x0hat = P x_t + Q xT + r with P = alpha Lam^-1,
+    Q = Lam^-1 (gamma^2 C^-1 M - alpha beta I) and
+    r = Lam^-1 gamma^2 C^-1 (mean0 - M meanT).  A mixture also needs
+    x_t | xT = N(A xT + a, alpha^2 C + gamma^2 I) with A = alpha M + beta I and
+    a = alpha (mean0 - M meanT), and xT ~ N(meanT, covTT).  An array t gives
+    one plan per row.
+    """
+    if isinstance(dist, GmmCoupling):
+        weights, components = dist.weights, dist.components
+    else:
+        weights, components = (1.0,), (dist,)
+    t = _times(t)
     ev = eval_schedule(sched, t)
-    if ev.gamma < 1e-12:
-        raise ValueError(f"gamma({t}) = {ev.gamma} is singular")
-    x_t = np.asarray(x_t, dtype=np.float64)
-    squeeze = x_t.ndim == 1
-    x_t2 = np.atleast_2d(x_t)
-    xT2 = np.broadcast_to(np.atleast_2d(np.asarray(xT, dtype=np.float64)), x_t2.shape)
-    eye = np.eye(x_t2.shape[1])
-    means, log_resp = [], []
+    at = _first_where(ev.gamma < 1e-12, t, ev.gamma)
+    if at:
+        raise ValueError("gamma({}) = {} is singular".format(*at))
+    # scalars as (1, 1), or (n, 1, 1) for an array t, to broadcast against (d, d)
+    alpha, beta, g_sq = (
+        np.reshape(v, np.shape(v) + (1, 1)) for v in (ev.alpha, ev.beta, ev.gamma**2)
+    )
+    d = components[0].d
+    eye = np.eye(d)
+    mixed = len(components) > 1
+    # (X, Y, c) column blocks: the means, then whitened x_t | xT, then whitened xT
+    means, resid_t, resid_T, log_norm = [], [], [], []
     for w, comp in zip(weights, components):
         gain, cov_c = comp.conditional()
         if np.min(np.abs(np.linalg.eigvalsh(cov_c))) < _EIG_TOL:
             raise ValueError("conditional covariance of x0 | xT is singular")
-        prec_c = np.linalg.inv(cov_c)
-        mu_c = comp.mean0 + (xT2 - comp.meanT) @ gain.T
-        lam = prec_c + (ev.alpha**2 / ev.gamma**2) * eye
-        eta = mu_c @ prec_c.T + (ev.alpha / ev.gamma**2) * (x_t2 - ev.beta * xT2)
-        means.append(np.linalg.solve(lam, eta.T).T)
-        if len(components) > 1:
-            # evidence of xT under the component, then of x_t given xT
-            log_w = math.log(w) if w > 0 else -np.inf
-            lp_T = _gauss_logpdf(xT2, comp.meanT, comp.covTT)
-            cov_t = ev.alpha**2 * cov_c + ev.gamma**2 * eye
-            lp_t = _gauss_logpdf(x_t2, ev.alpha * mu_c + ev.beta * xT2, cov_t)
-            log_resp.append(log_w + lp_T + lp_t)
-    if len(means) == 1:
-        out = means[0]
+        g = g_sq * np.linalg.inv(cov_c)
+        offset = comp.mean0 - gain @ comp.meanT
+        rhs = np.concatenate(
+            [np.broadcast_to(alpha * eye, g.shape), g @ gain - alpha * beta * eye,
+             (g @ offset)[..., None]], axis=-1,
+        )
+        sol = np.swapaxes(np.linalg.solve(g + alpha**2 * eye, rhs), -1, -2)  # rows P^T, Q^T, r
+        means.append((sol[..., :d, :], sol[..., d : 2 * d, :], sol[..., 2 * d, :]))
+        if mixed:
+            Wt, half_t = _whiten(alpha**2 * cov_c + g_sq * eye)
+            WT, half_T = _whiten(comp.covTT)
+            AT = np.swapaxes(alpha * gain + beta * eye, -1, -2)
+            a = alpha[..., 0] * offset
+            resid_t.append((Wt, -AT @ Wt, -np.einsum("...i,...ij->...j", a, Wt)))
+            resid_T.append((np.zeros_like(Wt), np.broadcast_to(WT, Wt.shape),
+                            np.broadcast_to(-comp.meanT @ WT, a.shape)))
+            log_norm.append((math.log(w) if w > 0 else -math.inf) - half_T - half_t)
+    X, Y, c = (np.concatenate(cols, axis=-1) for cols in zip(*means, *resid_t, *resid_T))
+    return _Plan(X, Y, c, np.reshape(log_norm, (len(log_norm), -1)) if mixed else None)
+
+
+def _times_rows(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m for one matrix, or row i of x times m[i] for an (n, d, w) stack."""
+    return x @ m if m.ndim == 2 else (x[:, None, :] @ m)[:, 0]
+
+
+def _posterior_mean(plan: _Plan, x_t: np.ndarray, xT: np.ndarray) -> np.ndarray:
+    """E[x0 | x_t, xT] from a plan: one affine map, then for a mixture the
+    responsibility-weighted sum of the component means."""
+    x_t = np.asarray(x_t, dtype=np.float64)
+    squeeze = x_t.ndim == 1
+    x_t2 = np.atleast_2d(x_t)
+    xT2 = np.broadcast_to(np.atleast_2d(np.asarray(xT, dtype=np.float64)), x_t2.shape)
+    u = _times_rows(x_t2, plan.X) + _times_rows(xT2, plan.Y) + plan.c
+    if plan.log_norm is None:
+        out = u
     else:
-        log_resp = np.stack(log_resp, axis=1)
-        log_resp -= log_resp.max(axis=1, keepdims=True)
+        # Components run along axis 0, so each reduction over them is elementwise
+        # across rows; numpy reduces along a short last axis many times slower.
+        n, d = x_t2.shape
+        k = plan.log_norm.shape[0]
+        pick = np.tile(np.repeat(np.eye(k), d, axis=0), (2, 1))  # sums a component's squares
+        log_resp = plan.log_norm - 0.5 * (pick.T @ (u[:, k * d :] ** 2).T)
+        log_resp -= log_resp.max(axis=0)
         resp = np.exp(log_resp)
-        resp /= resp.sum(axis=1, keepdims=True)
-        out = np.einsum("nk,nkd->nd", resp, np.stack(means, axis=1))
+        resp /= resp.sum(axis=0)
+        out = np.einsum("kn,nkd->nd", resp, u[:, : k * d].reshape(n, k, d))
     return out[0] if squeeze else out
 
 
 def analytic_denoise(
-    dist: JointGaussian, sched: Schedule, x_t: np.ndarray, xT: np.ndarray, t: float
+    dist: JointGaussian, sched: Schedule, x_t: np.ndarray, xT: np.ndarray, t
 ) -> np.ndarray:
-    """E[x0 | x_t, xT] for a jointly Gaussian endpoint pair."""
+    """E[x0 | x_t, xT] for a jointly Gaussian endpoint pair; t is a float or an (n,) array."""
     if not isinstance(dist, JointGaussian):
         raise ValueError(f"analytic_denoise needs a JointGaussian, got {dist.kind}")
-    return _posterior_mean((1.0,), (dist,), sched, x_t, xT, t)
+    return _posterior_mean(_plan(dist, sched, t), x_t, xT)
 
 
 def gmm_denoise(
-    dist: GmmCoupling, sched: Schedule, x_t: np.ndarray, xT: np.ndarray, t: float
+    dist: GmmCoupling, sched: Schedule, x_t: np.ndarray, xT: np.ndarray, t
 ) -> np.ndarray:
     """Responsibility-weighted posterior mean over mixture components."""
-    return _posterior_mean(dist.weights, dist.components, sched, x_t, xT, t)
+    return _posterior_mean(_plan(dist, sched, t), x_t, xT)
 
 
 def score_from_denoiser(
@@ -472,23 +526,35 @@ def train_mlp_denoiser(
     return MlpDenoiser(weights, biases, prec, sched), running
 
 
-def mlp_denoise(den: MlpDenoiser, x_t: np.ndarray, xT: np.ndarray, t: float) -> np.ndarray:
+def mlp_denoise(den: MlpDenoiser, x_t: np.ndarray, xT: np.ndarray, t) -> np.ndarray:
+    """D = c_skip x_t + c_out F at t, a float or an (n,) array (one time per row)."""
     x_t = np.asarray(x_t, dtype=np.float64)
     squeeze = x_t.ndim == 1
     x_t2 = np.atleast_2d(x_t)
     xT2 = np.broadcast_to(np.atleast_2d(np.asarray(xT, dtype=np.float64)), x_t2.shape)
+    t = _times(t)
+    t = t if isinstance(t, float) else np.reshape(t, (-1, 1))
     c_in, c_skip, c_out, c_noise, _ = precondition(den.prec, den.sched, t)
-    noise_col = np.full((x_t2.shape[0], 1), c_noise)
+    noise_col = np.broadcast_to(c_noise, (x_t2.shape[0], 1))
     x_net = np.concatenate([c_in * x_t2, xT2, noise_col], axis=1)
     f_out, _ = mlp_forward(den.weights, den.biases, x_net)
     out = c_skip * x_t2 + c_out * f_out
     return out[0] if squeeze else out
 
 
-@dataclass
+# Each analytic denoiser caches the plan of every float t it is called at, so
+# a sampler pays the t-only algebra once per step time, not once per chunk.
+# The plan is a pure function of (task, schedule, t), so the task must not be
+# changed in place after the first call.  Chunks racing under --threads store
+# equal values, so the cache needs no lock.  Errors raise before anything is
+# stored, so they fire on every call.
+
+
+@dataclass(frozen=True)
 class AnalyticGaussianDenoiser:
     dist: JointGaussian
     sched: Schedule
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     kind = "analytic_gaussian"
 
@@ -497,10 +563,11 @@ class AnalyticGaussianDenoiser:
         return self.dist.d
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnalyticGmmDenoiser:
     dist: GmmCoupling
     sched: Schedule
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     kind = "analytic_gmm"
 
@@ -512,12 +579,20 @@ class AnalyticGmmDenoiser:
 Denoiser = Union[AnalyticGaussianDenoiser, AnalyticGmmDenoiser, MlpDenoiser]
 
 
-def denoise(den: Denoiser, x_t: np.ndarray, xT: np.ndarray, t: float) -> np.ndarray:
-    """Evaluates x0hat(x_t, xT, t) for any denoiser kind."""
-    if isinstance(den, AnalyticGaussianDenoiser):
-        return analytic_denoise(den.dist, den.sched, x_t, xT, t)
-    if isinstance(den, AnalyticGmmDenoiser):
-        return gmm_denoise(den.dist, den.sched, x_t, xT, t)
+def _cached_plan(den: Union[AnalyticGaussianDenoiser, AnalyticGmmDenoiser], t) -> _Plan:
+    t = _times(t)
+    if not isinstance(t, float):  # one time per row: never cached
+        return _plan(den.dist, den.sched, t)
+    plan = den._plans.get(t)
+    if plan is None:
+        plan = den._plans[t] = _plan(den.dist, den.sched, t)
+    return plan
+
+
+def denoise(den: Denoiser, x_t: np.ndarray, xT: np.ndarray, t) -> np.ndarray:
+    """Evaluates x0hat(x_t, xT, t) for any denoiser kind; t is a float or an (n,) array."""
+    if isinstance(den, (AnalyticGaussianDenoiser, AnalyticGmmDenoiser)):
+        return _posterior_mean(_cached_plan(den, t), x_t, xT)
     if isinstance(den, MlpDenoiser):
         return mlp_denoise(den, x_t, xT, t)
     raise ValueError(f"unknown denoiser type {type(den).__name__}")
@@ -549,11 +624,8 @@ def test_mse_vs_analytic(
     z = gen.standard_normal(x_0.shape)
     ev = eval_schedule(den.sched, ts[:, None])
     x_t = ev.alpha * x_0 + ev.beta * x_T + ev.gamma * z
-    total = 0.0
-    for i, t in enumerate(ts.tolist()):
-        diff = denoise(den, x_t[i], x_T[i], t) - denoise(ref, x_t[i], x_T[i], t)
-        total += float(np.sum(diff**2))
-    return total / (n_probes * x_0.shape[1])
+    diff = denoise(den, x_t, x_T, ts) - denoise(ref, x_t, x_T, ts)
+    return float(np.sum(diff**2)) / (n_probes * x_0.shape[1])
 
 
 # ---------------------------------------------------------------------------

@@ -619,6 +619,23 @@ class TestConvergenceStudy:
         cfg = _write_config(tmp_path, "c.json", cfg_dict)
         assert _run("convergence-study", cfg, tmp_path / "out") == 1
 
+    @pytest.mark.parametrize(
+        "pairs, field",
+        [
+            ([["dbim", "euler_z"], ["dbim", "euler_z"]], "convergence.pairs[1]"),
+            ([["dbim", "dbim"]], "convergence.pairs[0]"),
+        ],
+        ids=["duplicate-pair", "self-pair"],
+    )
+    def test_degenerate_pair_exits_1_and_names_it(self, tmp_path, capsys, pairs, field):
+        """A repeated pair would share one slope key; a self-pair has no differences to fit."""
+        cfg_dict = {"schedule": LINEAR_SCHEDULE,
+                    "convergence": {**self.CONFIG["convergence"], "pairs": pairs}}
+        out = tmp_path / "out"
+        assert _run("convergence-study", _write_config(tmp_path, "c.json", cfg_dict), out) == 1
+        assert not out.exists()
+        assert field in capsys.readouterr().err
+
 
 class TestTrainDenoiser:
     def test_train_then_sample_through_saved_model(self, tmp_path):

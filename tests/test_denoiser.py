@@ -1,7 +1,10 @@
 """Analytic posterior means, preconditioning, MLP training, serialization."""
 
+import dataclasses
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -303,6 +306,151 @@ class TestGmmDenoise:
             np.testing.assert_allclose(
                 batched[i], gmm_denoise(gmm, LINEAR, x_t[i], xT, 0.3), rtol=0, atol=1e-14
             )
+
+
+def _gmm_2d() -> GmmCoupling:
+    shifted = JointGaussian(
+        mean0=[-0.6, 0.9],
+        meanT=[-0.4, 0.7],
+        cov00=[[0.5, -0.1], [-0.1, 0.3]],
+        covTT=[[0.6, 0.1], [0.1, 0.9]],
+        cov0T=[[0.2, 0.05], [-0.1, 0.25]],
+    )
+    return GmmCoupling(weights=(0.4, 0.6), components=(_task_2d(), shifted))
+
+
+def _joint_conditioning(comp: JointGaussian, sched, x_t, xT, t):
+    """(E[x0 | x_t, xT], log p(x_t, xT)) per row, by conditioning the full
+    (x0, x_t, xT) Gaussian in covariance form with one solve."""
+    ev = eval_schedule(sched, t)
+    d = comp.d
+    eye, zero = np.eye(d), np.zeros((d, d))
+    # (x0, x_t, xT) = lin (x0, xT, z) with z ~ N(0, I) independent of (x0, xT)
+    lin = np.block([[eye, zero, zero], [ev.alpha * eye, ev.beta * eye, ev.gamma * eye],
+                    [zero, eye, zero]])
+    src_cov = np.block([[comp.cov00, comp.cov0T, zero], [comp.cov0T.T, comp.covTT, zero],
+                        [zero, zero, eye]])
+    cov = lin @ src_cov @ lin.T
+    mean = lin @ np.concatenate([comp.mean0, comp.meanT, np.zeros(d)])
+    resid = np.hstack([x_t, xT]) - mean[d:]
+    sol = np.linalg.solve(cov[d:, d:], resid.T)
+    post = comp.mean0 + (cov[:d, d:] @ sol).T
+    maha = np.einsum("in,ni->n", sol, resid)
+    log_p = -0.5 * (maha + np.linalg.slogdet(cov[d:, d:])[1] + 2 * d * math.log(2 * math.pi))
+    return post, log_p
+
+
+class TestPosteriorPlan:
+    """The cached affine plan behind denoise(): x0hat = x_t P^T + xT Q^T + r."""
+
+    # Nearer T the covariance-form oracle, not the plan, loses digits: its
+    # (x_t, xT) covariance turns ill-conditioned as x_t -> beta xT.  Against
+    # 50-digit arithmetic at t = 0.999 the oracle is off by 4e-11, the plan by 3e-14.
+    TIMES = (0.02, 0.3, 0.5, 0.7, 0.9)
+
+    def _probes(self, dist, t, seed):
+        gen = np.random.default_rng(seed)
+        x_0, x_T = sample_pair(dist, 64, gen)
+        ev = eval_schedule(LINEAR, t)
+        return ev.alpha * x_0 + ev.beta * x_T + ev.gamma * gen.standard_normal(x_0.shape), x_T
+
+    def test_gaussian_matches_joint_conditioning(self):
+        dist = _task_2d()
+        den = AnalyticGaussianDenoiser(dist, LINEAR)
+        for k, t in enumerate(self.TIMES):
+            x_t, xT = self._probes(dist, t, k)
+            want, _ = _joint_conditioning(dist, LINEAR, x_t, xT, t)
+            np.testing.assert_allclose(denoise(den, x_t, xT, t), want, rtol=0, atol=1e-12)
+
+    def test_mixture_matches_joint_conditioning(self):
+        gmm = _gmm_2d()
+        den = AnalyticGmmDenoiser(gmm, LINEAR)
+        for k, t in enumerate(self.TIMES):
+            x_t, xT = self._probes(gmm, t, k)
+            posts, log_ps = zip(*(_joint_conditioning(c, LINEAR, x_t, xT, t)
+                                  for c in gmm.components))
+            log_r = np.log(gmm.weights) + np.stack(log_ps, axis=1)
+            resp = np.exp(log_r - log_r.max(axis=1, keepdims=True))
+            resp /= resp.sum(axis=1, keepdims=True)
+            want = np.einsum("nk,knd->nd", resp, np.stack(posts))
+            np.testing.assert_allclose(denoise(den, x_t, xT, t), want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "mixture"])
+    def test_cache_hit_equals_uncached_route_bit_for_bit(self, kind):
+        if kind == "gaussian":
+            dist, den_type, route = _task_2d(), AnalyticGaussianDenoiser, analytic_denoise
+        else:
+            dist, den_type, route = _gmm_2d(), AnalyticGmmDenoiser, gmm_denoise
+        den = den_type(dist, LINEAR)
+        x_t, xT = self._probes(dist, 0.4, 1)
+        first = denoise(den, x_t, xT, 0.4)
+        assert list(den._plans) == [0.4]
+        second = denoise(den, x_t, xT, 0.4)
+        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(second, route(dist, LINEAR, x_t, xT, 0.4))
+
+    def test_errors_are_never_cached(self):
+        singular = AnalyticGaussianDenoiser(
+            JointGaussian([0.35], [0.5], [[0.25]], [[1.0]], [[0.5]]), LINEAR
+        )
+        at_T = AnalyticGmmDenoiser(_gmm_2comp(), LINEAR)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="conditional covariance .* is singular"):
+                denoise(singular, np.array([0.4]), np.array([0.8]), 0.5)
+            with pytest.raises(ValueError, match=r"gamma\(1\.0\) = 0\.0 is singular"):
+                denoise(at_T, np.array([0.4]), np.array([0.8]), 1.0)
+        assert not singular._plans and not at_T._plans
+
+    def test_caches_are_per_instance(self):
+        dist = _task_2d()
+        wide = Schedule(kind="linear", gamma_max=1.0)
+        den_a, den_b = AnalyticGaussianDenoiser(dist, LINEAR), AnalyticGaussianDenoiser(dist, wide)
+        x_t, xT = self._probes(dist, 0.5, 2)
+        got_a, got_b = denoise(den_a, x_t, xT, 0.5), denoise(den_b, x_t, xT, 0.5)
+        np.testing.assert_array_equal(got_b, analytic_denoise(dist, wide, x_t, xT, 0.5))
+        assert np.max(np.abs(got_a - got_b)) > 1e-3
+        assert den_a._plans is not den_b._plans
+
+    def test_threads_sharing_one_cache_get_the_uncached_result(self):
+        """Racing builds of one entry store equal plans, so no lock is needed."""
+        gmm = _gmm_2d()
+        den = AnalyticGmmDenoiser(gmm, LINEAR)
+        x_t, xT = self._probes(gmm, 0.5, 4)
+        times = [0.1 + 0.05 * k for k in range(8)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(denoise, den, x_t, xT, t) for t in times * 4]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        for t, out in zip(times * 4, got):
+            np.testing.assert_array_equal(out, gmm_denoise(gmm, LINEAR, x_t, xT, t))
+        assert sorted(den._plans) == times
+
+    def test_analytic_denoisers_are_frozen(self):
+        den = AnalyticGaussianDenoiser(_task_1d(), LINEAR)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            den.sched = Schedule(kind="linear", gamma_max=1.0)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "mixture", "mlp"])
+    def test_array_t_matches_per_row_calls(self, kind):
+        """One time per row, as test_mse_vs_analytic evaluates its probes."""
+        if kind == "mlp":
+            hyper = MlpHyper(layers=1, width=4, batch=8, iters=5, seed=2)
+            den = train_mlp_denoiser(_task_2d(), LINEAR, Preconditioner(), hyper)[0]
+        elif kind == "gaussian":
+            den = AnalyticGaussianDenoiser(_task_2d(), LINEAR)
+        else:
+            den = AnalyticGmmDenoiser(_gmm_2d(), LINEAR)
+        gen = np.random.default_rng(3)
+        ts = gen.uniform(0.01, 0.99, 7)
+        x_t, xT = gen.standard_normal((7, 2)), gen.standard_normal((7, 2))
+        got = denoise(den, x_t, xT, ts)
+        for i, t in enumerate(ts.tolist()):
+            np.testing.assert_allclose(got[i], denoise(den, x_t[i], xT[i], t), rtol=0, atol=1e-14)
+        assert not getattr(den, "_plans", {}).keys() - set(ts.tolist())
 
 
 class TestPreconditioning:
