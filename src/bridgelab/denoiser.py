@@ -34,24 +34,37 @@ def _as_vector(a) -> np.ndarray:
     return np.atleast_1d(np.asarray(a, dtype=np.float64))
 
 
-@dataclass
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a = a.copy(order="K")
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
 class JointGaussian:
-    """Jointly Gaussian endpoint pair (x0, xT) given by block moments."""
+    """Jointly Gaussian endpoint pair (x0, xT) given by block moments.
+
+    Frozen, with read-only copies of its blocks, so the factors built once at
+    construction stay valid: the Cholesky factor of covTT, the gain M and
+    covariance C of x0 | xT, and a square root of C.
+    """
 
     mean0: np.ndarray
     meanT: np.ndarray
     cov00: np.ndarray
     covTT: np.ndarray
     cov0T: np.ndarray  # Cov(x0, xT), shape (d, d)
+    _chol_TT: np.ndarray = field(init=False, repr=False, compare=False)
+    _gain: np.ndarray = field(init=False, repr=False, compare=False)
+    _cov_c: np.ndarray = field(init=False, repr=False, compare=False)
+    _chol_c: np.ndarray = field(init=False, repr=False, compare=False)
 
     kind = "joint_gaussian"
 
     def __post_init__(self):
-        self.mean0 = _as_vector(self.mean0)
-        self.meanT = _as_vector(self.meanT)
-        self.cov00 = _as_matrix(self.cov00)
-        self.covTT = _as_matrix(self.covTT)
-        self.cov0T = _as_matrix(self.cov0T)
+        for name, as_array in (("mean0", _as_vector), ("meanT", _as_vector), ("cov00", _as_matrix),
+                               ("covTT", _as_matrix), ("cov0T", _as_matrix)):
+            object.__setattr__(self, name, _read_only(as_array(getattr(self, name))))
         if self.mean0.ndim != 1:
             raise ValueError(f"mean0 must be a vector, got shape {self.mean0.shape}")
         d = self.mean0.shape[0]
@@ -63,6 +76,16 @@ class JointGaussian:
         full = np.block([[self.cov00, self.cov0T], [self.cov0T.T, self.covTT]])
         if np.min(np.linalg.eigvalsh(full)) < -1e-10:
             raise ValueError("joint covariance is not positive semidefinite")
+        try:
+            chol_TT = np.linalg.cholesky(self.covTT)
+        except np.linalg.LinAlgError:
+            raise ValueError("covTT must be positive definite") from None
+        gain = np.linalg.solve(self.covTT.T, self.cov0T.T).T
+        cov = self.cov00 - gain @ self.cov0T.T
+        cov_c = 0.5 * (cov + cov.T)
+        for name, val in (("_chol_TT", chol_TT), ("_gain", gain), ("_cov_c", cov_c),
+                          ("_chol_c", _chol_psd(cov_c))):
+            object.__setattr__(self, name, _read_only(val))
 
     @property
     def d(self) -> int:
@@ -70,9 +93,7 @@ class JointGaussian:
 
     def conditional(self) -> tuple[np.ndarray, np.ndarray]:
         """Returns (gain M, cov) of x0 | xT = N(mean0 + M(xT - meanT), cov)."""
-        gain = np.linalg.solve(self.covTT.T, self.cov0T.T).T
-        cov = self.cov00 - gain @ self.cov0T.T
-        return gain, 0.5 * (cov + cov.T)
+        return self._gain, self._cov_c
 
 
 @dataclass
@@ -126,9 +147,8 @@ def sample_pair(
     if isinstance(dist, JointGaussian):
         z_T = rng.standard_normal((n, dist.d))
         z_0 = rng.standard_normal((n, dist.d))
-        x_T = dist.meanT + z_T @ np.linalg.cholesky(dist.covTT).T
-        gain, cov_c = dist.conditional()
-        x_0 = dist.mean0 + (x_T - dist.meanT) @ gain.T + z_0 @ _chol_psd(cov_c).T
+        x_T = dist.meanT + z_T @ dist._chol_TT.T
+        x_0 = dist.mean0 + (x_T - dist.meanT) @ dist._gain.T + z_0 @ dist._chol_c.T
         return x_0, x_T
     if isinstance(dist, GmmCoupling):
         ks = rng.choice(len(dist.weights), size=n, p=dist.weights)
@@ -150,7 +170,7 @@ def sample_pair(
 def sample_condition(dist: PairedDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draws n conditioning endpoints xT from the coupling's xT marginal."""
     if isinstance(dist, JointGaussian):
-        return dist.meanT + rng.standard_normal((n, dist.d)) @ np.linalg.cholesky(dist.covTT).T
+        return dist.meanT + rng.standard_normal((n, dist.d)) @ dist._chol_TT.T
     if isinstance(dist, GmmCoupling):
         ks = rng.choice(len(dist.weights), size=n, p=dist.weights)
         x_T = np.empty((n, dist.d))
@@ -475,20 +495,34 @@ def mlp_loss_and_grads(
     return loss, grads_w, grads_b
 
 
-def _training_batch(
+# Rows in one block of training iterations: everything in a minibatch that does
+# not depend on the weights is built for a whole block at once.
+_TRAIN_BLOCK_ROWS = _rng.CHUNK_ROWS
+
+
+def _training_inputs(
     data: PairedDistribution,
     sched: Schedule,
     prec: Preconditioner,
     hyper: MlpHyper,
-    gen: np.random.Generator,
+    its: range,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One minibatch: network input X and unit-variance residual target."""
-    x_0, x_T = sample_pair(data, hyper.batch, gen)
-    d = x_0.shape[1]
-    ts = gen.uniform(hyper.t_min, hyper.t_max, hyper.batch)
-    z = gen.standard_normal((hyper.batch, d))
-    ev = eval_schedule(sched, ts[:, None])
-    c_in, c_skip, c_out, c_noise, _ = precondition(prec, sched, ts[:, None])
+    """Network inputs X and unit-variance residual targets of iterations its,
+    hyper.batch rows per iteration, in iteration order.
+
+    Each iteration draws from its own stream, as it would alone; the algebra
+    after the draws is row-wise, so one pass over the block's rows gives every
+    minibatch bit for bit.
+    """
+    draws = []
+    for it in its:
+        gen = _rng.stream(hyper.seed, _rng.TAG_TRAIN, it)
+        x_0, x_T = sample_pair(data, hyper.batch, gen)
+        ts = gen.uniform(hyper.t_min, hyper.t_max, hyper.batch)
+        draws.append((x_0, x_T, ts[:, None], gen.standard_normal(x_0.shape)))
+    x_0, x_T, ts, z = (np.concatenate(cols) for cols in zip(*draws))
+    ev = eval_schedule(sched, ts)
+    c_in, c_skip, c_out, c_noise, _ = precondition(prec, sched, ts)
     x_t = ev.alpha * x_0 + ev.beta * x_T + ev.gamma * z
     x_net = np.concatenate([c_in * x_t, x_T, c_noise], axis=1)
     target = (x_0 - c_skip * x_t) / c_out
@@ -507,22 +541,32 @@ def train_mlp_denoiser(
     the residual loss ||F - (x0 - c_skip x_t)/c_out||^2, so training on the
     residual target is the weighted objective.  Returns the denoiser and the
     final running (EMA) loss; raises if the loss goes non-finite.
+
+    Iteration it draws its minibatch from its own stream (seed, TAG_TRAIN, it):
+    endpoint pairs, then times, then noise.  The schedule, scalings and network
+    inputs are evaluated once per block of about CHUNK_ROWS rows, which gives
+    the same minibatches, so the trained weights do not depend on the block.
     """
     probe = sample_pair(data, 1, _rng.stream(hyper.seed, _rng.TAG_TASK))[0]
     d = probe.shape[1]
     sizes = [2 * d + 1] + [hyper.width] * hyper.layers + [d]
     weights, biases = mlp_init(sizes, hyper.seed)
     running = math.nan
-    for it in range(hyper.iters):
-        gen = _rng.stream(hyper.seed, _rng.TAG_TRAIN, it)
-        x_net, target = _training_batch(data, sched, prec, hyper, gen)
-        loss, grads_w, grads_b = mlp_loss_and_grads(weights, biases, x_net, target)
-        if not math.isfinite(loss):
-            raise ValueError(f"training diverged at iteration {it}: loss = {loss}")
-        for k in range(len(weights)):
-            weights[k] -= hyper.lr * grads_w[k]
-            biases[k] -= hyper.lr * grads_b[k]
-        running = loss if math.isnan(running) else 0.99 * running + 0.01 * loss
+    block = max(1, _TRAIN_BLOCK_ROWS // hyper.batch)
+    for start in range(0, hyper.iters, block):
+        its = range(start, min(start + block, hyper.iters))
+        x_block, target_block = _training_inputs(data, sched, prec, hyper, its)
+        for i, it in enumerate(its):
+            rows = slice(i * hyper.batch, (i + 1) * hyper.batch)
+            loss, grads_w, grads_b = mlp_loss_and_grads(
+                weights, biases, x_block[rows], target_block[rows]
+            )
+            if not math.isfinite(loss):
+                raise ValueError(f"training diverged at iteration {it}: loss = {loss}")
+            for k in range(len(weights)):
+                weights[k] -= hyper.lr * grads_w[k]
+                biases[k] -= hyper.lr * grads_b[k]
+            running = loss if math.isnan(running) else 0.99 * running + 0.01 * loss
     return MlpDenoiser(weights, biases, prec, sched), running
 
 
@@ -544,10 +588,10 @@ def mlp_denoise(den: MlpDenoiser, x_t: np.ndarray, xT: np.ndarray, t) -> np.ndar
 
 # Each analytic denoiser caches the plan of every float t it is called at, so
 # a sampler pays the t-only algebra once per step time, not once per chunk.
-# The plan is a pure function of (task, schedule, t), so the task must not be
-# changed in place after the first call.  Chunks racing under --threads store
-# equal values, so the cache needs no lock.  Errors raise before anything is
-# stored, so they fire on every call.
+# The plan is a pure function of (task, schedule, t): a JointGaussian cannot be
+# changed in place, and a GmmCoupling must not be after the first call.  Chunks
+# racing under --threads store equal values, so the cache needs no lock.
+# Errors raise before anything is stored, so they fire on every call.
 
 
 @dataclass(frozen=True)

@@ -208,6 +208,21 @@ class TestConfigErrors:
         assert _run("sample", cfg, out) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["task", "task.components[1]"])
+    def test_singular_covTT_exits_1_and_names_the_task(self, tmp_path, capsys, where):
+        """A degenerate xT marginal passes the joint PSD check but has no Cholesky factor."""
+        singular = {"mean0": [0.35], "meanT": [0.5], "cov00": [[0.29]], "covTT": [[0.0]],
+                    "cov0T": [[0.0]]}
+        if where == "task":
+            task = {"kind": "joint_gaussian", **singular}
+        else:
+            task = {**GMM_TASK, "components": [GMM_TASK["components"][0], singular]}
+        cfg = _write_config(tmp_path, "c.json", {**SAMPLE_CONFIG, "task": task})
+        out = tmp_path / "out"
+        assert _run("sample", cfg, out) == 1
+        assert not out.exists()
+        assert f"{where}: covTT must be positive definite" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "section, key, literal",
         [

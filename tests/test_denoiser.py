@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bridgelab import denoiser as denoiser_module
 from bridgelab import rng as _rng
 from bridgelab.denoiser import (
     AnalyticGaussianDenoiser,
@@ -109,6 +110,38 @@ class TestPairedDistributions:
         gain, cov_c = dist.conditional()
         np.testing.assert_allclose(gain, [[0.5]], rtol=0, atol=0)
         np.testing.assert_allclose(cov_c, [[0.04]], rtol=0, atol=1e-16)
+
+    def test_singular_covTT_is_rejected_at_construction(self):
+        # passes the joint PSD check; the xT marginal has no Cholesky factor
+        with pytest.raises(ValueError, match="covTT must be positive definite"):
+            JointGaussian([0.35], [0.5], [[0.29]], [[0.0]], [[0.0]])
+
+    def test_joint_gaussian_is_frozen_with_read_only_blocks(self):
+        dist = _task_2d()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dist.covTT = np.eye(2)
+        for name in ("mean0", "meanT", "cov00", "covTT", "cov0T"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(dist, name)[0] = 0.0
+
+    def test_joint_gaussian_copies_the_caller_arrays(self):
+        covTT = np.array([[1.0]])
+        dist = JointGaussian([0.35], [0.5], [[0.29]], covTT, [[0.5]])
+        covTT[0, 0] = 4.0
+        assert dist.covTT[0, 0] == 1.0
+        assert covTT.flags.writeable
+
+    @pytest.mark.parametrize("make", [_task_1d, _task_2d], ids=["1d", "2d"])
+    def test_cached_factors_equal_fresh_ones(self, make):
+        dist = make()
+        np.testing.assert_array_equal(dist._chol_TT, np.linalg.cholesky(dist.covTT))
+        gain = np.linalg.solve(dist.covTT.T, dist.cov0T.T).T
+        cov = dist.cov00 - gain @ dist.cov0T.T
+        cov_c = 0.5 * (cov + cov.T)
+        got_gain, got_cov = dist.conditional()
+        np.testing.assert_array_equal(got_gain, gain)
+        np.testing.assert_array_equal(got_cov, cov_c)
+        np.testing.assert_array_equal(dist._chol_c, np.linalg.cholesky(cov_c))
 
     def test_gmm_weight_validation(self):
         comp = _task_1d()
@@ -617,6 +650,99 @@ class TestMlp:
         assert [w.shape for w in weights] == [(5, 7), (7, 2)]
         for b in biases:
             np.testing.assert_array_equal(b, np.zeros_like(b))
+
+
+def _map_plus_noise() -> MapPlusNoise:
+    return MapPlusNoise(lambda gen, n: gen.standard_normal((n, 2)), np.tanh, 0.1)
+
+
+def _train_per_iteration(data, sched, prec, hyper):
+    """Reference training: builds each minibatch alone, one iteration at a time."""
+    probe = sample_pair(data, 1, _rng.stream(hyper.seed, _rng.TAG_TASK))[0]
+    d = probe.shape[1]
+    weights, biases = mlp_init([2 * d + 1] + [hyper.width] * hyper.layers + [d], hyper.seed)
+    running = math.nan
+    for it in range(hyper.iters):
+        gen = _rng.stream(hyper.seed, _rng.TAG_TRAIN, it)
+        x_0, x_T = sample_pair(data, hyper.batch, gen)
+        ts = gen.uniform(hyper.t_min, hyper.t_max, hyper.batch)
+        z = gen.standard_normal((hyper.batch, d))
+        ev = eval_schedule(sched, ts[:, None])
+        c_in, c_skip, c_out, c_noise, _ = precondition(prec, sched, ts[:, None])
+        x_t = ev.alpha * x_0 + ev.beta * x_T + ev.gamma * z
+        x_net = np.concatenate([c_in * x_t, x_T, c_noise], axis=1)
+        target = (x_0 - c_skip * x_t) / c_out
+        loss, grads_w, grads_b = mlp_loss_and_grads(weights, biases, x_net, target)
+        if not math.isfinite(loss):
+            raise ValueError(f"training diverged at iteration {it}: loss = {loss}")
+        for k in range(len(weights)):
+            weights[k] -= hyper.lr * grads_w[k]
+            biases[k] -= hyper.lr * grads_b[k]
+        running = loss if math.isnan(running) else 0.99 * running + 0.01 * loss
+    return weights, biases, running
+
+
+def _assert_same_training(got, want):
+    den, running = got
+    weights, biases, want_running = want
+    assert running == want_running
+    for got_p, want_p in zip(den.weights + den.biases, weights + biases):
+        np.testing.assert_array_equal(got_p, want_p)
+
+
+class TestBlockedTraining:
+    """Minibatches built a block of iterations at a time are the per-iteration ones."""
+
+    TASKS = {"1d": _task_1d, "2d": _task_2d, "gmm": _gmm_2comp, "map": _map_plus_noise}
+
+    @pytest.mark.parametrize("iters", [1, 31, 32, 33, 65])
+    @pytest.mark.parametrize("task", sorted(TASKS))
+    def test_matches_per_iteration_training(self, task, iters):
+        data = self.TASKS[task]()
+        prec = Preconditioner(0.6, 0.9, 0.2)
+        hyper = MlpHyper(layers=1, width=8, lr=0.02, batch=128, iters=iters, seed=5)
+        _assert_same_training(
+            train_mlp_denoiser(data, LINEAR, prec, hyper),
+            _train_per_iteration(data, LINEAR, prec, hyper),
+        )
+
+    @pytest.mark.parametrize("task", sorted(TASKS))
+    def test_batch_above_the_block_rows_trains_one_iteration_per_block(self, task):
+        data = self.TASKS[task]()
+        hyper = MlpHyper(layers=1, width=4, lr=0.02, batch=_rng.CHUNK_ROWS + 1, iters=3, seed=2)
+        _assert_same_training(
+            train_mlp_denoiser(data, LINEAR, Preconditioner(), hyper),
+            _train_per_iteration(data, LINEAR, Preconditioner(), hyper),
+        )
+
+    @pytest.mark.parametrize("block_iters", [1, 7])
+    def test_weights_do_not_depend_on_the_block(self, monkeypatch, block_iters):
+        hyper = MlpHyper(layers=2, width=8, lr=0.02, batch=64, iters=70, seed=1)
+        want = train_mlp_denoiser(_task_2d(), LINEAR, Preconditioner(), hyper)
+        monkeypatch.setattr(denoiser_module, "_TRAIN_BLOCK_ROWS", block_iters * hyper.batch)
+        got = train_mlp_denoiser(_task_2d(), LINEAR, Preconditioner(), hyper)
+        _assert_same_training(got, (want[0].weights, want[0].biases, want[1]))
+
+    def test_divergence_names_the_per_iteration_index(self):
+        hyper = MlpHyper(layers=1, width=8, lr=1e9, batch=16, iters=50, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="diverged") as want:
+                _train_per_iteration(_task_1d(), LINEAR, Preconditioner(), hyper)
+            with pytest.raises(ValueError, match="diverged") as got:
+                train_mlp_denoiser(_task_1d(), LINEAR, Preconditioner(), hyper)
+        assert str(got.value) == str(want.value)
+
+    def test_scalings_are_evaluated_once_per_block(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(np.size(args[2]))
+            return precondition(*args, **kwargs)
+
+        monkeypatch.setattr(denoiser_module, "precondition", counted)
+        hyper = MlpHyper(layers=1, width=4, lr=0.02, batch=128, iters=100, seed=0)
+        train_mlp_denoiser(_task_1d(), LINEAR, Preconditioner(), hyper)
+        assert calls == [32 * 128, 32 * 128, 32 * 128, 4 * 128]
 
 
 class TestDenoiserDispatch:

@@ -16,6 +16,7 @@ from bridgelab.denoiser import (
 from bridgelab.sampler import (
     VARIANTS,
     SamplerConfig,
+    _row_norms,
     sample,
     apply_step,
     step_coefficients,
@@ -443,6 +444,13 @@ class TestSampleLoop:
         # the final tail_zero_steps grid slots carry eps = 0
         assert res.eps_used[-1] == 0.0 and res.eps_used[-2] == 0.0
         assert np.all(res.eps_used[:-2] > 0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_row_norms_match_linalg_norm_bit_for_bit(self, d):
+        # values spanning many magnitudes, so any change of summation order shows
+        gen = np.random.default_rng(d)
+        x = gen.standard_normal((4096, d)) * np.exp(gen.uniform(-20.0, 20.0, (4096, d)))
+        np.testing.assert_array_equal(_row_norms(x), np.linalg.norm(x, axis=1))
 
     def test_dimension_mismatch_rejected(self):
         den = _den_1d()
