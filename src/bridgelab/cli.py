@@ -441,9 +441,11 @@ def _run_simulate_forward(sched, grid, fwd, seed: int, threads: int):
     if record:
         # path-major, then time
         n, m, d = ens.paths.shape
+        # Every path shares the grid, so each time is formatted once, not once per path.
+        times = np.array(["%.17g" % t for t in ens.times.tolist()], dtype=object)
         artifacts["forward.csv"] = _csv_bytes(
             ["path_id", "time"] + [f"x_{j}" for j in range(d)],
-            [np.repeat(np.arange(n), m), np.tile(ens.times, n), *ens.paths.reshape(n * m, d).T],
+            [np.repeat(np.arange(n), m), np.tile(times, n), *ens.paths.reshape(n * m, d).T],
         )
         artifacts["forward.traj"] = ens.to_binary()
     return artifacts, []

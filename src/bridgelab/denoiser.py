@@ -96,9 +96,13 @@ class JointGaussian:
         return self._gain, self._cov_c
 
 
-@dataclass
+@dataclass(frozen=True)
 class GmmCoupling:
-    """Mixture of jointly Gaussian endpoint pairs."""
+    """Mixture of jointly Gaussian endpoint pairs.
+
+    Frozen, with its weights and components held as tuples, so a denoiser's
+    per-t plan cache stays valid for the task it was built from.
+    """
 
     weights: Sequence[float]
     components: Sequence[JointGaussian]
@@ -106,8 +110,8 @@ class GmmCoupling:
     kind = "gmm_coupling"
 
     def __post_init__(self):
-        self.weights = tuple(float(w) for w in self.weights)
-        self.components = tuple(self.components)
+        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "components", tuple(self.components))
         if len(self.weights) != len(self.components) or not self.components:
             raise ValueError("weights and components must be equal-length and non-empty")
         if any(w < 0 for w in self.weights):

@@ -158,7 +158,8 @@ def simulate_ensemble(
     def work(chunk: int, sl: slice) -> None:
         rows = sl.stop - sl.start
         if callable(start):
-            x = np.array(start(_rng.stream(seed, _rng.TAG_START, 0, chunk), rows))
+            x = start(_rng.stream(seed, _rng.TAG_START, 0, chunk), rows)
+            x = np.array(x, dtype=np.float64)  # a private float copy: the steps update it in place
         else:
             x = np.broadcast_to(np.asarray(start, dtype=np.float64), (rows, d)).copy()
         if x.shape != (rows, d):
@@ -175,7 +176,14 @@ def simulate_ensemble(
                 if direction == "forward":
                     dt = float(times[k + 1] - times[k])
                     bc = bridge_coefficients(sched, t)
-                    x = x + (bc.f * x + bc.s * xT) * dt + np.sqrt(bc.g_sq * dt) * z
+                    # x + (f x + s xT) dt + sqrt(g^2 dt) z, in place and in that
+                    # operation order, so the bits match the expression form.
+                    drift = bc.f * x
+                    drift += bc.s * xT
+                    drift *= dt
+                    z *= np.sqrt(bc.g_sq * dt)
+                    x += drift
+                    x += z
                 else:
                     dt = float(times[k] - times[k + 1])
                     step_index = n_steps - 1 - k

@@ -11,6 +11,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # Fixed chunk size: must never depend on the thread count, or determinism
 # across --threads settings is lost.
@@ -19,6 +20,7 @@ CHUNK_ROWS = 4096
 _MASK64 = (1 << 64) - 1
 _TAG_SHIFT = 48
 _STEP_SHIFT = 24
+_TAG_LIMIT = 1 << 16
 _STEP_LIMIT = 1 << 24
 _CHUNK_LIMIT = 1 << 24
 
@@ -35,22 +37,42 @@ TAG_TASK = 8
 TAG_PROBE = 9
 
 
+class _PhiloxKey(ISeedSequence):
+    """Hands Philox its 128-bit key as the seed state, so a build draws no OS entropy.
+
+    Philox(key=...) first seeds itself from a fresh SeedSequence, which reads
+    OS entropy, and only then overrides the key; this seeds it with the key.
+    """
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a Philox key is 2 uint64 words, not {n_words} of {np.dtype(dtype)}")
+        return self.key
+
+
 def stream(seed: int, tag: int, step: int = 0, chunk: int = 0) -> np.random.Generator:
-    """Returns the generator for one (seed, tag, step, chunk) cell.
+    """Returns a fresh generator for one (seed, tag, step, chunk) cell.
+
+    The Philox key is [seed mod 2**64, tag << 48 | step << 24 | chunk].
 
     Args:
         seed: experiment seed, any Python int (folded to 64 bits).
-        tag: stream tag, one of the TAG_* constants (or any int < 2**16).
-        step: time-step or iteration index, < 2**24.
-        chunk: row-chunk index, < 2**24.
+        tag: stream tag, one of the TAG_* constants (or any int in [0, 2**16)).
+        step: time-step or iteration index, in [0, 2**24).
+        chunk: row-chunk index, in [0, 2**24).
     """
+    if not 0 <= tag < _TAG_LIMIT:
+        raise ValueError(f"stream tag {tag} outside [0, {_TAG_LIMIT})")
     if not 0 <= step < _STEP_LIMIT:
         raise ValueError(f"step index {step} outside [0, {_STEP_LIMIT})")
     if not 0 <= chunk < _CHUNK_LIMIT:
         raise ValueError(f"chunk index {chunk} outside [0, {_CHUNK_LIMIT})")
     sub = (int(tag) << _TAG_SHIFT) | (int(step) << _STEP_SHIFT) | int(chunk)
-    key = np.array([int(seed) & _MASK64, sub & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    key = np.array([int(seed) & _MASK64, sub], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 def chunk_slices(n_rows: int) -> list[tuple[int, slice]]:

@@ -537,6 +537,28 @@ class TestSimulateForward:
         assert values[:, 0].tobytes() == np.tile(ens.times, 7).tobytes()
         assert values[:, 1:].tobytes() == ens.paths.reshape(49, 2).tobytes()
 
+    def test_csv_equals_the_encoder_over_float_columns(self, tmp_path):
+        """The time column, formatted once per grid point, encodes as the float column would."""
+        cfg = _write_config(
+            tmp_path, "c.json",
+            {
+                "schedule": LINEAR_SCHEDULE,
+                "grid": {"n_steps": 30, "t_min": 0.013, "t_max": 0.77, "rho": 7.0},
+                "forward": {"x0": [0.0, 2.0], "xT": [1.0, -1.0], "n_paths": 150, "record": True},
+            },
+        )
+        out = tmp_path / "out"
+        assert _run("simulate-forward", cfg, out, seed=3) == 0
+        from bridgelab.dynamics import PathEnsemble
+
+        ens = PathEnsemble.from_binary(_read_bytes(out, "forward.traj"))
+        n, m, d = ens.paths.shape
+        want = cli._csv_bytes(
+            ["path_id", "time", "x_0", "x_1"],
+            [np.repeat(np.arange(n), m), np.tile(ens.times, n), *ens.paths.reshape(n * m, d).T],
+        )
+        assert _read_bytes(out, "forward.csv") == want
+
     def test_record_false_skips_path_artifacts(self, tmp_path):
         cfg = _write_config(
             tmp_path, "c.json",

@@ -154,6 +154,18 @@ class TestPairedDistributions:
         with pytest.raises(ValueError, match="dimension"):
             GmmCoupling(weights=(0.5, 0.5), components=(comp, _task_2d()))
 
+    def test_gmm_coupling_is_frozen_with_tuple_fields(self):
+        comp = _task_1d()
+        weights, components = [0.25, 0.75], [comp, comp]
+        gmm = GmmCoupling(weights=weights, components=components)
+        assert gmm.weights == (0.25, 0.75) and gmm.components == (comp, comp)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gmm.weights = (0.5, 0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gmm.components = (comp,)
+        weights[0] = 0.5  # the caller's lists are not the coupling's
+        assert gmm.weights == (0.25, 0.75)
+
     def test_map_plus_noise_validation(self):
         with pytest.raises(ValueError, match="noise_scale"):
             MapPlusNoise(lambda rng, n: rng.standard_normal((n, 1)), lambda x: x, -0.1)

@@ -89,6 +89,55 @@ class TestForwardStepEm:
                 with pytest.raises(ValueError, match=name):
                     simulate_ensemble(LINEAR, start, xT, grid, direction, 8, 0, **kw)
 
+    @staticmethod
+    def _reference(start, xT, times, n_paths, seed):
+        """The Euler-Maruyama loop in its expression form, chunk by chunk."""
+        d = xT.shape[0]
+        out = np.empty((n_paths, times.shape[0], d))
+        for chunk, sl in _rng.chunk_slices(n_paths):
+            rows = sl.stop - sl.start
+            if callable(start):
+                x = np.array(start(_rng.stream(seed, _rng.TAG_START, 0, chunk), rows))
+            else:
+                x = np.broadcast_to(start, (rows, d)).copy()
+            out[sl, 0] = x
+            for k in range(times.shape[0] - 1):
+                z = _rng.stream(seed, _rng.TAG_FORWARD, k, chunk).standard_normal((rows, d))
+                dt = float(times[k + 1] - times[k])
+                bc = bridge_coefficients(LINEAR, float(times[k]))
+                x = x + (bc.f * x + bc.s * xT) * dt + np.sqrt(bc.g_sq * dt) * z
+                out[sl, k + 1] = x
+        return out
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("callable_start", [False, True])
+    def test_in_place_step_matches_the_expression_form_bit_for_bit(self, record, callable_start):
+        n_paths = 5000  # two chunks, the second partial
+        assert len(_rng.chunk_slices(n_paths)) == 2
+        xT = np.array([1.0, -0.5])
+        if callable_start:
+            def start(gen, n):
+                return gen.standard_normal((n, 2)) * 0.3 + [0.2, -0.1]
+        else:
+            start = np.array([0.2, -0.1])
+        times = np.linspace(0.05, 0.8, 16)
+        want = self._reference(start, xT, times, n_paths, 17)
+        ens = simulate_ensemble(LINEAR, start, xT, times, "forward", n_paths, 17, record=record)
+        if record:
+            assert ens.paths.tobytes() == want.tobytes()
+        else:
+            assert ens.paths.tobytes() == want[:, -1:].tobytes()
+
+    def test_caller_arrays_are_left_unchanged(self):
+        start, xT = np.array([0.2, -0.1]), np.array([1.0, -0.5])
+        held = np.full((4096, 2), 0.25)  # handed out as views by the callable start
+        times = np.linspace(0.05, 0.8, 6)
+        simulate_ensemble(LINEAR, start, xT, times, "forward", 5000, 3)
+        simulate_ensemble(LINEAR, lambda gen, n: held[:n], xT, times, "forward", 5000, 3)
+        assert start.tolist() == [0.2, -0.1]
+        assert xT.tolist() == [1.0, -0.5]
+        assert np.all(held == 0.25)
+
 
 class TestReverseDrift:
     """The drift family through the euler_z step at z = 0: x' = x - drift dt."""
