@@ -19,7 +19,6 @@ import tempfile
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import rng as _rng
@@ -741,7 +740,6 @@ def main(argv=None) -> int:
             "versions": {
                 "bridgelab": __version__,
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
                 "python": sys.version.split()[0],
             },
             "wall_time_s": time.perf_counter() - start,

@@ -45,8 +45,9 @@ class JointGaussian:
     """Jointly Gaussian endpoint pair (x0, xT) given by block moments.
 
     Frozen, with read-only copies of its blocks, so the factors built once at
-    construction stay valid: the Cholesky factor of covTT, the gain M and
-    covariance C of x0 | xT, and a square root of C.
+    construction stay valid: the Cholesky factor of covTT with its
+    whitening matrix and half log-determinant, the gain M and covariance C of
+    x0 | xT, and a square root of C.
     """
 
     mean0: np.ndarray
@@ -55,6 +56,8 @@ class JointGaussian:
     covTT: np.ndarray
     cov0T: np.ndarray  # Cov(x0, xT), shape (d, d)
     _chol_TT: np.ndarray = field(init=False, repr=False, compare=False)
+    _white_TT: np.ndarray = field(init=False, repr=False, compare=False)
+    _half_logdet_TT: float = field(init=False, repr=False, compare=False)
     _gain: np.ndarray = field(init=False, repr=False, compare=False)
     _cov_c: np.ndarray = field(init=False, repr=False, compare=False)
     _chol_c: np.ndarray = field(init=False, repr=False, compare=False)
@@ -83,9 +86,11 @@ class JointGaussian:
         gain = np.linalg.solve(self.covTT.T, self.cov0T.T).T
         cov = self.cov00 - gain @ self.cov0T.T
         cov_c = 0.5 * (cov + cov.T)
-        for name, val in (("_chol_TT", chol_TT), ("_gain", gain), ("_cov_c", cov_c),
-                          ("_chol_c", _chol_psd(cov_c))):
+        white_TT, half_logdet_TT = _whitening(chol_TT)
+        for name, val in (("_chol_TT", chol_TT), ("_white_TT", white_TT), ("_gain", gain),
+                          ("_cov_c", cov_c), ("_chol_c", _chol_psd(cov_c))):
             object.__setattr__(self, name, _read_only(val))
+        object.__setattr__(self, "_half_logdet_TT", float(half_logdet_TT))
 
     @property
     def d(self) -> int:
@@ -217,6 +222,11 @@ def _whiten(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         raise ValueError("covariance must be positive definite") from None
+    return _whitening(chol)
+
+
+def _whitening(chol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_whiten from the (stack of) Cholesky factor(s) of the covariance."""
     half_logdet = np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
     return np.swapaxes(np.linalg.inv(chol), -1, -2), half_logdet
 
@@ -266,7 +276,7 @@ def _plan(dist: Union[JointGaussian, GmmCoupling], sched: Schedule, t) -> _Plan:
         means.append((sol[..., :d, :], sol[..., d : 2 * d, :], sol[..., 2 * d, :]))
         if mixed:
             Wt, half_t = _whiten(alpha**2 * cov_c + g_sq * eye)
-            WT, half_T = _whiten(comp.covTT)
+            WT, half_T = comp._white_TT, comp._half_logdet_TT
             AT = np.swapaxes(alpha * gain + beta * eye, -1, -2)
             a = alpha[..., 0] * offset
             resid_t.append((Wt, -AT @ Wt, -np.einsum("...i,...ij->...j", a, Wt)))

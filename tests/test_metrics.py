@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from bridgelab import metrics
 from bridgelab.metrics import (
     AffineProjection,
     ConditionedSamples,
@@ -15,6 +16,42 @@ from bridgelab.metrics import (
     mse,
     random_projection,
 )
+from bridgelab.metrics import _pair_distances
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestPairDistances:
+    """The NumPy pair distances against scipy's cdist, an independent oracle, bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 16, 64])
+    @pytest.mark.parametrize("n", [2, 15, 16, 17, 300])
+    def test_equals_cdist(self, n, d):
+        rng = np.random.default_rng(1000 * d + n)
+        a = 3.0 * rng.standard_normal((n, d)) + 0.5
+        b = rng.standard_normal((n + 3, d))
+        assert _same_bits(_pair_distances(a, b), cdist(a, b))
+        assert _same_bits(_pair_distances(b, a), cdist(b, a))
+        assert _same_bits(_pair_distances(a, a), cdist(a, a))
+
+    @pytest.mark.parametrize("d", [1, 2, 16])
+    def test_stack_equals_cdist_per_slice(self, d):
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal((4, 17, d))
+        b = rng.standard_normal((4, 9, d))
+        got = _pair_distances(a, b)
+        assert _same_bits(got, [cdist(x, y) for x, y in zip(a, b)])
+
+    def test_energy_distance_equals_the_cdist_formula(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((70, 2))
+        b = rng.standard_normal((45, 2)) + 0.2
+        want = (2.0 * (cdist(a, b).sum() / (70 * 45)) - cdist(a, a).sum() / (70 * 69)
+                - cdist(b, b).sum() / (45 * 44))
+        assert _same_bits(energy_distance(a, b), want)
 
 
 class TestAfd:
@@ -73,6 +110,27 @@ class TestAfd:
     def test_non_finite_projection_rejected(self):
         with pytest.raises(ValueError, match="matrix contains non-finite"):
             AffineProjection([[1.0, np.nan]])
+
+    @pytest.mark.parametrize("stack_entries", [None, 50])
+    @pytest.mark.parametrize("d", [1, 2, 16, 64])
+    def test_ragged_groups_equal_cdist_per_group(self, d, stack_entries, monkeypatch):
+        """Groups of mixed sizes, stacked by size (and split into several stacks
+        when the entry bound is small), give each group's cdist mean exactly."""
+        if stack_entries is not None:
+            monkeypatch.setattr(metrics, "_AFD_STACK_ENTRIES", stack_entries)
+        rng = np.random.default_rng(d)
+        groups = [rng.standard_normal((size, d)) for size in (5, 2, 17, 5, 16, 40, 5, 2)]
+        report = afd(ConditionedSamples(groups))
+        want = [cdist(g, g).sum() / (len(g) ** 2 - len(g)) for g in groups]
+        assert _same_bits(report.per_group, want)
+        assert _same_bits(report.afd, np.mean(want))
+
+    def test_projected_groups_equal_cdist_per_group(self):
+        rng = np.random.default_rng(9)
+        cs = ConditionedSamples([rng.standard_normal((8, 3)) for _ in range(20)],
+                                random_projection(3, 64, seed=4))
+        want = [cdist(f, f).sum() / 56 for f in cs.features()]
+        assert _same_bits(afd(cs).per_group, want)
 
     def test_projection_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="feature_map takes 3-d inputs, groups are 2-d"):
