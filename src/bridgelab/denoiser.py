@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -431,8 +431,14 @@ class MlpHyper:
     t_max: float = DEFAULT_T_MAX
 
     def __post_init__(self):
-        if min(self.layers, self.width, self.batch, self.iters) < 1 or self.lr <= 0:
-            raise ValueError("mlp hyperparameters must be positive")
+        for name in ("layers", "width", "batch", "iters"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, (int, np.integer)) or val < 1:
+                raise ValueError(f"train.{name} must be a positive integer, got {val!r}")
+        lr = self.lr
+        bad = isinstance(lr, bool) or not isinstance(lr, (int, float))
+        if bad or not math.isfinite(lr) or lr <= 0:
+            raise ValueError(f"train.lr must be finite and positive, got {lr!r}")
         if not 0.0 < self.t_min < self.t_max <= T_HORIZON:
             raise ValueError(f"need 0 < t_min < t_max <= T, got [{self.t_min}, {self.t_max}]")
 
@@ -467,16 +473,30 @@ def mlp_init(sizes: Sequence[int], seed: int) -> tuple[list[np.ndarray], list[np
 
 
 def mlp_forward(
-    weights: Sequence[np.ndarray], biases: Sequence[np.ndarray], x: np.ndarray
+    weights: Sequence[np.ndarray],
+    biases: Sequence[np.ndarray],
+    x: np.ndarray,
+    bufs: Optional[Sequence[np.ndarray]] = None,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Network output and the per-layer activations [x, h_1, ..., out].
+
+    Each layer is matmul, then += bias, then tanh in place on all but the last:
+    np.tanh(h @ w + b) bit for bit.  bufs, if given, holds one C-contiguous
+    (rows, width_k) output array per layer, owned by the caller; every layer
+    writes into its buffer, so the returned output and activations are the
+    buffers themselves and the next call with the same bufs overwrites them.
+    Without bufs each layer allocates its output, as training needs.
+    """
     cache = [x]
     h = x
-    for w, b in zip(weights[:-1], biases[:-1]):
-        h = np.tanh(h @ w + b)
+    last = len(weights) - 1
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        h = np.matmul(h, w, out=None if bufs is None else bufs[k])
+        h += b
+        if k < last:
+            np.tanh(h, out=h)
         cache.append(h)
-    out = h @ weights[-1] + biases[-1]
-    cache.append(out)
-    return out, cache
+    return h, cache
 
 
 def mlp_backward(
@@ -584,8 +604,26 @@ def train_mlp_denoiser(
     return MlpDenoiser(weights, biases, prec, sched), running
 
 
-def mlp_denoise(den: MlpDenoiser, x_t: np.ndarray, xT: np.ndarray, t) -> np.ndarray:
-    """D = c_skip x_t + c_out F at t, a float or an (n,) array (one time per row)."""
+def _layer_buffers(den: MlpDenoiser, rows: int, scratch: Optional[dict]):
+    """The layer outputs kept in scratch for a rows-row call of den, made anew
+    when the rows or the layer widths differ from the last call's."""
+    if scratch is None:
+        return None
+    bufs = scratch.get("mlp_layers")
+    shapes = [(rows, w.shape[1]) for w in den.weights]
+    if bufs is None or [buf.shape for buf in bufs] != shapes:
+        bufs = scratch["mlp_layers"] = [np.empty(shape) for shape in shapes]
+    return bufs
+
+
+def mlp_denoise(
+    den: MlpDenoiser, x_t: np.ndarray, xT: np.ndarray, t, scratch: Optional[dict] = None
+) -> np.ndarray:
+    """D = c_skip x_t + c_out F at t, a float or an (n,) array (one time per row).
+
+    scratch, if given, keeps the network's layer outputs between calls (see
+    denoise); the returned array is always fresh.
+    """
     x_t = np.asarray(x_t, dtype=np.float64)
     squeeze = x_t.ndim == 1
     x_t2 = np.atleast_2d(x_t)
@@ -595,7 +633,8 @@ def mlp_denoise(den: MlpDenoiser, x_t: np.ndarray, xT: np.ndarray, t) -> np.ndar
     c_in, c_skip, c_out, c_noise, _ = precondition(den.prec, den.sched, t)
     noise_col = np.broadcast_to(c_noise, (x_t2.shape[0], 1))
     x_net = np.concatenate([c_in * x_t2, xT2, noise_col], axis=1)
-    f_out, _ = mlp_forward(den.weights, den.biases, x_net)
+    bufs = _layer_buffers(den, x_net.shape[0], scratch)
+    f_out, _ = mlp_forward(den.weights, den.biases, x_net, bufs)
     out = c_skip * x_t2 + c_out * f_out
     return out[0] if squeeze else out
 
@@ -647,12 +686,25 @@ def _cached_plan(den: Union[AnalyticGaussianDenoiser, AnalyticGmmDenoiser], t) -
     return plan
 
 
-def denoise(den: Denoiser, x_t: np.ndarray, xT: np.ndarray, t) -> np.ndarray:
-    """Evaluates x0hat(x_t, xT, t) for any denoiser kind; t is a float or an (n,) array."""
+def denoise(
+    den: Denoiser, x_t: np.ndarray, xT: np.ndarray, t, scratch: Optional[dict] = None
+) -> np.ndarray:
+    """Evaluates x0hat(x_t, xT, t) for any denoiser kind; t is a float or an (n,) array.
+
+    scratch is an optional dict, owned by the caller, in which an MLP denoiser
+    keeps its layer outputs from one call to the next; analytic denoisers
+    ignore it.  A fresh 4096 x 32 float64 temporary is 1 MB, a new memory
+    mapping whose pages fault in on first touch, so a sampler passes one
+    scratch per row chunk and reuses it for all of that chunk's steps.  The buffers keep the full chunk's GEMM
+    shapes: evaluating the network in smaller row blocks would sum in another
+    order and change the output bits.  A scratch must not be shared between
+    threads, and it dies with the chunk, so it adds nothing to peak memory
+    after the loop.  The returned x0hat never aliases the scratch.
+    """
     if isinstance(den, (AnalyticGaussianDenoiser, AnalyticGmmDenoiser)):
         return _posterior_mean(_cached_plan(den, t), x_t, xT)
     if isinstance(den, MlpDenoiser):
-        return mlp_denoise(den, x_t, xT, t)
+        return mlp_denoise(den, x_t, xT, t, scratch)
     raise ValueError(f"unknown denoiser type {type(den).__name__}")
 
 

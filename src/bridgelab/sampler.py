@@ -182,11 +182,12 @@ def sample(cfg: SamplerConfig, den: Denoiser, xT_batch: np.ndarray, threads: int
         if traj is not None:
             traj[sl, 0] = x
         prev_hat: Optional[np.ndarray] = None
+        scratch: dict = {}  # the denoiser's buffers, reused by all of this chunk's steps
         for k in range(n_steps):
             t, dt = float(ts[k]), float(ts[k] - ts[k + 1])
             step_index = n_steps - 1 - k
             try:
-                x_hat0 = denoise(den, x, xT, t)
+                x_hat0 = denoise(den, x, xT, t, scratch)
                 if prev_hat is not None:
                     change_sums[chunk, k] = float(np.sum(_row_norms(x_hat0 - prev_hat)))
                 prev_hat = x_hat0

@@ -710,6 +710,36 @@ class TestTrainDenoiser:
         moments = _read_json(out, "moments.json")
         assert np.isfinite(moments["mean"]).all()
 
+    def test_mlp_sample_is_byte_identical_across_thread_counts(self, tmp_path):
+        """4200 rows: a full chunk and a short one, each with its own layer buffers."""
+        train_cfg = _write_config(
+            tmp_path, "train.json",
+            {
+                "schedule": LINEAR_SCHEDULE,
+                "task": TASK_1D,
+                "train": {"layers": 2, "width": 8, "lr": 0.05, "batch": 32, "iters": 20},
+            },
+        )
+        assert _run("train-denoiser", train_cfg, tmp_path / "train_out") == 0
+        cfg = _write_config(
+            tmp_path, "c.json",
+            {
+                "schedule": LINEAR_SCHEDULE,
+                "grid": {"n_steps": 8},
+                "eps_policy": {"kind": "eta_scaled", "eta": 0.3},
+                "task": TASK_1D,
+                "denoiser": {"kind": "mlp", "path": str(tmp_path / "train_out" / "model.bin")},
+                "sampler": {"variant": "gamma_simplified", "boot_b": 0.25},
+                "sample": {"n_conditions": 2100, "n_replicates": 2},
+            },
+        )
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert _run("sample", cfg, out_a, seed=7, threads=1) == 0
+        assert _run("sample", cfg, out_b, seed=7, threads=4) == 0
+        assert _read_json(out_a, "moments.json")["n"] == 4200
+        for name in ("sample.csv", "moments.json", "diagnostics.json"):
+            assert _read_bytes(out_a, name) == _read_bytes(out_b, name)
+
     def test_estimated_preconditioner_is_reported(self, tmp_path):
         cfg = _write_config(
             tmp_path, "c.json",

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -19,6 +20,7 @@ from bridgelab.denoiser import (
     GmmCoupling,
     JointGaussian,
     MapPlusNoise,
+    MlpDenoiser,
     MlpHyper,
     Preconditioner,
     analytic_denoise,
@@ -27,6 +29,7 @@ from bridgelab.denoiser import (
     gmm_denoise,
     load_denoiser,
     mlp_denoise,
+    mlp_forward,
     mlp_init,
     mlp_loss_and_grads,
     precondition,
@@ -657,11 +660,137 @@ class TestMlp:
             with pytest.raises(ValueError, match="t_min < t_max"):
                 MlpHyper(t_min=t_min, t_max=t_max)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lr", math.nan), ("lr", math.inf), ("lr", -math.inf), ("lr", True), ("lr", "0.1"),
+         ("layers", True), ("layers", 0), ("width", 2.5), ("width", np.float64(32.0)),
+         ("batch", "8"), ("batch", False), ("iters", 10.0), ("iters", -1)],
+    )
+    def test_hyper_rejects_a_bad_value_and_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"train.{field} must be"):
+            MlpHyper(**{field: value})
+
+    def test_hyper_takes_numpy_integers(self):
+        assert MlpHyper(width=np.int64(8), lr=np.float64(0.1)).width == 8
+
     def test_init_shapes_and_zero_biases(self):
         weights, biases = mlp_init([5, 7, 2], seed=1)
         assert [w.shape for w in weights] == [(5, 7), (7, 2)]
         for b in biases:
             np.testing.assert_array_equal(b, np.zeros_like(b))
+
+
+def _forward_expression_form(weights, biases, x):
+    """The network as written before layer buffers: a fresh array per operation."""
+    h = x
+    for w, b in zip(weights[:-1], biases[:-1]):
+        h = np.tanh(h @ w + b)
+    return h @ weights[-1] + biases[-1]
+
+
+def _random_net(sizes, seed):
+    """Weights from mlp_init and nonzero biases, so every += b changes bits."""
+    weights, _ = mlp_init(sizes, seed)
+    gen = np.random.default_rng(seed)
+    return weights, [gen.standard_normal(n) * 0.3 for n in sizes[1:]]
+
+
+def _mlp_den(width: int = 32, d: int = 1, seed: int = 4) -> MlpDenoiser:
+    weights, biases = _random_net([2 * d + 1, width, width, d], seed)
+    return MlpDenoiser(weights, biases, Preconditioner(0.6, 0.9, 0.2), LINEAR)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+class TestMlpLayerBuffers:
+    """Layer outputs written into caller-owned buffers change no bit of the result."""
+
+    @pytest.mark.parametrize("sizes", [[3, 32, 32, 1], [5, 64, 64, 64, 2], [17, 128, 8]])
+    @pytest.mark.parametrize("rows", [1, 7, 4096])
+    def test_forward_equals_the_expression_form(self, sizes, rows):
+        weights, biases = _random_net(sizes, seed=len(sizes))
+        x = np.random.default_rng(rows).standard_normal((rows, sizes[0]))
+        want = _forward_expression_form(weights, biases, x)
+        bufs = [np.full((rows, n), np.nan) for n in sizes[1:]]
+        for got, cache in (mlp_forward(weights, biases, x),
+                           mlp_forward(weights, biases, x, bufs)):
+            _assert_same_bits(got, want)
+            assert len(cache) == len(sizes) and cache[0] is x
+            _assert_same_bits(cache[-1], want)
+        assert all(h is buf for h, buf in zip(cache[1:], bufs))  # written in place
+
+    def test_forward_without_buffers_leaves_its_input_alone(self):
+        weights, biases = _random_net([3, 8, 1], seed=1)
+        x = np.random.default_rng(0).standard_normal((5, 3))
+        before = x.copy()
+        mlp_forward(weights, biases, x)
+        np.testing.assert_array_equal(x, before)
+
+    @pytest.mark.parametrize("per_row_t", [False, True])
+    def test_reused_scratch_equals_fresh_calls_across_row_counts(self, per_row_t):
+        den = _mlp_den()
+        gen = np.random.default_rng(9)
+        scratch: dict = {}
+        for rows in (4096, 3616, 1, 4096):
+            x_t, xT = gen.standard_normal((rows, 1)), gen.standard_normal((rows, 1))
+            t = gen.uniform(0.05, 0.95, rows) if per_row_t else 0.37
+            want = mlp_denoise(den, x_t, xT, t)
+            _assert_same_bits(mlp_denoise(den, x_t, xT, t, scratch), want)
+            _assert_same_bits(denoise(den, x_t, xT, t, scratch), want)
+            assert [buf.shape[0] for buf in scratch["mlp_layers"]] == [rows] * 3
+
+    def test_scratch_follows_a_change_of_network(self):
+        scratch: dict = {}
+        x_t, xT = np.full((6, 2), 0.3), np.full((6, 2), -0.2)
+        for width in (8, 16):
+            den = _mlp_den(width=width, d=2)
+            want = mlp_denoise(den, x_t, xT, 0.5)
+            _assert_same_bits(mlp_denoise(den, x_t, xT, 0.5, scratch), want)
+
+    def test_returned_x0hat_survives_the_next_call(self):
+        """The sampler keeps the previous step's x0hat; it must not alias the scratch."""
+        den = _mlp_den()
+        gen = np.random.default_rng(3)
+        x_t, xT = gen.standard_normal((4096, 1)), gen.standard_normal((4096, 1))
+        scratch: dict = {}
+        first = denoise(den, x_t, xT, 0.8, scratch)
+        kept = first.copy()
+        second = denoise(den, x_t + 1.0, xT, 0.3, scratch)
+        np.testing.assert_array_equal(first, kept)
+        assert not np.shares_memory(first, second)
+        for buf in scratch["mlp_layers"]:
+            assert not np.shares_memory(first, buf) and not np.shares_memory(second, buf)
+
+    def test_analytic_denoisers_ignore_scratch(self):
+        scratch: dict = {}
+        den = AnalyticGaussianDenoiser(_task_1d(), LINEAR)
+        x_t, xT = np.array([[0.45]]), np.array([[0.8]])
+        np.testing.assert_array_equal(denoise(den, x_t, xT, 0.5, scratch),
+                                      denoise(den, x_t, xT, 0.5))
+        assert scratch == {}
+
+    def test_warm_scratch_call_allocates_less_than_one_hidden_layer(self):
+        """Deterministic guard against fresh per-layer temporaries (no timing)."""
+        den = _mlp_den(width=32)
+        gen = np.random.default_rng(5)
+        x_t, xT = gen.standard_normal((4096, 1)), gen.standard_normal((4096, 1))
+        scratch: dict = {}
+        denoise(den, x_t, xT, 0.5, scratch)
+        one_hidden = 4096 * 32 * 8
+        tracemalloc.start()
+        try:
+            denoise(den, x_t, xT, 0.4, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < one_hidden
 
 
 def _map_plus_noise() -> MapPlusNoise:

@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from bridgelab import rng as _rng
+from bridgelab import sampler as sampler_module
 from bridgelab.denoiser import (
     AnalyticGaussianDenoiser,
     JointGaussian,
+    MlpDenoiser,
+    Preconditioner,
     denoise,
+    mlp_init,
     sample_condition,
     zhat,
 )
@@ -378,6 +382,25 @@ class TestSampleLoop:
         np.testing.assert_array_equal(
             np.nan_to_num(a.x0hat_change), np.nan_to_num(b.x0hat_change)
         )
+
+    def test_mlp_scratch_changes_no_bit(self, monkeypatch):
+        """Per-chunk layer buffers give the output of a fresh network call per step,
+        over two chunks, the second one short."""
+        weights, biases = mlp_init([3, 16, 16, 1], seed=2)
+        den = MlpDenoiser(weights, biases, Preconditioner(), LINEAR)
+        cfg = SamplerConfig(
+            schedule=LINEAR,
+            eps_policy=EpsilonPolicy(kind="eta_scaled", eta=0.5),
+            grid=make_time_grid(6), variant="dbim", boot_b=0.25, seed=4,
+        )
+        xT = sample_condition(_task_1d(), _rng.CHUNK_ROWS + 37, _rng.stream(0, _rng.TAG_TASK))
+        got = sample(cfg, den, xT)
+        monkeypatch.setattr(
+            sampler_module, "denoise", lambda den, x, xT, t, scratch: denoise(den, x, xT, t)
+        )
+        want = sample(cfg, den, xT)
+        assert got.x0_batch.tobytes() == want.x0_batch.tobytes()
+        assert got.x0hat_change.tobytes() == want.x0hat_change.tobytes()
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_family_members_agree_on_population_moments(self, variant):
