@@ -23,8 +23,7 @@ import numpy as np
 from . import __version__
 from . import rng as _rng
 from .denoiser import (
-    AnalyticGaussianDenoiser,
-    AnalyticGmmDenoiser,
+    AnalyticDenoiser,
     GmmCoupling,
     JointGaussian,
     MlpHyper,
@@ -265,9 +264,7 @@ def _parse_task(cfg: dict):
 def _parse_denoiser(cfg: dict, task, sched: Schedule):
     vals = _read(cfg, "denoiser", _SPECS["denoiser"])
     if vals["kind"] == "analytic":
-        if isinstance(task, JointGaussian):
-            return AnalyticGaussianDenoiser(task, sched)
-        return AnalyticGmmDenoiser(task, sched)
+        return AnalyticDenoiser(task, sched)
     den = _build("denoiser.path", load_denoiser, vals["path"])
     if den.d != task.d:
         raise ConfigError(f"denoiser.path: the model is {den.d}-d, the task {task.d}-d")

@@ -67,7 +67,10 @@ class JointGaussian:
     def __post_init__(self):
         for name, as_array in (("mean0", _as_vector), ("meanT", _as_vector), ("cov00", _as_matrix),
                                ("covTT", _as_matrix), ("cov0T", _as_matrix)):
-            object.__setattr__(self, name, _read_only(as_array(getattr(self, name))))
+            val = _read_only(as_array(getattr(self, name)))
+            if not np.all(np.isfinite(val)):
+                raise ValueError(f"{name} must be finite, got {val.tolist()}")
+            object.__setattr__(self, name, val)
         if self.mean0.ndim != 1:
             raise ValueError(f"mean0 must be a vector, got shape {self.mean0.shape}")
         d = self.mean0.shape[0]
@@ -119,6 +122,8 @@ class GmmCoupling:
         object.__setattr__(self, "components", tuple(self.components))
         if len(self.weights) != len(self.components) or not self.components:
             raise ValueError("weights and components must be equal-length and non-empty")
+        if not all(map(math.isfinite, self.weights)):
+            raise ValueError(f"mixture weights must be finite, got {self.weights}")
         if any(w < 0 for w in self.weights):
             raise ValueError("mixture weights must be nonnegative")
         if abs(sum(self.weights) - 1.0) > 1e-12:
@@ -146,7 +151,15 @@ class MapPlusNoise:
             raise ValueError(f"noise_scale must be >= 0, got {self.noise_scale}")
 
 
+AnalyticTask = Union[JointGaussian, GmmCoupling]
 PairedDistribution = Union[JointGaussian, GmmCoupling, MapPlusNoise]
+
+
+def _check_analytic(dist) -> None:
+    if not isinstance(dist, (JointGaussian, GmmCoupling)):
+        kind = getattr(dist, "kind", type(dist).__name__)
+        raise ValueError(f"no analytic reference denoiser for {kind}: the task must be "
+                         "a joint_gaussian or a gmm_coupling")
 
 
 def sample_pair(
@@ -231,7 +244,7 @@ def _whitening(chol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.swapaxes(np.linalg.inv(chol), -1, -2), half_logdet
 
 
-def _plan(dist: Union[JointGaussian, GmmCoupling], sched: Schedule, t) -> _Plan:
+def _plan(dist: AnalyticTask, sched: Schedule, t) -> _Plan:
     """The plan of E[x0 | x_t, xT] at t, a float or an (n,) array.
 
     Per component, with x0 | xT = N(mean0 + M(xT - meanT), C) and the kernel
@@ -317,18 +330,12 @@ def _posterior_mean(plan: _Plan, x_t: np.ndarray, xT: np.ndarray) -> np.ndarray:
 
 
 def analytic_denoise(
-    dist: JointGaussian, sched: Schedule, x_t: np.ndarray, xT: np.ndarray, t
+    dist: AnalyticTask, sched: Schedule, x_t: np.ndarray, xT: np.ndarray, t
 ) -> np.ndarray:
-    """E[x0 | x_t, xT] for a jointly Gaussian endpoint pair; t is a float or an (n,) array."""
-    if not isinstance(dist, JointGaussian):
-        raise ValueError(f"analytic_denoise needs a JointGaussian, got {dist.kind}")
-    return _posterior_mean(_plan(dist, sched, t), x_t, xT)
-
-
-def gmm_denoise(
-    dist: GmmCoupling, sched: Schedule, x_t: np.ndarray, xT: np.ndarray, t
-) -> np.ndarray:
-    """Responsibility-weighted posterior mean over mixture components."""
+    """E[x0 | x_t, xT] for a JointGaussian or GmmCoupling task, uncached; t is a
+    float or an (n,) array.  denoise(AnalyticDenoiser(dist, sched), ...) gives
+    the same bits from its per-t plan cache."""
+    _check_analytic(dist)
     return _posterior_mean(_plan(dist, sched, t), x_t, xT)
 
 
@@ -433,7 +440,7 @@ class MlpHyper:
     def __post_init__(self):
         for name in ("layers", "width", "batch", "iters"):
             val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, (int, np.integer)) or val < 1:
+            if not _rng.is_integer(val) or val < 1:
                 raise ValueError(f"train.{name} must be a positive integer, got {val!r}")
         lr = self.lr
         bad = isinstance(lr, bool) or not isinstance(lr, (int, float))
@@ -639,44 +646,35 @@ def mlp_denoise(
     return out[0] if squeeze else out
 
 
-# Each analytic denoiser caches the plan of every float t it is called at, so
-# a sampler pays the t-only algebra once per step time, not once per chunk.
-# The plan is a pure function of (task, schedule, t): a JointGaussian cannot be
-# changed in place, and a GmmCoupling must not be after the first call.  Chunks
-# racing under --threads store equal values, so the cache needs no lock.
-# Errors raise before anything is stored, so they fire on every call.
-
-
 @dataclass(frozen=True)
-class AnalyticGaussianDenoiser:
-    dist: JointGaussian
+class AnalyticDenoiser:
+    """The exact posterior mean of a JointGaussian or GmmCoupling task.
+
+    It caches the plan of every float t it is called at, so a sampler pays the
+    t-only algebra once per step time, not once per chunk.  The plan is a pure
+    function of (task, schedule, t), and both task kinds are frozen.  Chunks
+    racing under --threads store equal values, so the cache needs no lock.
+    Errors raise before anything is stored, so they fire on every call.
+    """
+
+    dist: AnalyticTask
     sched: Schedule
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    kind = "analytic_gaussian"
+    kind = "analytic"
+
+    def __post_init__(self):
+        _check_analytic(self.dist)
 
     @property
     def d(self) -> int:
         return self.dist.d
 
 
-@dataclass(frozen=True)
-class AnalyticGmmDenoiser:
-    dist: GmmCoupling
-    sched: Schedule
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    kind = "analytic_gmm"
-
-    @property
-    def d(self) -> int:
-        return self.dist.d
+Denoiser = Union[AnalyticDenoiser, MlpDenoiser]
 
 
-Denoiser = Union[AnalyticGaussianDenoiser, AnalyticGmmDenoiser, MlpDenoiser]
-
-
-def _cached_plan(den: Union[AnalyticGaussianDenoiser, AnalyticGmmDenoiser], t) -> _Plan:
+def _cached_plan(den: AnalyticDenoiser, t) -> _Plan:
     t = _times(t)
     if not isinstance(t, float):  # one time per row: never cached
         return _plan(den.dist, den.sched, t)
@@ -692,8 +690,8 @@ def denoise(
     """Evaluates x0hat(x_t, xT, t) for any denoiser kind; t is a float or an (n,) array.
 
     scratch is an optional dict, owned by the caller, in which an MLP denoiser
-    keeps its layer outputs from one call to the next; analytic denoisers
-    ignore it.  A fresh 4096 x 32 float64 temporary is 1 MB, a new memory
+    keeps its layer outputs from one call to the next; an AnalyticDenoiser
+    ignores it.  A fresh 4096 x 32 float64 temporary is 1 MB, a new memory
     mapping whose pages fault in on first touch, so a sampler passes one
     scratch per row chunk and reuses it for all of that chunk's steps.  The buffers keep the full chunk's GEMM
     shapes: evaluating the network in smaller row blocks would sum in another
@@ -701,7 +699,7 @@ def denoise(
     threads, and it dies with the chunk, so it adds nothing to peak memory
     after the loop.  The returned x0hat never aliases the scratch.
     """
-    if isinstance(den, (AnalyticGaussianDenoiser, AnalyticGmmDenoiser)):
+    if isinstance(den, AnalyticDenoiser):
         return _posterior_mean(_cached_plan(den, t), x_t, xT)
     if isinstance(den, MlpDenoiser):
         return mlp_denoise(den, x_t, xT, t, scratch)
@@ -722,12 +720,7 @@ def test_mse_vs_analytic(
     at uniformly drawn times, so the value estimates the excess risk of den
     over the optimal denoiser for the coupling.
     """
-    if isinstance(dist, JointGaussian):
-        ref: Denoiser = AnalyticGaussianDenoiser(dist, den.sched)
-    elif isinstance(dist, GmmCoupling):
-        ref = AnalyticGmmDenoiser(dist, den.sched)
-    else:
-        raise ValueError(f"no analytic reference denoiser for {dist.kind}")
+    ref = AnalyticDenoiser(dist, den.sched)
     gen = _rng.stream(seed, _rng.TAG_PROBE)
     x_0, x_T = sample_pair(dist, n_probes, gen)
     ts = gen.uniform(t_min, t_max, n_probes)

@@ -53,6 +53,11 @@ class _PhiloxKey(ISeedSequence):
         return self.key
 
 
+def is_integer(val) -> bool:
+    """True for a Python or NumPy integer; bools are flags, not counts."""
+    return isinstance(val, (int, np.integer)) and not isinstance(val, bool)
+
+
 def stream(seed: int, tag: int, step: int = 0, chunk: int = 0) -> np.random.Generator:
     """Returns a fresh generator for one (seed, tag, step, chunk) cell.
 
@@ -63,7 +68,13 @@ def stream(seed: int, tag: int, step: int = 0, chunk: int = 0) -> np.random.Gene
         tag: stream tag, one of the TAG_* constants (or any int in [0, 2**16)).
         step: time-step or iteration index, in [0, 2**24).
         chunk: row-chunk index, in [0, 2**24).
+
+    Each must be an integer (Python or NumPy): a float or bool would be cut to
+    the key of some other integer.
     """
+    for name, val in (("seed", seed), ("tag", tag), ("step", step), ("chunk", chunk)):
+        if not is_integer(val):
+            raise ValueError(f"stream {name} must be an integer, got {val!r}")
     if not 0 <= tag < _TAG_LIMIT:
         raise ValueError(f"stream tag {tag} outside [0, {_TAG_LIMIT})")
     if not 0 <= step < _STEP_LIMIT:

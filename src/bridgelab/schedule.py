@@ -156,8 +156,9 @@ class EpsilonPolicy:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
         if not 0 <= self.const_value < math.inf:
             raise ValueError(f"const_value must be finite and >= 0, got {self.const_value}")
-        if self.tail_zero_steps < 0:
-            raise ValueError(f"tail_zero_steps must be >= 0, got {self.tail_zero_steps}")
+        tail = self.tail_zero_steps
+        if not _rng.is_integer(tail) or tail < 0:
+            raise ValueError(f"tail_zero_steps must be an integer >= 0, got {tail!r}")
 
 
 @dataclass(frozen=True)
@@ -384,8 +385,8 @@ def make_time_grid(
     The grid formula itself is regular at t_max = T; singular-point guards
     live where the coefficients are evaluated, so t_max <= T is accepted.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    if not _rng.is_integer(N) or N < 1:
+        raise ValueError(f"N must be an integer >= 1, got {N!r}")
     if not 0.0 < t_min < t_max <= T_HORIZON:
         raise ValueError(f"need 0 < t_min < t_max <= {T_HORIZON}, got [{t_min}, {t_max}]")
     if rho <= 0:

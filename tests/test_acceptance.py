@@ -15,8 +15,7 @@ import pytest
 from bridgelab import rng as _rng
 from bridgelab.cli import main as cli_main
 from bridgelab.denoiser import (
-    AnalyticGaussianDenoiser,
-    AnalyticGmmDenoiser,
+    AnalyticDenoiser,
     GmmCoupling,
     JointGaussian,
     MlpHyper,
@@ -111,7 +110,7 @@ class TestAcceptance:
 
     def test_criterion_2_family_members_share_marginals(self):
         """eta = 0, 0.3, 1.0 samplers agree pairwise on the output law."""
-        den = AnalyticGaussianDenoiser(TASK_2D, LINEAR)
+        den = AnalyticDenoiser(TASK_2D, LINEAR)
         grid = make_time_grid(40)
         conds = sample_condition(TASK_2D, 10_000, _rng.stream(0, _rng.TAG_TASK))
         outs = {}
@@ -303,7 +302,7 @@ class TestAcceptance:
         collapsed = afd(ConditionedSamples([np.ones((4, 2))])).afd
         exact_ok = two_points == 5.0 and collapsed == 0.0
 
-        den = AnalyticGmmDenoiser(GMM_BIMODAL, LINEAR)
+        den = AnalyticDenoiser(GMM_BIMODAL, LINEAR)
         grid = make_time_grid(12)
         conds = sample_condition(GMM_BIMODAL, 6, _rng.stream(1, _rng.TAG_TASK))
         xT_batch = np.repeat(conds, 8, axis=0)

@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 from bridgelab import denoiser as denoiser_module
 from bridgelab import rng as _rng
 from bridgelab.denoiser import (
-    AnalyticGaussianDenoiser,
-    AnalyticGmmDenoiser,
+    AnalyticDenoiser,
     GmmCoupling,
     JointGaussian,
     MapPlusNoise,
@@ -26,7 +25,6 @@ from bridgelab.denoiser import (
     analytic_denoise,
     denoise,
     denoiser_to_bytes,
-    gmm_denoise,
     load_denoiser,
     mlp_denoise,
     mlp_forward,
@@ -156,6 +154,19 @@ class TestPairedDistributions:
             GmmCoupling(weights=(), components=())
         with pytest.raises(ValueError, match="dimension"):
             GmmCoupling(weights=(0.5, 0.5), components=(comp, _task_2d()))
+        # nan > 0 is false, so unchecked a nan weight reads as weight 0
+        for weights in ((math.nan, 1.0), (math.inf, 1.0)):
+            with pytest.raises(ValueError, match="weights must be finite"):
+                GmmCoupling(weights=weights, components=(comp, comp))
+
+    @pytest.mark.parametrize("field", ["mean0", "meanT", "cov00", "covTT", "cov0T"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_joint_gaussian_rejects_non_finite_moments(self, field, bad):
+        fields = {"mean0": [0.35], "meanT": [0.5], "cov00": [[0.29]], "covTT": [[1.0]],
+                  "cov0T": [[0.5]]}
+        fields[field] = np.full(np.shape(fields[field]), bad)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            JointGaussian(**fields)
 
     def test_gmm_coupling_is_frozen_with_tuple_fields(self):
         comp = _task_1d()
@@ -267,7 +278,7 @@ class TestAnalyticDenoise:
 
     @pytest.mark.parametrize(
         "den",
-        [AnalyticGaussianDenoiser(_task_1d(), LINEAR), AnalyticGmmDenoiser(_gmm_2comp(), LINEAR)],
+        [AnalyticDenoiser(_task_1d(), LINEAR), AnalyticDenoiser(_gmm_2comp(), LINEAR)],
         ids=["single", "mixture"],
     )
     def test_gamma_singular_at_T_is_named(self, den):
@@ -321,7 +332,7 @@ class TestScoreIdentity:
 
 class TestGmmDenoise:
     def test_frozen_quadrature_oracle(self):
-        got = gmm_denoise(_gmm_2comp(), LINEAR, np.array([0.1]), np.array([0.2]), 0.5)
+        got = analytic_denoise(_gmm_2comp(), LINEAR, np.array([0.1]), np.array([0.2]), 0.5)
         np.testing.assert_allclose(got, [GMM_ORACLE], rtol=0, atol=1e-12)
 
     def test_single_component_equals_gaussian(self):
@@ -332,7 +343,7 @@ class TestGmmDenoise:
         xT = rng.standard_normal(2)
         for t in (0.1, 0.5, 0.9):
             np.testing.assert_allclose(
-                gmm_denoise(gmm, LINEAR, x_t, xT, t),
+                analytic_denoise(gmm, LINEAR, x_t, xT, t),
                 analytic_denoise(dist, LINEAR, x_t, xT, t),
                 rtol=0,
                 atol=1e-12,
@@ -341,7 +352,7 @@ class TestGmmDenoise:
     def test_duplicated_component_equals_single(self):
         dist = _task_1d()
         gmm = GmmCoupling(weights=(0.5, 0.5), components=(dist, dist))
-        got = gmm_denoise(gmm, LINEAR, np.array([0.45]), np.array([0.8]), 0.5)
+        got = analytic_denoise(gmm, LINEAR, np.array([0.45]), np.array([0.8]), 0.5)
         np.testing.assert_allclose(got, [GAUSS_ORACLE], rtol=0, atol=1e-14)
 
     def test_batch_rows_match_single_calls(self):
@@ -349,10 +360,10 @@ class TestGmmDenoise:
         rng = np.random.default_rng(9)
         x_t = rng.standard_normal((5, 1))
         xT = rng.standard_normal(1)
-        batched = gmm_denoise(gmm, LINEAR, x_t, xT, 0.3)
+        batched = analytic_denoise(gmm, LINEAR, x_t, xT, 0.3)
         for i in range(5):
             np.testing.assert_allclose(
-                batched[i], gmm_denoise(gmm, LINEAR, x_t[i], xT, 0.3), rtol=0, atol=1e-14
+                batched[i], analytic_denoise(gmm, LINEAR, x_t[i], xT, 0.3), rtol=0, atol=1e-14
             )
 
 
@@ -404,7 +415,7 @@ class TestPosteriorPlan:
 
     def test_gaussian_matches_joint_conditioning(self):
         dist = _task_2d()
-        den = AnalyticGaussianDenoiser(dist, LINEAR)
+        den = AnalyticDenoiser(dist, LINEAR)
         for k, t in enumerate(self.TIMES):
             x_t, xT = self._probes(dist, t, k)
             want, _ = _joint_conditioning(dist, LINEAR, x_t, xT, t)
@@ -412,7 +423,7 @@ class TestPosteriorPlan:
 
     def test_mixture_matches_joint_conditioning(self):
         gmm = _gmm_2d()
-        den = AnalyticGmmDenoiser(gmm, LINEAR)
+        den = AnalyticDenoiser(gmm, LINEAR)
         for k, t in enumerate(self.TIMES):
             x_t, xT = self._probes(gmm, t, k)
             posts, log_ps = zip(*(_joint_conditioning(c, LINEAR, x_t, xT, t)
@@ -425,23 +436,20 @@ class TestPosteriorPlan:
 
     @pytest.mark.parametrize("kind", ["gaussian", "mixture"])
     def test_cache_hit_equals_uncached_route_bit_for_bit(self, kind):
-        if kind == "gaussian":
-            dist, den_type, route = _task_2d(), AnalyticGaussianDenoiser, analytic_denoise
-        else:
-            dist, den_type, route = _gmm_2d(), AnalyticGmmDenoiser, gmm_denoise
-        den = den_type(dist, LINEAR)
+        dist = _task_2d() if kind == "gaussian" else _gmm_2d()
+        den = AnalyticDenoiser(dist, LINEAR)
         x_t, xT = self._probes(dist, 0.4, 1)
         first = denoise(den, x_t, xT, 0.4)
         assert list(den._plans) == [0.4]
         second = denoise(den, x_t, xT, 0.4)
         np.testing.assert_array_equal(first, second)
-        np.testing.assert_array_equal(second, route(dist, LINEAR, x_t, xT, 0.4))
+        np.testing.assert_array_equal(second, analytic_denoise(dist, LINEAR, x_t, xT, 0.4))
 
     def test_errors_are_never_cached(self):
-        singular = AnalyticGaussianDenoiser(
+        singular = AnalyticDenoiser(
             JointGaussian([0.35], [0.5], [[0.25]], [[1.0]], [[0.5]]), LINEAR
         )
-        at_T = AnalyticGmmDenoiser(_gmm_2comp(), LINEAR)
+        at_T = AnalyticDenoiser(_gmm_2comp(), LINEAR)
         for _ in range(2):
             with pytest.raises(ValueError, match="conditional covariance .* is singular"):
                 denoise(singular, np.array([0.4]), np.array([0.8]), 0.5)
@@ -452,7 +460,7 @@ class TestPosteriorPlan:
     def test_caches_are_per_instance(self):
         dist = _task_2d()
         wide = Schedule(kind="linear", gamma_max=1.0)
-        den_a, den_b = AnalyticGaussianDenoiser(dist, LINEAR), AnalyticGaussianDenoiser(dist, wide)
+        den_a, den_b = AnalyticDenoiser(dist, LINEAR), AnalyticDenoiser(dist, wide)
         x_t, xT = self._probes(dist, 0.5, 2)
         got_a, got_b = denoise(den_a, x_t, xT, 0.5), denoise(den_b, x_t, xT, 0.5)
         np.testing.assert_array_equal(got_b, analytic_denoise(dist, wide, x_t, xT, 0.5))
@@ -462,7 +470,7 @@ class TestPosteriorPlan:
     def test_threads_sharing_one_cache_get_the_uncached_result(self):
         """Racing builds of one entry store equal plans, so no lock is needed."""
         gmm = _gmm_2d()
-        den = AnalyticGmmDenoiser(gmm, LINEAR)
+        den = AnalyticDenoiser(gmm, LINEAR)
         x_t, xT = self._probes(gmm, 0.5, 4)
         times = [0.1 + 0.05 * k for k in range(8)]
         switch = sys.getswitchinterval()
@@ -474,11 +482,11 @@ class TestPosteriorPlan:
         finally:
             sys.setswitchinterval(switch)
         for t, out in zip(times * 4, got):
-            np.testing.assert_array_equal(out, gmm_denoise(gmm, LINEAR, x_t, xT, t))
+            np.testing.assert_array_equal(out, analytic_denoise(gmm, LINEAR, x_t, xT, t))
         assert sorted(den._plans) == times
 
     def test_analytic_denoisers_are_frozen(self):
-        den = AnalyticGaussianDenoiser(_task_1d(), LINEAR)
+        den = AnalyticDenoiser(_task_1d(), LINEAR)
         with pytest.raises(dataclasses.FrozenInstanceError):
             den.sched = Schedule(kind="linear", gamma_max=1.0)
 
@@ -489,9 +497,9 @@ class TestPosteriorPlan:
             hyper = MlpHyper(layers=1, width=4, batch=8, iters=5, seed=2)
             den = train_mlp_denoiser(_task_2d(), LINEAR, Preconditioner(), hyper)[0]
         elif kind == "gaussian":
-            den = AnalyticGaussianDenoiser(_task_2d(), LINEAR)
+            den = AnalyticDenoiser(_task_2d(), LINEAR)
         else:
-            den = AnalyticGmmDenoiser(_gmm_2d(), LINEAR)
+            den = AnalyticDenoiser(_gmm_2d(), LINEAR)
         gen = np.random.default_rng(3)
         ts = gen.uniform(0.01, 0.99, 7)
         x_t, xT = gen.standard_normal((7, 2)), gen.standard_normal((7, 2))
@@ -770,7 +778,7 @@ class TestMlpLayerBuffers:
 
     def test_analytic_denoisers_ignore_scratch(self):
         scratch: dict = {}
-        den = AnalyticGaussianDenoiser(_task_1d(), LINEAR)
+        den = AnalyticDenoiser(_task_1d(), LINEAR)
         x_t, xT = np.array([[0.45]]), np.array([[0.8]])
         np.testing.assert_array_equal(denoise(den, x_t, xT, 0.5, scratch),
                                       denoise(den, x_t, xT, 0.5))
@@ -890,10 +898,10 @@ class TestDenoiserDispatch:
     def test_each_kind_routes_to_its_evaluator(self):
         g_dist = _task_1d()
         x_t, xT = np.array([0.45]), np.array([0.8])
-        got = denoise(AnalyticGaussianDenoiser(g_dist, LINEAR), x_t, xT, 0.5)
+        got = denoise(AnalyticDenoiser(g_dist, LINEAR), x_t, xT, 0.5)
         np.testing.assert_allclose(got, [GAUSS_ORACLE], rtol=0, atol=1e-15)
         gmm = _gmm_2comp()
-        got = denoise(AnalyticGmmDenoiser(gmm, LINEAR), np.array([0.1]), np.array([0.2]), 0.5)
+        got = denoise(AnalyticDenoiser(gmm, LINEAR), np.array([0.1]), np.array([0.2]), 0.5)
         np.testing.assert_allclose(got, [GMM_ORACLE], rtol=0, atol=1e-12)
 
     def test_unknown_kind_rejected(self):
@@ -902,14 +910,47 @@ class TestDenoiserDispatch:
 
     def test_mse_of_reference_against_itself_is_zero(self):
         dist = _task_1d()
-        den = AnalyticGaussianDenoiser(dist, LINEAR)
+        den = AnalyticDenoiser(dist, LINEAR)
         assert mse_vs_analytic(den, dist, n_probes=64) == 0.0
 
     def test_mse_needs_an_analytic_reference(self):
         dist = MapPlusNoise(lambda rng, n: rng.standard_normal((n, 1)), lambda x: x, 0.1)
-        den = AnalyticGaussianDenoiser(_task_1d(), LINEAR)
+        den = AnalyticDenoiser(_task_1d(), LINEAR)
         with pytest.raises(ValueError, match="analytic reference"):
             mse_vs_analytic(den, dist, n_probes=8)
+
+
+class TestAnalyticDenoiser:
+    """One analytic denoiser and one uncached route serve both task kinds."""
+
+    def test_task_without_a_closed_form_rejected_at_construction(self):
+        dist = MapPlusNoise(lambda rng, n: rng.standard_normal((n, 1)), lambda x: x, 0.1)
+        with pytest.raises(ValueError, match="analytic reference denoiser for map_plus_noise"):
+            AnalyticDenoiser(dist, LINEAR)
+        with pytest.raises(ValueError, match="map_plus_noise"):
+            analytic_denoise(dist, LINEAR, np.array([0.4]), np.array([0.8]), 0.5)
+
+    def test_uncached_route_equals_denoise_on_a_mixture(self):
+        gmm = _gmm_2d()
+        gen = np.random.default_rng(11)
+        x_t, xT = gen.standard_normal((9, 2)), gen.standard_normal((9, 2))
+        ts = gen.uniform(0.01, 0.99, 9)
+        den = AnalyticDenoiser(gmm, LINEAR)
+        for t in (0.3, ts):
+            np.testing.assert_array_equal(
+                analytic_denoise(gmm, LINEAR, x_t, xT, t), denoise(den, x_t, xT, t)
+            )
+
+    def test_gaussian_equals_its_one_component_mixture_bit_for_bit(self):
+        dist = _task_2d()
+        single = AnalyticDenoiser(dist, LINEAR)
+        mixture = AnalyticDenoiser(GmmCoupling(weights=(1.0,), components=(dist,)), LINEAR)
+        gen = np.random.default_rng(12)
+        x_t, xT = gen.standard_normal((64, 2)), gen.standard_normal((64, 2))
+        ts = gen.uniform(0.01, 0.9999, 64)
+        for t in (0.01, 0.3, 0.9, 0.9999, ts):
+            np.testing.assert_array_equal(denoise(single, x_t, xT, t),
+                                          denoise(mixture, x_t, xT, t))
 
 
 class TestSerialization:

@@ -1,4 +1,4 @@
-"""The README's config reference and its `sample` example match the code."""
+"""The README's config reference, its `sample` example and its library example match the code."""
 
 import json
 import os
@@ -46,3 +46,11 @@ def test_minimal_sample_config_runs_as_written(tmp_path):
     ]
     n_rows = rows["n_conditions"] * rows["n_replicates"]
     assert len((out / "sample.csv").read_text().splitlines()) == 1 + n_rows
+
+
+def test_library_usage_runs_as_written(capsys):
+    block = _readme_section("Library usage").split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert scope["result"].x0_batch.shape == (1000, 1)
+    assert capsys.readouterr().out.startswith("[")

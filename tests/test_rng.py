@@ -93,3 +93,21 @@ def test_out_of_range_tag_does_not_alias_an_in_range_one():
     for tag in (1 + (1 << 16), -1):
         with pytest.raises(ValueError, match="tag"):
             _rng.stream(0, tag, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", 2.5), ("seed", True), ("seed", 2.0), ("tag", 1.0), ("step", 1.7),
+     ("step", np.float64(1.0)), ("chunk", False), ("chunk", np.bool_(True))],
+)
+def test_non_integer_key_parts_raise(field, value):
+    # int() would cut each of these to the key of another stream
+    parts = {"seed": 2, "tag": 1, "step": 1, "chunk": 0, field: value}
+    with pytest.raises(ValueError, match=f"stream {field} must be an integer"):
+        _rng.stream(**parts)
+
+
+def test_numpy_integers_key_the_same_stream_as_python_ints():
+    got = _rng.stream(np.int64(-3), np.uint16(2), np.int32(5), np.uint64(7))
+    want = _rng.stream(-3, 2, 5, 7)
+    np.testing.assert_array_equal(got.standard_normal(50), want.standard_normal(50))

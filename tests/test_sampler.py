@@ -8,7 +8,7 @@ import pytest
 from bridgelab import rng as _rng
 from bridgelab import sampler as sampler_module
 from bridgelab.denoiser import (
-    AnalyticGaussianDenoiser,
+    AnalyticDenoiser,
     JointGaussian,
     MlpDenoiser,
     Preconditioner,
@@ -49,8 +49,8 @@ def _task_1d() -> JointGaussian:
     )
 
 
-def _den_1d() -> AnalyticGaussianDenoiser:
-    return AnalyticGaussianDenoiser(_task_1d(), LINEAR)
+def _den_1d() -> AnalyticDenoiser:
+    return AnalyticDenoiser(_task_1d(), LINEAR)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +164,7 @@ class TestStepTable:
         """A whole run, boot noise and zero tail included, against the
         reference steps driven by the same keyed draws."""
         dist = _task_1d()
-        den = AnalyticGaussianDenoiser(dist, LINEAR)
+        den = AnalyticDenoiser(dist, LINEAR)
         grid = make_time_grid(12)
         policy = EpsilonPolicy(kind="eta_scaled", eta=0.5, tail_zero_steps=tail)
         cfg = SamplerConfig(
@@ -406,7 +406,7 @@ class TestSampleLoop:
     def test_family_members_agree_on_population_moments(self, variant):
         """Every variant reproduces the task's x0 mean within sampling error."""
         dist = _task_1d()
-        den = AnalyticGaussianDenoiser(dist, LINEAR)
+        den = AnalyticDenoiser(dist, LINEAR)
         grid = make_time_grid(120)
         conds = sample_condition(dist, 4000, _rng.stream(0, _rng.TAG_TASK))
         cfg = SamplerConfig(

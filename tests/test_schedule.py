@@ -245,6 +245,11 @@ class TestEpsilonPolicy:
         with pytest.raises(ValueError):
             EpsilonPolicy(kind="zero", tail_zero_steps=-1)
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, True])
+    def test_tail_zero_steps_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="tail_zero_steps must be an integer"):
+            EpsilonPolicy(kind="zero", tail_zero_steps=value)
+
 
 class TestTimeGrid:
     def test_single_step_is_just_endpoints(self):
@@ -270,6 +275,15 @@ class TestTimeGrid:
             make_time_grid(5, rho=0.0)
         with pytest.raises(ValueError):
             make_time_grid(5, t_max=1.2)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True])
+    def test_step_count_must_be_an_integer(self, n):
+        # 2.5 used to give a 3-step grid, True a 1-step grid
+        with pytest.raises(ValueError, match="N must be an integer"):
+            make_time_grid(n)
+
+    def test_numpy_integer_step_count_is_accepted(self):
+        assert make_time_grid(np.int64(7)) == make_time_grid(7)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 1000), rho=st.sampled_from([0.5, 0.6, 1.0, 7.0]))
