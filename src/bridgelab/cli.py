@@ -420,7 +420,7 @@ def _parse_simulate_forward(cfg: dict, seed: int):
 def _run_simulate_forward(sched, grid, fwd, seed: int, threads: int):
     x0, record = fwd["x0"], fwd["record"]
     ens = simulate_ensemble(
-        sched, x0, fwd["xT"], grid, "forward", fwd["n_paths"], seed, threads=threads, record=record
+        sched, x0, fwd["xT"], grid, fwd["n_paths"], seed, threads=threads, record=record
     )
     mom = estimate_marginal_moments(ens, -1)
     artifacts = {

@@ -374,8 +374,7 @@ class Preconditioner:
     def __post_init__(self):
         for name in ("sigma0", "sigmaT", "sigma0T"):
             val = getattr(self, name)
-            bad = isinstance(val, bool) or not isinstance(val, (int, float))
-            if bad or not math.isfinite(val) or (val <= 0 and name != "sigma0T"):
+            if not _rng.is_real(val) or not math.isfinite(val) or (val <= 0 and name != "sigma0T"):
                 raise ValueError(f"prec.{name} must be finite (sigma0, sigmaT: > 0), got {val!r}")
 
     @classmethod
@@ -443,8 +442,7 @@ class MlpHyper:
             if not _rng.is_integer(val) or val < 1:
                 raise ValueError(f"train.{name} must be a positive integer, got {val!r}")
         lr = self.lr
-        bad = isinstance(lr, bool) or not isinstance(lr, (int, float))
-        if bad or not math.isfinite(lr) or lr <= 0:
+        if not _rng.is_real(lr) or not math.isfinite(lr) or lr <= 0:
             raise ValueError(f"train.lr must be finite and positive, got {lr!r}")
         if not 0.0 < self.t_min < self.t_max <= T_HORIZON:
             raise ValueError(f"need 0 < t_min < t_max <= T, got [{self.t_min}, {self.t_max}]")

@@ -1,23 +1,23 @@
-"""Forward and reverse simulation of the pinned bridge process.
+"""Forward simulation of the pinned bridge process.
 
-The forward side integrates the linear SDE dX = (f X + s xT)dt + g dW whose
-marginals reproduce the transition kernel for fixed endpoints.  The reverse
-side integrates the one-parameter drift family that preserves those marginals
-for any stochasticity level eps >= 0.  Ensembles are the Monte Carlo
-verification harness: all noise comes from chunk-keyed counter streams, so a
-run is bit-identical for any thread count.
+simulate_ensemble integrates the linear SDE dX = (f X + s xT)dt + g dW whose
+marginals reproduce the transition kernel for fixed endpoints.  Reverse
+sampling is sampler.sample; reverse_drift_from_score writes the reverse drift
+family in score form and is the independent oracle for the sampler's euler_z
+step.  Ensembles are the Monte Carlo verification harness: all noise comes
+from chunk-keyed counter streams, so a run is bit-identical for any thread
+count.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import rng as _rng
-from .schedule import EpsilonPolicy, Schedule, TimeGrid, bridge_coefficients, epsilon
+from .schedule import Schedule, TimeGrid, bridge_coefficients
 
 _BINARY_MAGIC = b"BLPE0001"
 _HEADER_BYTES = len(_BINARY_MAGIC) + 4 * 8
@@ -85,7 +85,8 @@ def reverse_drift_from_score(
 
     eps = 0 gives the deterministic-flow drift, eps = g^2/2 the full reverse
     SDE, anything in between a marginal-preserving mixture.  It shares no
-    code with the sampler's steps, so it serves as their independent oracle.
+    code with sampler.step_euler_z, so it serves as that step's independent
+    oracle.
     """
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
@@ -93,18 +94,13 @@ def reverse_drift_from_score(
     return bc.f * x + bc.s * xT - (0.5 * bc.g_sq + eps) * score
 
 
-def _resolve_times(grid, direction: str) -> np.ndarray:
+def _resolve_times(grid) -> np.ndarray:
     if isinstance(grid, TimeGrid):
-        times = np.asarray(grid.points, dtype=np.float64)
-        if direction == "forward":
-            times = times[::-1]
+        times = np.asarray(grid.points[::-1], dtype=np.float64)
     else:
         times = np.asarray(grid, dtype=np.float64)
-    diffs = np.diff(times)
-    if direction == "forward" and not np.all(diffs > 0):
+    if not np.all(np.diff(times) > 0):
         raise ValueError("forward simulation needs strictly increasing times")
-    if direction == "reverse" and not np.all(diffs < 0):
-        raise ValueError("reverse simulation needs strictly decreasing times")
     return times
 
 
@@ -113,36 +109,30 @@ def simulate_ensemble(
     start,
     xT: np.ndarray,
     grid,
-    direction: str,
     n_paths: int,
     seed: int,
-    eps_policy: EpsilonPolicy | None = None,
-    score_fn: Callable | None = None,
     threads: int = 1,
     record: bool = True,
 ) -> PathEnsemble:
-    """Integrates an ensemble over the grid and records every state.
+    """Integrates the forward pinned SDE over the grid and records every state.
+
+    Reverse sampling is sampler.sample; with variant "euler_z", boot_b = 0
+    and tail_zero_steps = 0 it takes the Euler steps of the reverse drift
+    family that reverse_drift_from_score writes in score form.
 
     Args:
         start: initial positions; a d-vector shared by all paths or a callable
             (rng, n) -> (n, d) drawn per chunk.
         xT: conditioning endpoint, d-vector (broadcast across paths).
-        grid: TimeGrid (used t_max -> t_min for reverse, reversed for forward)
-            or an explicit monotone time array.
-        direction: "forward" (pinned SDE) or "reverse" (drift family; needs
-            eps_policy and score_fn(x, xT, t) -> score).  A denoiser-driven
-            reverse run is sampler.sample with variant "euler_z".
+        grid: TimeGrid (walked t_min -> t_max) or an explicit strictly
+            increasing time array.
         threads: worker threads over fixed-size path chunks; any value yields
             bit-identical output.
     """
-    if direction not in ("forward", "reverse"):
-        raise ValueError(f"unknown direction {direction!r}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if direction == "reverse" and (eps_policy is None or score_fn is None):
-        raise ValueError("reverse simulation needs an eps_policy and a score_fn")
 
-    times = _resolve_times(grid, direction)
+    times = _resolve_times(grid)
     xT = np.asarray(xT, dtype=np.float64)
     if not np.all(np.isfinite(xT)):
         raise ValueError("xT must be finite")
@@ -150,7 +140,6 @@ def simulate_ensemble(
         raise ValueError("start must be finite")
     d = xT.shape[-1]
     m = times.shape[0]
-    n_steps = m - 1
     # record=False keeps only the terminal slice; full trajectories at 1e5
     # paths and 1e3 steps would not fit comfortably in memory.
     out = np.empty((n_paths, m if record else 1, d))
@@ -168,28 +157,20 @@ def simulate_ensemble(
             raise ValueError(f"start produced non-finite values in rows [{sl.start}:{sl.stop})")
         if record:
             out[sl, 0] = x
-        tag = _rng.TAG_FORWARD if direction == "forward" else _rng.TAG_REVERSE
-        for k in range(n_steps):
+        for k in range(m - 1):
             t = float(times[k])
-            z = _rng.stream(seed, tag, k, chunk).standard_normal((rows, d))
+            z = _rng.stream(seed, _rng.TAG_FORWARD, k, chunk).standard_normal((rows, d))
             try:
-                if direction == "forward":
-                    dt = float(times[k + 1] - times[k])
-                    bc = bridge_coefficients(sched, t)
-                    # x + (f x + s xT) dt + sqrt(g^2 dt) z, in place and in that
-                    # operation order, so the bits match the expression form.
-                    drift = bc.f * x
-                    drift += bc.s * xT
-                    drift *= dt
-                    z *= np.sqrt(bc.g_sq * dt)
-                    x += drift
-                    x += z
-                else:
-                    dt = float(times[k] - times[k + 1])
-                    step_index = n_steps - 1 - k
-                    eps = epsilon(eps_policy, sched, t, dt, step_index, n_steps)
-                    drift = reverse_drift_from_score(sched, eps, x, xT, t, score_fn(x, xT, t))
-                    x = x - drift * dt + np.sqrt(2.0 * eps * dt) * z
+                dt = float(times[k + 1] - times[k])
+                bc = bridge_coefficients(sched, t)
+                # x + (f x + s xT) dt + sqrt(g^2 dt) z, in place and in that
+                # operation order, so the bits match the expression form.
+                drift = bc.f * x
+                drift += bc.s * xT
+                drift *= dt
+                z *= np.sqrt(bc.g_sq * dt)
+                x += drift
+                x += z
             except ValueError as err:
                 raise ValueError(f"step {k} at t = {t}: {err}") from err
             if record:

@@ -58,6 +58,11 @@ def is_integer(val) -> bool:
     return isinstance(val, (int, np.integer)) and not isinstance(val, bool)
 
 
+def is_real(val) -> bool:
+    """True for a Python or NumPy integer or float; bools are flags, not numbers."""
+    return isinstance(val, (int, float, np.integer, np.floating)) and not isinstance(val, bool)
+
+
 def stream(seed: int, tag: int, step: int = 0, chunk: int = 0) -> np.random.Generator:
     """Returns a fresh generator for one (seed, tag, step, chunk) cell.
 

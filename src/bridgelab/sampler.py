@@ -38,8 +38,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if not 0 <= self.boot_b < math.inf:
-            raise ValueError(f"boot_b must be finite and >= 0, got {self.boot_b}")
+        if not (_rng.is_real(self.boot_b) and 0 <= self.boot_b < math.inf):
+            raise ValueError(f"boot_b must be finite, real and >= 0, got {self.boot_b!r}")
 
 
 @dataclass
@@ -158,6 +158,9 @@ def sample(cfg: SamplerConfig, den: Denoiser, xT_batch: np.ndarray, threads: int
     is bit-identical for any thread count.
     """
     xT_batch = np.atleast_2d(np.asarray(xT_batch, dtype=np.float64))
+    bad = np.flatnonzero(~np.all(np.isfinite(xT_batch), axis=1))
+    if bad.size:
+        raise ValueError(f"xT_batch must be finite; row {bad[0]} is not")
     n, d = xT_batch.shape
     den_d = getattr(den, "d", d)
     if den_d != d:

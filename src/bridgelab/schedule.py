@@ -68,10 +68,14 @@ class Schedule:
         for name in ("gamma_max", "gamma_multiplier", "gamma_scale", "beta_d", "beta_min",
                      "fd_step"):
             val = getattr(self, name)
-            if not math.isfinite(val):
-                raise ValueError(f"{name} must be finite, got {val}")
-        if not all(map(math.isfinite, (*self.i2sb_breakpoints, *self.i2sb_values))):
-            raise ValueError("i2sb breakpoints and values must be finite")
+            if not (_rng.is_real(val) and math.isfinite(val)):
+                raise ValueError(f"{name} must be finite and real, got {val!r}")
+        for name in ("i2sb_breakpoints", "i2sb_values"):
+            for val in getattr(self, name):
+                if not (_rng.is_real(val) and math.isfinite(val)):
+                    raise ValueError(
+                        f"i2sb breakpoints and values must be finite and real; {name} holds {val!r}"
+                    )
         if self.kind in ("linear", "trig") and self.gamma_max <= 0:
             raise ValueError(f"gamma_max must be positive, got {self.gamma_max}")
         if self.kind == "linear" and self.gamma_multiplier <= 0:
@@ -152,10 +156,12 @@ class EpsilonPolicy:
     def __post_init__(self):
         if self.kind not in EPSILON_KINDS:
             raise ValueError(f"unknown epsilon policy kind {self.kind!r}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if not 0 <= self.const_value < math.inf:
-            raise ValueError(f"const_value must be finite and >= 0, got {self.const_value}")
+        if not (_rng.is_real(self.eta) and 0.0 <= self.eta <= 1.0):
+            raise ValueError(f"eta must be a real number in [0, 1], got {self.eta!r}")
+        if not (_rng.is_real(self.const_value) and 0 <= self.const_value < math.inf):
+            raise ValueError(f"const_value must be finite, real and >= 0, got {self.const_value!r}")
+        if not isinstance(self.scale_by_gamma_sq, bool):
+            raise ValueError(f"scale_by_gamma_sq must be a bool, got {self.scale_by_gamma_sq!r}")
         tail = self.tail_zero_steps
         if not _rng.is_integer(tail) or tail < 0:
             raise ValueError(f"tail_zero_steps must be an integer >= 0, got {tail!r}")
@@ -387,6 +393,9 @@ def make_time_grid(
     """
     if not _rng.is_integer(N) or N < 1:
         raise ValueError(f"N must be an integer >= 1, got {N!r}")
+    for name, val in (("t_min", t_min), ("t_max", t_max), ("rho", rho)):
+        if not _rng.is_real(val):
+            raise ValueError(f"{name} must be a real number, got {val!r}")
     if not 0.0 < t_min < t_max <= T_HORIZON:
         raise ValueError(f"need 0 < t_min < t_max <= {T_HORIZON}, got [{t_min}, {t_max}]")
     if rho <= 0:

@@ -91,7 +91,7 @@ class TestAcceptance:
             n_steps = round(t_target / 1e-3)
             times = np.linspace(0.0, t_target, n_steps + 1)
             ens = simulate_ensemble(
-                LINEAR, np.array([0.0]), np.array([1.0]), times, "forward",
+                LINEAR, np.array([0.0]), np.array([1.0]), times,
                 100_000, 0, threads=2, record=False,
             )
             mom = estimate_marginal_moments(ens, -1)

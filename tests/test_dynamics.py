@@ -1,4 +1,5 @@
-"""Forward/reverse bridge simulation, moments, serialization, determinism."""
+"""Forward bridge simulation, the score-form reverse drift, moments,
+serialization, determinism."""
 
 import struct
 import warnings
@@ -7,7 +8,6 @@ import numpy as np
 import pytest
 
 from bridgelab import rng as _rng
-from bridgelab.denoiser import JointGaussian
 from bridgelab.dynamics import (
     PathEnsemble,
     estimate_marginal_moments,
@@ -16,7 +16,7 @@ from bridgelab.dynamics import (
 )
 from bridgelab.metrics import convergence_slope
 from bridgelab.sampler import apply_step, step_euler_z
-from bridgelab.schedule import EpsilonPolicy, Schedule, bridge_coefficients, eval_schedule
+from bridgelab.schedule import Schedule, bridge_coefficients, eval_schedule
 
 LINEAR = Schedule(kind="linear", gamma_max=0.125)
 
@@ -30,36 +30,13 @@ def _zero_gamma_schedule() -> Schedule:
     )
 
 
-def _pair_1d() -> JointGaussian:
-    # x0 | xT = N(0.5 xT + 0.1, 0.04)
-    return JointGaussian(
-        mean0=[0.35], meanT=[0.5], cov00=[[0.29]], covTT=[[1.0]], cov0T=[[0.5]]
-    )
-
-
-def _conditional_score_fn(dist: JointGaussian, sched: Schedule):
-    """Closed-form score of the x_t marginal given xT under the kernel."""
-    gain, cov_c = dist.conditional()
-    mu_gain = float(gain[0, 0])
-    mu_off = float(dist.mean0[0] - gain[0, 0] * dist.meanT[0])
-    var_c = float(cov_c[0, 0])
-
-    def score(x, xT, t):
-        ev = eval_schedule(sched, t)
-        mean = ev.alpha * (mu_gain * xT + mu_off) + ev.beta * xT
-        var = ev.alpha**2 * var_c + ev.gamma**2
-        return (mean - x) / var
-
-    return score
-
-
 class TestForwardStepEm:
     """The forward Euler-Maruyama step as simulate_ensemble takes it."""
 
     def test_drift_only_step(self):
         """One step minus its keyed noise draw is the pure drift update."""
         times = np.array([0.5, 0.51])
-        ens = simulate_ensemble(LINEAR, np.array([0.5]), np.array([1.0]), times, "forward", 1, 3)
+        ens = simulate_ensemble(LINEAR, np.array([0.5]), np.array([1.0]), times, 1, 3)
         z = _rng.stream(3, _rng.TAG_FORWARD, 0, 0).standard_normal((1, 1))
         noise = np.sqrt(bridge_coefficients(LINEAR, 0.5).g_sq * 0.01) * z
         np.testing.assert_allclose(ens.paths[:, 1] - noise, [[0.51]], rtol=0, atol=1e-15)
@@ -68,12 +45,11 @@ class TestForwardStepEm:
         for times in ([0.5, 0.4], [0.3, 0.3, 0.4]):
             with pytest.raises(ValueError, match="increasing"):
                 simulate_ensemble(
-                    LINEAR, np.array([0.0]), np.array([1.0]), np.array(times), "forward", 1, 0
+                    LINEAR, np.array([0.0]), np.array([1.0]), np.array(times), 1, 0
                 )
 
     def test_nonfinite_state_rejected(self):
-        """Non-finite start values or endpoint fail loudly and name the argument,
-        in either direction."""
+        """Non-finite start values or endpoint fail loudly and name the argument."""
         def nan_row(rng, n):
             return np.where(np.arange(n)[:, None] == 5, np.nan, 0.0)
 
@@ -83,11 +59,9 @@ class TestForwardStepEm:
             (np.array([0.0]), np.array([np.nan]), "xT"),
         ]
         times = np.linspace(0.1, 0.5, 5)
-        reverse = dict(eps_policy=EpsilonPolicy(kind="zero"), score_fn=lambda x, xT, t: 0.0 * x)
-        for direction, grid, kw in (("forward", times, {}), ("reverse", times[::-1], reverse)):
-            for start, xT, name in cases:
-                with pytest.raises(ValueError, match=name):
-                    simulate_ensemble(LINEAR, start, xT, grid, direction, 8, 0, **kw)
+        for start, xT, name in cases:
+            with pytest.raises(ValueError, match=name):
+                simulate_ensemble(LINEAR, start, xT, times, 8, 0)
 
     @staticmethod
     def _reference(start, xT, times, n_paths, seed):
@@ -122,7 +96,7 @@ class TestForwardStepEm:
             start = np.array([0.2, -0.1])
         times = np.linspace(0.05, 0.8, 16)
         want = self._reference(start, xT, times, n_paths, 17)
-        ens = simulate_ensemble(LINEAR, start, xT, times, "forward", n_paths, 17, record=record)
+        ens = simulate_ensemble(LINEAR, start, xT, times, n_paths, 17, record=record)
         if record:
             assert ens.paths.tobytes() == want.tobytes()
         else:
@@ -132,8 +106,8 @@ class TestForwardStepEm:
         start, xT = np.array([0.2, -0.1]), np.array([1.0, -0.5])
         held = np.full((4096, 2), 0.25)  # handed out as views by the callable start
         times = np.linspace(0.05, 0.8, 6)
-        simulate_ensemble(LINEAR, start, xT, times, "forward", 5000, 3)
-        simulate_ensemble(LINEAR, lambda gen, n: held[:n], xT, times, "forward", 5000, 3)
+        simulate_ensemble(LINEAR, start, xT, times, 5000, 3)
+        simulate_ensemble(LINEAR, lambda gen, n: held[:n], xT, times, 5000, 3)
         assert start.tolist() == [0.2, -0.1]
         assert xT.tolist() == [1.0, -0.5]
         assert np.all(held == 0.25)
@@ -172,7 +146,7 @@ class TestSimulateEnsemble:
     def test_same_seed_is_bit_identical(self):
         times = np.linspace(0.0, 0.6, 61)
         runs = [
-            simulate_ensemble(LINEAR, np.array([0.0]), np.array([1.0]), times, "forward", 256, 7)
+            simulate_ensemble(LINEAR, np.array([0.0]), np.array([1.0]), times, 256, 7)
             for _ in range(2)
         ]
         np.testing.assert_array_equal(runs[0].paths, runs[1].paths)
@@ -180,10 +154,10 @@ class TestSimulateEnsemble:
     def test_thread_count_does_not_change_output(self):
         times = np.linspace(0.0, 0.6, 31)
         a = simulate_ensemble(
-            LINEAR, np.array([0.0]), np.array([1.0]), times, "forward", 10000, 3, threads=1
+            LINEAR, np.array([0.0]), np.array([1.0]), times, 10000, 3, threads=1
         )
         b = simulate_ensemble(
-            LINEAR, np.array([0.0]), np.array([1.0]), times, "forward", 10000, 3, threads=4
+            LINEAR, np.array([0.0]), np.array([1.0]), times, 10000, 3, threads=4
         )
         np.testing.assert_array_equal(a.paths, b.paths)
 
@@ -192,57 +166,20 @@ class TestSimulateEnsemble:
             warnings.simplefilter("ignore")
             sched = _zero_gamma_schedule()
             times = np.linspace(0.0, 0.9, 10)
-            a = simulate_ensemble(sched, np.array([0.0]), np.array([1.0]), times, "forward", 1, 1)
-            b = simulate_ensemble(sched, np.array([0.0]), np.array([1.0]), times, "forward", 1, 2)
+            a = simulate_ensemble(sched, np.array([0.0]), np.array([1.0]), times, 1, 1)
+            b = simulate_ensemble(sched, np.array([0.0]), np.array([1.0]), times, 1, 2)
         np.testing.assert_array_equal(a.paths, b.paths)
 
     def test_forward_moments_match_kernel(self):
         """EM marginals at t = 0.5 match the closed-form kernel moments."""
         times = np.linspace(0.0, 0.5, 501)
         ens = simulate_ensemble(
-            LINEAR, np.array([0.0]), np.array([1.0]), times, "forward", 20000, 5, threads=2
+            LINEAR, np.array([0.0]), np.array([1.0]), times, 20000, 5, threads=2
         )
         mom = estimate_marginal_moments(ens, -1)
         ev = eval_schedule(LINEAR, 0.5)
         assert abs(mom.mean[0] - ev.beta) <= 4.0 * mom.se_mean[0]
         assert abs(mom.cov[0, 0] - ev.gamma**2) <= 0.03 * ev.gamma**2
-
-    def test_reverse_preserves_marginals_for_any_eps(self):
-        """Terminal moments agree between the ODE and SDE members."""
-        dist = _pair_1d()
-        sched = LINEAR
-        xT = np.array([0.8])
-        score = _conditional_score_fn(dist, sched)
-        gain, cov_c = dist.conditional()
-        mu_c = float(dist.mean0[0] + gain[0, 0] * (xT[0] - dist.meanT[0]))
-        var_c = float(cov_c[0, 0])
-        t_hi, t_lo = 0.95, 0.01
-        ev_hi = eval_schedule(sched, t_hi)
-
-        def start(rng, n):
-            mean = ev_hi.alpha * mu_c + ev_hi.beta * xT[0]
-            std = np.sqrt(ev_hi.alpha**2 * var_c + ev_hi.gamma**2)
-            return mean + std * rng.standard_normal((n, 1))
-
-        times = np.linspace(t_hi, t_lo, 471)
-        moments = {}
-        for name, policy in (
-            ("ode", EpsilonPolicy(kind="zero", tail_zero_steps=0)),
-            ("sde", EpsilonPolicy(kind="eta_scaled", eta=1.0, tail_zero_steps=0)),
-        ):
-            ens = simulate_ensemble(
-                sched, start, xT, times, "reverse", 20000, 9,
-                eps_policy=policy, score_fn=score, threads=2, record=False,
-            )
-            moments[name] = estimate_marginal_moments(ens, -1)
-        ev_lo = eval_schedule(sched, t_lo)
-        true_mean = ev_lo.alpha * mu_c + ev_lo.beta * xT[0]
-        true_var = ev_lo.alpha**2 * var_c + ev_lo.gamma**2
-        pooled_se = float(np.hypot(moments["ode"].se_mean[0], moments["sde"].se_mean[0]))
-        assert abs(moments["ode"].mean[0] - moments["sde"].mean[0]) <= 4.0 * pooled_se
-        for name in ("ode", "sde"):
-            assert abs(moments[name].mean[0] - true_mean) <= 4.0 * moments[name].se_mean[0]
-            assert abs(moments[name].cov[0, 0] - true_var) <= 0.05 * true_var
 
     def test_weak_convergence_order_of_terminal_mean(self):
         """Terminal-mean error shrinks at first order in dt."""
@@ -254,45 +191,31 @@ class TestSimulateEnsemble:
             n_steps = round(0.9 / dt)
             times = np.linspace(0.0, 0.9, n_steps + 1)
             ens = simulate_ensemble(
-                sched, np.array([0.0]), np.array([1.0]), times, "forward", 4096, 13,
+                sched, np.array([0.0]), np.array([1.0]), times, 4096, 13,
                 threads=2, record=False,
             )
             errors.append(abs(float(ens.paths[:, -1, 0].mean()) - truth))
         assert convergence_slope(dts, errors) >= 0.9
-
-    def test_reverse_needs_policy_and_exactly_one_driver(self):
-        """A reverse run needs a policy and a score function; stepping with a
-        denoiser instead is the sampler's euler_z variant."""
-        times = np.linspace(0.9, 0.1, 9)
-        with pytest.raises(ValueError, match="eps_policy"):
-            simulate_ensemble(LINEAR, np.array([0.0]), np.array([1.0]), times, "reverse", 4, 0)
-        with pytest.raises(ValueError, match="score_fn"):
-            simulate_ensemble(
-                LINEAR, np.array([0.0]), np.array([1.0]), times, "reverse", 4, 0,
-                eps_policy=EpsilonPolicy(kind="zero"),
-            )
 
     def test_step_errors_carry_time_context(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             sched = Schedule(
                 kind="custom",
-                alpha_fn=lambda t: 1.0 - t,
+                alpha_fn=lambda t: 0.5 - t,
                 beta_fn=lambda t: t,
-                gamma_fn=lambda t: t * t,
+                gamma_fn=lambda t: t,
             )
-            times = np.linspace(0.8, 0.2, 7)
-            with pytest.raises(ValueError, match=r"step \d+ at t"):
-                simulate_ensemble(
-                    sched, np.array([0.5]), np.array([1.0]), times, "reverse", 4, 0,
-                    eps_policy=EpsilonPolicy(kind="i2sb_markovian", tail_zero_steps=0),
-                    score_fn=lambda x, xT, t: np.zeros_like(x),
-                )
+            times = np.linspace(0.1, 0.9, 9)
+            with pytest.raises(
+                ValueError, match=r"step 4 at t = 0\.5: alpha\(0\.5\) = 0\.0 is singular"
+            ):
+                simulate_ensemble(sched, np.array([0.5]), np.array([1.0]), times, 4, 0)
 
     def test_record_false_keeps_only_terminal_slice(self):
         times = np.linspace(0.0, 0.5, 11)
         ens = simulate_ensemble(
-            LINEAR, np.array([0.0]), np.array([1.0]), times, "forward", 64, 1, record=False
+            LINEAR, np.array([0.0]), np.array([1.0]), times, 64, 1, record=False
         )
         assert ens.paths.shape == (64, 1, 1)
         assert ens.times.shape == (1,)
@@ -301,10 +224,10 @@ class TestSimulateEnsemble:
     def test_record_false_terminal_equals_recorded_terminal(self):
         times = np.linspace(0.0, 0.5, 11)
         full = simulate_ensemble(
-            LINEAR, np.array([0.0]), np.array([1.0]), times, "forward", 64, 1, record=True
+            LINEAR, np.array([0.0]), np.array([1.0]), times, 64, 1, record=True
         )
         last = simulate_ensemble(
-            LINEAR, np.array([0.0]), np.array([1.0]), times, "forward", 64, 1, record=False
+            LINEAR, np.array([0.0]), np.array([1.0]), times, 64, 1, record=False
         )
         np.testing.assert_array_equal(full.paths[:, -1:, :], last.paths)
 

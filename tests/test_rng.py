@@ -1,5 +1,6 @@
 """The keyed Philox stream contract: key layout, ranges, independence, pickling."""
 
+import math
 import pickle
 
 import numpy as np
@@ -111,3 +112,13 @@ def test_numpy_integers_key_the_same_stream_as_python_ints():
     got = _rng.stream(np.int64(-3), np.uint16(2), np.int32(5), np.uint64(7))
     want = _rng.stream(-3, 2, 5, 7)
     np.testing.assert_array_equal(got.standard_normal(50), want.standard_normal(50))
+
+
+@pytest.mark.parametrize("value", [0, -3, 2.5, math.inf, math.nan, np.int64(4), np.float32(0.5)])
+def test_is_real_accepts_python_and_numpy_numbers(value):
+    assert _rng.is_real(value)
+
+
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), "1.0", None, 1j, [1.0]])
+def test_is_real_rejects_bools_and_non_numbers(value):
+    assert not _rng.is_real(value)

@@ -12,6 +12,7 @@ from bridgelab.denoiser import (
     JointGaussian,
     MlpDenoiser,
     Preconditioner,
+    analytic_denoise,
     denoise,
     mlp_init,
     sample_condition,
@@ -310,6 +311,16 @@ class TestSamplerConfig:
                 boot_b=boot_b,
             )
 
+    @pytest.mark.parametrize("boot_b", [True, "0.25"])
+    def test_non_number_boot_rejected(self, boot_b):
+        with pytest.raises(ValueError, match="boot_b must be finite, real"):
+            SamplerConfig(
+                schedule=LINEAR,
+                eps_policy=EpsilonPolicy(kind="zero"),
+                grid=make_time_grid(4),
+                boot_b=boot_b,
+            )
+
     def test_variant_listing(self):
         assert VARIANTS == ("euler_z", "gamma_simplified", "dbim", "markovian")
 
@@ -484,6 +495,17 @@ class TestSampleLoop:
         with pytest.raises(ValueError, match="does not match"):
             sample(cfg, den, np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_condition_rejected(self, bad):
+        """A non-finite endpoint fails before any chunk runs and names its row."""
+        cfg = SamplerConfig(
+            schedule=LINEAR,
+            eps_policy=EpsilonPolicy(kind="eta_scaled", eta=0.3),
+            grid=make_time_grid(9),
+        )
+        with pytest.raises(ValueError, match=r"xT_batch must be finite; row 1 is not"):
+            sample(cfg, _den_1d(), np.array([[0.8], [bad], [0.1]]))
+
     def test_step_errors_carry_row_and_time_context(self):
         den = _den_1d()
         grid = make_time_grid(6, t_min=0.2, t_max=0.9)
@@ -494,3 +516,56 @@ class TestSampleLoop:
         )
         with pytest.raises(ValueError, match=r"rows \[0:2\), step \d+ at t = "):
             sample(cfg, den, np.array([[0.8], [0.1]]))
+
+
+class TestReverseFamilyPreservesMarginals:
+    """From the exact t = 0.95 marginal of the 1-d task, the euler_z step with the
+    exact denoiser reaches the kernel law at t = 0.01 for any eps >= 0."""
+
+    XT = 0.8
+
+    def _kernel_law(self, t):
+        """Mean and variance of x_t | xT under the kernel."""
+        dist = _task_1d()
+        gain, cov_c = dist.conditional()
+        mu_c = float(dist.mean0[0] + gain[0, 0] * (self.XT - dist.meanT[0]))
+        ev = eval_schedule(LINEAR, t)
+        return ev.alpha * mu_c + ev.beta * self.XT, ev.alpha**2 * float(cov_c[0, 0]) + ev.gamma**2
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
+    def test_exact_law_propagation(self, eta):
+        """Noise-free: carry mean and variance through each step's (a, b, c, s)
+        and the denoiser's affine slope and intercept in x_t."""
+        policy = EpsilonPolicy(kind="eta_scaled", eta=eta, tail_zero_steps=0)
+        times = np.linspace(0.95, 0.01, 471)
+        n_steps = times.size - 1
+        xT = np.array([[self.XT]])
+        mean, var = self._kernel_law(times[0])
+        for k in range(n_steps):
+            t, dt = float(times[k]), float(times[k] - times[k + 1])
+            eps = epsilon(policy, LINEAR, t, dt, n_steps - 1 - k, n_steps)
+            a, b, c, s = step_euler_z(LINEAR, t, dt, eps)
+            at0, at1 = (
+                float(analytic_denoise(_task_1d(), LINEAR, np.array([[x]]), xT, t)[0, 0])
+                for x in (0.0, 1.0)
+            )
+            gain = a * (at1 - at0) + c  # d x' / d x, with x0hat = at0 + (at1 - at0) x
+            mean = gain * mean + a * at0 + b * self.XT
+            var = gain * gain * var + s * s
+        true_mean, true_var = self._kernel_law(times[-1])
+        assert abs(mean - true_mean) <= 1e-12
+        assert abs(var - true_var) <= 0.01 * true_var
+
+    def test_sample_reaches_the_kernel_law(self):
+        """The same claim on sample at eta = 1, started at x_T.  At eta = 0 the
+        point-mass start keeps no spread, so only the exact check covers it."""
+        cfg = SamplerConfig(
+            schedule=LINEAR,
+            eps_policy=EpsilonPolicy(kind="eta_scaled", eta=1.0, tail_zero_steps=0),
+            grid=make_time_grid(470), variant="euler_z", boot_b=0.0, seed=9,
+        )
+        out = sample(cfg, _den_1d(), np.full((20000, 1), self.XT), threads=2).x0_batch[:, 0]
+        true_mean, true_var = self._kernel_law(cfg.grid.t_min)
+        se = out.std(ddof=1) / math.sqrt(out.size)
+        assert abs(out.mean() - true_mean) <= 4.0 * se
+        assert abs(out.var(ddof=1) - true_var) <= 0.05 * true_var

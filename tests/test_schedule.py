@@ -117,6 +117,20 @@ class TestEvalExamples:
         with pytest.raises(ValueError, match="i2sb breakpoints and values must be finite"):
             Schedule(kind="i2sb", i2sb_breakpoints=(0.0, bad, 1.0), i2sb_values=(1.0, 1.0))
 
+    @pytest.mark.parametrize("key", ["gamma_max", "gamma_multiplier", "fd_step"])
+    def test_bool_parameters_rejected(self, key):
+        with pytest.raises(ValueError, match=f"{key} must be finite and real, got True"):
+            Schedule(kind="linear", **{key: True})
+
+    @pytest.mark.parametrize(
+        "field, kw",
+        [("i2sb_values", dict(i2sb_values=(True,))),
+         ("i2sb_breakpoints", dict(i2sb_breakpoints=(0.0, True), i2sb_values=(1.0,)))],
+    )
+    def test_bool_i2sb_entries_rejected(self, field, kw):
+        with pytest.raises(ValueError, match=f"{field} holds True"):
+            Schedule(kind="i2sb", **kw)
+
 
 class TestDerivativeConsistency:
     @pytest.mark.parametrize("sched", PINNED_KINDS + [Schedule(kind="edm")], ids=lambda s: s.kind)
@@ -245,6 +259,17 @@ class TestEpsilonPolicy:
         with pytest.raises(ValueError):
             EpsilonPolicy(kind="zero", tail_zero_steps=-1)
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [("eta", True, "eta must be a real number"), ("eta", "0.3", "eta must be a real number"),
+         ("const_value", True, "const_value must be finite, real"),
+         ("scale_by_gamma_sq", 2.5, "scale_by_gamma_sq must be a bool"),
+         ("scale_by_gamma_sq", 1, "scale_by_gamma_sq must be a bool")],
+    )
+    def test_bools_are_not_numbers_and_numbers_are_not_flags(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            EpsilonPolicy(kind="constant", **{field: value})
+
     @pytest.mark.parametrize("value", [1.5, 2.0, True])
     def test_tail_zero_steps_must_be_an_integer(self, value):
         with pytest.raises(ValueError, match="tail_zero_steps must be an integer"):
@@ -275,6 +300,12 @@ class TestTimeGrid:
             make_time_grid(5, rho=0.0)
         with pytest.raises(ValueError):
             make_time_grid(5, t_max=1.2)
+
+    @pytest.mark.parametrize("field", ["t_min", "t_max", "rho"])
+    def test_bool_bounds_and_spacing_rejected(self, field):
+        # True used to run as 1: rho = True gave linear spacing, t_max = True a grid up to T
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            make_time_grid(3, **{field: True})
 
     @pytest.mark.parametrize("n", [2.5, 3.0, True])
     def test_step_count_must_be_an_integer(self, n):
