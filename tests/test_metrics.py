@@ -1,5 +1,7 @@
 """Diversity and discrepancy metrics on hand-checkable examples."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -166,6 +168,11 @@ class TestFeatureMaps:
         assert np.any(a != c)
         assert a.shape == (2, 5)
 
+    @pytest.mark.parametrize("seed", [True, 2.5, "7", None])
+    def test_random_projection_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            random_projection(5, 2, seed=seed)
+
 
 class TestMse:
     def test_constant_offset_example(self):
@@ -256,9 +263,9 @@ def loop_permutation_quantile(a, b, n_permutations, seed, q):
 
 
 class TestPermutationOracle:
-    """The blocked matrix-product null against the per-permutation loop."""
+    """The tiled matrix-product null against the per-permutation loop."""
 
-    @pytest.mark.parametrize("n_permutations", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("n_permutations", [1, 63, 64, 65, 200, 255, 256, 257])
     @pytest.mark.parametrize("q", [0.0, 0.5, 0.95, 1.0])
     def test_matches_loop(self, n_permutations, q):
         rng = np.random.default_rng(10)
@@ -276,6 +283,48 @@ class TestPermutationOracle:
             got = energy_permutation_quantile(a, b, n_permutations=130, seed=5, q=q)
             want = loop_permutation_quantile(a, b, 130, 5, q)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("row_tile", [4, 7, 76])
+    def test_matches_loop_across_many_row_tiles(self, row_tile, monkeypatch):
+        """77 pooled rows in tiles of 7 (eleven full tiles), 4 and 76 (each ending in a 1-row tile)."""
+        monkeypatch.setattr(metrics, "_ROW_TILE", row_tile)
+        rng = np.random.default_rng(15)
+        a = rng.standard_normal((40, 3))
+        b = 1.5 * rng.standard_normal((37, 3)) + 0.4
+        for n_permutations, q in ((1, 0.5), (130, 0.95), (257, 0.0)):
+            got = energy_permutation_quantile(a, b, n_permutations=n_permutations, seed=6, q=q)
+            want = loop_permutation_quantile(a, b, n_permutations, 6, q)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+
+def _gate_shape_samples(seed):
+    """1500 + 1500 samples in 2-d, the shape of the criterion-2 gate."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((1500, 2)), rng.standard_normal((1500, 2)) + 0.1
+
+
+class TestPermutationAtGateShape:
+    """The null at 1500 + 1500 and 200 permutations: pinned values and memory."""
+
+    # q95 from the implementation that held the whole pooled distance matrix.
+    PINNED_Q95 = {0: "0x1.4d83659ca7d10p-9", 1: "0x1.5c068b1ee627dp-9", 2: "0x1.36ab5becc6793p-9"}
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_Q95))
+    def test_q95_is_pinned_bit_for_bit(self, seed):
+        a, b = _gate_shape_samples(seed)
+        got = energy_permutation_quantile(a, b, n_permutations=200, seed=seed)
+        assert got.hex() == self.PINNED_Q95[seed]
+
+    def test_peak_memory_is_below_half_the_pooled_matrix(self):
+        a, b = _gate_shape_samples(0)
+        pooled_bytes = (a.shape[0] + b.shape[0]) ** 2 * 8
+        tracemalloc.start()
+        try:
+            energy_permutation_quantile(a, b, n_permutations=200, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pooled_bytes / 2, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestEnergyInputValidation:
@@ -305,7 +354,15 @@ class TestEnergyInputValidation:
         with pytest.raises(ValueError, match="n_permutations must be >= 1"):
             energy_permutation_quantile(x, x + 1.0, n_permutations=n_permutations)
 
-    @pytest.mark.parametrize("q", [-0.01, 1.01, np.nan])
+    @pytest.mark.parametrize("name", ["n_permutations", "seed"])
+    @pytest.mark.parametrize("value", [True, 2.5, "3", None])
+    def test_n_permutations_and_seed_must_be_integers(self, name, value):
+        x = np.random.default_rng(13).standard_normal((4, 1))
+        kwargs = {"n_permutations": 5, "seed": 0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            energy_permutation_quantile(x, x + 1.0, **kwargs)
+
+    @pytest.mark.parametrize("q", [-0.01, 1.01, np.nan, True, "0.5", None])
     def test_q_outside_unit_interval(self, q):
         x = np.random.default_rng(14).standard_normal((4, 1))
         with pytest.raises(ValueError, match=r"q must lie in \[0, 1\]"):
@@ -339,3 +396,11 @@ class TestConvergenceSlope:
             convergence_slope([0.1, 0.05, 0.025], [1.0, 0.0, 0.1])
         with pytest.raises(ValueError, match="positive"):
             convergence_slope([0.1, -0.05, 0.025], [1.0, 0.5, 0.25])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["dts", "errors"])
+    def test_finiteness_validation(self, where, bad):
+        dts, errors = [0.1, 0.05, 0.025], [1.0, 0.5, 0.25]
+        (dts if where == "dts" else errors)[1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            convergence_slope(dts, errors)
