@@ -602,7 +602,7 @@ def _run_convergence_study(sched, policy, vals, seed: int, threads: int):
     for a_name, b_name in vals["pairs"]:
         diffs = []
         for dt in dts:
-            eps = epsilon(policy, sched, t, float(dt), 1, 2)
+            eps = epsilon(policy, sched, t, float(dt), 1)
             out_a, out_b = (
                 apply_step(step_coefficients(name, sched, t, float(dt), eps), x_hat0, anchor, x_t)
                 for name in (a_name, b_name)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -136,23 +136,7 @@ class GmmCoupling:
         return self.components[0].d
 
 
-@dataclass
-class MapPlusNoise:
-    """x0 = map_fn(xT) + noise_scale * xi with xT from base_sampler(rng, n)."""
-
-    base_sampler: Callable[[np.random.Generator, int], np.ndarray]
-    map_fn: Callable[[np.ndarray], np.ndarray]
-    noise_scale: float
-
-    kind = "map_plus_noise"
-
-    def __post_init__(self):
-        if self.noise_scale < 0:
-            raise ValueError(f"noise_scale must be >= 0, got {self.noise_scale}")
-
-
 AnalyticTask = Union[JointGaussian, GmmCoupling]
-PairedDistribution = Union[JointGaussian, GmmCoupling, MapPlusNoise]
 
 
 def _check_analytic(dist) -> None:
@@ -163,7 +147,7 @@ def _check_analytic(dist) -> None:
 
 
 def sample_pair(
-    dist: PairedDistribution, n: int, rng: np.random.Generator
+    dist: AnalyticTask, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draws n endpoint pairs (x0, xT) from the coupling."""
     if isinstance(dist, JointGaussian):
@@ -172,36 +156,28 @@ def sample_pair(
         x_T = dist.meanT + z_T @ dist._chol_TT.T
         x_0 = dist.mean0 + (x_T - dist.meanT) @ dist._gain.T + z_0 @ dist._chol_c.T
         return x_0, x_T
-    if isinstance(dist, GmmCoupling):
-        ks = rng.choice(len(dist.weights), size=n, p=dist.weights)
-        x_0 = np.empty((n, dist.d))
-        x_T = np.empty((n, dist.d))
-        for k, comp in enumerate(dist.components):
-            mask = ks == k
-            if mask.any():
-                a, b = sample_pair(comp, int(mask.sum()), rng)
-                x_0[mask], x_T[mask] = a, b
-        return x_0, x_T
-    x_T = np.asarray(dist.base_sampler(rng, n), dtype=np.float64)
-    x_0 = np.asarray(dist.map_fn(x_T), dtype=np.float64)
-    if dist.noise_scale > 0:
-        x_0 = x_0 + dist.noise_scale * rng.standard_normal(x_T.shape)
+    ks = rng.choice(len(dist.weights), size=n, p=dist.weights)
+    x_0 = np.empty((n, dist.d))
+    x_T = np.empty((n, dist.d))
+    for k, comp in enumerate(dist.components):
+        mask = ks == k
+        if mask.any():
+            a, b = sample_pair(comp, int(mask.sum()), rng)
+            x_0[mask], x_T[mask] = a, b
     return x_0, x_T
 
 
-def sample_condition(dist: PairedDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
+def sample_condition(dist: AnalyticTask, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draws n conditioning endpoints xT from the coupling's xT marginal."""
     if isinstance(dist, JointGaussian):
         return dist.meanT + rng.standard_normal((n, dist.d)) @ dist._chol_TT.T
-    if isinstance(dist, GmmCoupling):
-        ks = rng.choice(len(dist.weights), size=n, p=dist.weights)
-        x_T = np.empty((n, dist.d))
-        for k, comp in enumerate(dist.components):
-            mask = ks == k
-            if mask.any():
-                x_T[mask] = sample_condition(comp, int(mask.sum()), rng)
-        return x_T
-    return np.asarray(dist.base_sampler(rng, n), dtype=np.float64)
+    ks = rng.choice(len(dist.weights), size=n, p=dist.weights)
+    x_T = np.empty((n, dist.d))
+    for k, comp in enumerate(dist.components):
+        mask = ks == k
+        if mask.any():
+            x_T[mask] = sample_condition(comp, int(mask.sum()), rng)
+    return x_T
 
 
 def _chol_psd(cov: np.ndarray) -> np.ndarray:
@@ -441,40 +417,88 @@ class MlpHyper:
             val = getattr(self, name)
             if not _rng.is_integer(val) or val < 1:
                 raise ValueError(f"train.{name} must be a positive integer, got {val!r}")
-        lr = self.lr
-        if not _rng.is_real(lr) or not math.isfinite(lr) or lr <= 0:
-            raise ValueError(f"train.lr must be finite and positive, got {lr!r}")
+        for name in ("lr", "t_min", "t_max"):
+            val = getattr(self, name)
+            if not _rng.is_real(val) or not math.isfinite(val) or (name == "lr" and val <= 0):
+                raise ValueError(f"train.{name} must be finite (lr: positive), got {val!r}")
         if not 0.0 < self.t_min < self.t_max <= T_HORIZON:
             raise ValueError(f"need 0 < t_min < t_max <= T, got [{self.t_min}, {self.t_max}]")
 
 
-@dataclass
-class MlpDenoiser:
-    """Residual network F plus the scalings that assemble D from it."""
+def _param_count(sizes: Sequence[int]) -> int:
+    return sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+
+def _layers(params: np.ndarray, sizes: Sequence[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weights (n_in, n_out) and biases (n_out,) as views into params.
+
+    params is one flat float64 vector laid out [w0, b0, w1, b1, ...], each
+    weight row-major: the body of a model.bin file.  This is the only code that
+    knows that layout.
+    """
+    if params.shape != (_param_count(sizes),):
+        raise ValueError(f"parameter block holds {params.size} values, "
+                         f"sizes {list(sizes)} need {_param_count(sizes)}")
+    weights, biases, offset = [], [], 0
+    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(params[offset : offset + n_in * n_out].reshape(n_in, n_out))
+        offset += n_in * n_out
+        biases.append(params[offset : offset + n_out])
+        offset += n_out
+    return weights, biases
+
+
+@dataclass(frozen=True)
+class MlpDenoiser:
+    """Residual network F plus the scalings that assemble D from it.
+
+    params holds every weight and bias in one float64 vector, the model.bin
+    body, for layer widths sizes = [2d+1, ..., d].  Frozen, with a read-only
+    copy of params, so the weights and biases views built once at
+    construction stay valid.  Bad sizes, a params vector of the wrong length
+    or a non-finite value raise ValueError.
+    """
+
+    params: np.ndarray
+    sizes: Sequence[int]
     prec: Preconditioner
     sched: Schedule
+    weights: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    biases: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
     kind = "mlp"
 
-    @property
-    def sizes(self) -> list[int]:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
+    def __post_init__(self):
+        sizes = self.sizes
+        if (
+            not isinstance(sizes, (list, tuple))
+            or len(sizes) < 2
+            or not all(_rng.is_integer(n) and n > 0 for n in sizes)
+            or sizes[0] != 2 * sizes[-1] + 1
+        ):
+            raise ValueError(f"sizes {sizes!r} are not positive layer widths 2d+1 -> ... -> d")
+        sizes = tuple(int(n) for n in sizes)
+        params = _read_only(np.asarray(self.params, dtype=np.float64))
+        weights, biases = _layers(params, sizes)
+        if not np.all(np.isfinite(params)):
+            raise ValueError("denoiser parameters must be finite")
+        for name, val in (("sizes", sizes), ("params", params), ("weights", weights),
+                          ("biases", biases)):
+            object.__setattr__(self, name, val)
 
     @property
     def d(self) -> int:
-        return self.weights[-1].shape[1]
+        return self.sizes[-1]
 
 
-def mlp_init(sizes: Sequence[int], seed: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def mlp_init(sizes: Sequence[int], seed: int) -> np.ndarray:
+    """He-normal weights, drawn layer by layer, and zero biases, as one flat
+    parameter vector (see _layers)."""
     gen = _rng.stream(seed, _rng.TAG_INIT)
-    weights, biases = [], []
-    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(gen.standard_normal((n_in, n_out)) * math.sqrt(2.0 / n_in))
-        biases.append(np.zeros(n_out))
-    return weights, biases
+    params = np.zeros(_param_count(sizes))
+    for w in _layers(params, sizes)[0]:
+        w[...] = gen.standard_normal(w.shape) * math.sqrt(2.0 / w.shape[0])
+    return params
 
 
 def mlp_forward(
@@ -505,18 +529,20 @@ def mlp_forward(
 
 
 def mlp_backward(
-    weights: Sequence[np.ndarray], cache: Sequence[np.ndarray], d_out: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    n_layers = len(weights)
-    grads_w = [None] * n_layers
-    grads_b = [None] * n_layers
+    weights: Sequence[np.ndarray],
+    cache: Sequence[np.ndarray],
+    d_out: np.ndarray,
+    grads_w: Sequence[np.ndarray],
+    grads_b: Sequence[np.ndarray],
+) -> None:
+    """Backpropagates d_out, writing each layer's gradients into grads_w and
+    grads_b: views into one flat gradient vector laid out as the parameters."""
     delta = d_out
-    for k in range(n_layers - 1, -1, -1):
-        grads_w[k] = cache[k].T @ delta
-        grads_b[k] = delta.sum(axis=0)
+    for k in range(len(weights) - 1, -1, -1):
+        np.matmul(cache[k].T, delta, out=grads_w[k])
+        delta.sum(axis=0, out=grads_b[k])
         if k > 0:
             delta = (delta @ weights[k].T) * (1.0 - cache[k] ** 2)
-    return grads_w, grads_b
 
 
 def mlp_loss_and_grads(
@@ -524,14 +550,16 @@ def mlp_loss_and_grads(
     biases: Sequence[np.ndarray],
     x: np.ndarray,
     target: np.ndarray,
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean squared residual loss and its exact gradients."""
+    grads_w: Sequence[np.ndarray],
+    grads_b: Sequence[np.ndarray],
+) -> float:
+    """Mean squared residual loss; writes its exact gradients into grads_w and
+    grads_b (see mlp_backward)."""
     out, cache = mlp_forward(weights, biases, x)
     resid = out - target
     loss = float(np.mean(resid**2))
-    d_out = 2.0 * resid / resid.size
-    grads_w, grads_b = mlp_backward(weights, cache, d_out)
-    return loss, grads_w, grads_b
+    mlp_backward(weights, cache, 2.0 * resid / resid.size, grads_w, grads_b)
+    return loss
 
 
 # Rows in one block of training iterations: everything in a minibatch that does
@@ -540,7 +568,7 @@ _TRAIN_BLOCK_ROWS = _rng.CHUNK_ROWS
 
 
 def _training_inputs(
-    data: PairedDistribution,
+    data: AnalyticTask,
     sched: Schedule,
     prec: Preconditioner,
     hyper: MlpHyper,
@@ -569,7 +597,7 @@ def _training_inputs(
 
 
 def train_mlp_denoiser(
-    data: PairedDistribution,
+    data: AnalyticTask,
     sched: Schedule,
     prec: Preconditioner,
     hyper: MlpHyper,
@@ -585,11 +613,15 @@ def train_mlp_denoiser(
     endpoint pairs, then times, then noise.  The schedule, scalings and network
     inputs are evaluated once per block of about CHUNK_ROWS rows, which gives
     the same minibatches, so the trained weights do not depend on the block.
+    The layer views of the parameters and of the one gradient buffer are built
+    once per run, and each step is one update of the flat parameter vector.
     """
     probe = sample_pair(data, 1, _rng.stream(hyper.seed, _rng.TAG_TASK))[0]
     d = probe.shape[1]
     sizes = [2 * d + 1] + [hyper.width] * hyper.layers + [d]
-    weights, biases = mlp_init(sizes, hyper.seed)
+    params = mlp_init(sizes, hyper.seed)
+    grads = np.empty_like(params)
+    (weights, biases), (grads_w, grads_b) = _layers(params, sizes), _layers(grads, sizes)
     running = math.nan
     block = max(1, _TRAIN_BLOCK_ROWS // hyper.batch)
     for start in range(0, hyper.iters, block):
@@ -597,16 +629,14 @@ def train_mlp_denoiser(
         x_block, target_block = _training_inputs(data, sched, prec, hyper, its)
         for i, it in enumerate(its):
             rows = slice(i * hyper.batch, (i + 1) * hyper.batch)
-            loss, grads_w, grads_b = mlp_loss_and_grads(
-                weights, biases, x_block[rows], target_block[rows]
+            loss = mlp_loss_and_grads(
+                weights, biases, x_block[rows], target_block[rows], grads_w, grads_b
             )
             if not math.isfinite(loss):
                 raise ValueError(f"training diverged at iteration {it}: loss = {loss}")
-            for k in range(len(weights)):
-                weights[k] -= hyper.lr * grads_w[k]
-                biases[k] -= hyper.lr * grads_b[k]
+            params -= hyper.lr * grads
             running = loss if math.isnan(running) else 0.99 * running + 0.01 * loss
-    return MlpDenoiser(weights, biases, prec, sched), running
+    return MlpDenoiser(params, sizes, prec, sched), running
 
 
 def _layer_buffers(den: MlpDenoiser, rows: int, scratch: Optional[dict]):
@@ -615,7 +645,7 @@ def _layer_buffers(den: MlpDenoiser, rows: int, scratch: Optional[dict]):
     if scratch is None:
         return None
     bufs = scratch.get("mlp_layers")
-    shapes = [(rows, w.shape[1]) for w in den.weights]
+    shapes = [(rows, n) for n in den.sizes[1:]]
     if bufs is None or [buf.shape for buf in bufs] != shapes:
         bufs = scratch["mlp_layers"] = [np.empty(shape) for shape in shapes]
     return bufs
@@ -706,7 +736,7 @@ def denoise(
 
 def test_mse_vs_analytic(
     den: Denoiser,
-    dist: PairedDistribution,
+    dist: AnalyticTask,
     n_probes: int = 2048,
     seed: int = 0,
     t_min: float = DEFAULT_T_MIN,
@@ -761,11 +791,8 @@ def denoiser_to_bytes(den: MlpDenoiser) -> bytes:
         "prec": {key: getattr(den.prec, key) for key in _PREC_FIELDS},
         "schedule": _schedule_to_config(den.sched),
     }
-    blocks = [json.dumps(header, sort_keys=True).encode() + b"\n"]
-    for w, b in zip(den.weights, den.biases):
-        blocks.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        blocks.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    return b"".join(blocks)
+    body = den.params.astype("<f8", copy=False).tobytes()
+    return json.dumps(header, sort_keys=True).encode() + b"\n" + body
 
 
 def save_denoiser(den: MlpDenoiser, path) -> None:
@@ -785,28 +812,8 @@ def load_denoiser(path) -> MlpDenoiser:
         or header.get("kind") != "mlp"
     ):
         raise ValueError(f"not a {_FILE_FORMAT} mlp file")
-    sizes = header.get("sizes")
-    if (
-        not isinstance(sizes, list)
-        or len(sizes) < 2
-        or not all(type(n) is int and n > 0 for n in sizes)
-        or sizes[0] != 2 * sizes[-1] + 1
-    ):
-        raise ValueError(f"sizes {sizes!r} are not positive layer widths 2d+1 -> ... -> d")
-    n_params = sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
-    if len(body) != 8 * n_params:
-        raise ValueError(
-            f"parameter block holds {len(body)} bytes, sizes {sizes} need {8 * n_params}"
-        )
-    params = np.frombuffer(body, dtype="<f8")
-    if not np.all(np.isfinite(params)):
-        raise ValueError("denoiser parameters must be finite")
-    weights, biases, offset = [], [], 0
-    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-        w, b = np.split(params[offset : offset + (n_in + 1) * n_out], [n_in * n_out])
-        weights.append(w.reshape(n_in, n_out).copy())
-        biases.append(b.copy())
-        offset += (n_in + 1) * n_out
+    if len(body) % 8:
+        raise ValueError(f"parameter block holds {len(body)} bytes, not whole float64 values")
     prec = Preconditioner(**_header_object(header, "prec", _PREC_FIELDS))
     sched_cfg = _header_object(header, "schedule", _SCHEDULE_FIELDS)
     try:
@@ -815,4 +822,4 @@ def load_denoiser(path) -> MlpDenoiser:
         })
     except TypeError as err:  # a field of the wrong type
         raise ValueError(f"header field 'schedule' is malformed ({err})") from err
-    return MlpDenoiser(weights, biases, prec, sched)
+    return MlpDenoiser(np.frombuffer(body, dtype="<f8"), header.get("sizes"), prec, sched)

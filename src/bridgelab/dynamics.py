@@ -2,11 +2,9 @@
 
 simulate_ensemble integrates the linear SDE dX = (f X + s xT)dt + g dW whose
 marginals reproduce the transition kernel for fixed endpoints.  Reverse
-sampling is sampler.sample; reverse_drift_from_score writes the reverse drift
-family in score form and is the independent oracle for the sampler's euler_z
-step.  Ensembles are the Monte Carlo verification harness: all noise comes
-from chunk-keyed counter streams, so a run is bit-identical for any thread
-count.
+sampling is sampler.sample.  Ensembles are the Monte Carlo verification
+harness: all noise comes from chunk-keyed counter streams, so a run is
+bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -73,27 +71,6 @@ class MomentEstimate:
     se_mean: np.ndarray
 
 
-def reverse_drift_from_score(
-    sched: Schedule,
-    eps: float,
-    x: np.ndarray,
-    xT: np.ndarray,
-    t: float,
-    score: np.ndarray,
-) -> np.ndarray:
-    """Reverse-family drift f x + s xT - (g^2/2 + eps) score from the raw score.
-
-    eps = 0 gives the deterministic-flow drift, eps = g^2/2 the full reverse
-    SDE, anything in between a marginal-preserving mixture.  It shares no
-    code with sampler.step_euler_z, so it serves as that step's independent
-    oracle.
-    """
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    bc = bridge_coefficients(sched, t)
-    return bc.f * x + bc.s * xT - (0.5 * bc.g_sq + eps) * score
-
-
 def _resolve_times(grid) -> np.ndarray:
     if isinstance(grid, TimeGrid):
         times = np.asarray(grid.points[::-1], dtype=np.float64)
@@ -118,7 +95,7 @@ def simulate_ensemble(
 
     Reverse sampling is sampler.sample; with variant "euler_z", boot_b = 0
     and tail_zero_steps = 0 it takes the Euler steps of the reverse drift
-    family that reverse_drift_from_score writes in score form.
+    family f x + s xT - (g^2/2 + eps) score.
 
     Args:
         start: initial positions; a d-vector shared by all paths or a callable

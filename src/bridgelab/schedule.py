@@ -345,9 +345,9 @@ def epsilon(
     t: float,
     dt: float,
     step_index: int,
-    total_steps: int,
 ) -> float:
-    """Per-step stochasticity level; step_index counts total_steps-1 down to 0."""
+    """Per-step stochasticity level; step_index counts the remaining steps down
+    to 0, and the last policy.tail_zero_steps of them take none."""
     if dt < 0:
         raise ValueError(f"dt must be >= 0, got {dt}")
     if step_index < policy.tail_zero_steps:

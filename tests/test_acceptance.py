@@ -28,6 +28,7 @@ from bridgelab.denoiser import (
     score_from_denoiser,
     train_mlp_denoiser,
 )
+from bridgelab.denoiser import _layers
 from bridgelab.denoiser import test_mse_vs_analytic as mse_vs_analytic
 from bridgelab.dynamics import estimate_marginal_moments, simulate_ensemble
 from bridgelab.metrics import (
@@ -191,7 +192,7 @@ class TestAcceptance:
         for pair in (("euler_z", "gamma_simplified"), ("gamma_simplified", "dbim")):
             diffs = []
             for dt in dts:
-                eps = epsilon(policy, LINEAR, t, dt, 1, 2)
+                eps = epsilon(policy, LINEAR, t, dt, 1)
                 out_a = variant_step(pair[0], dt, eps)
                 out_b = variant_step(pair[1], dt, eps)
                 diffs.append(float(np.mean(np.linalg.norm(out_a - out_b, axis=1))))
@@ -225,7 +226,7 @@ class TestAcceptance:
                 zh = rng.standard_normal(2)
                 ev = eval_schedule(sched, t)
                 x_t = ev.alpha * x_hat0 + ev.beta * xT + ev.gamma * zh
-                eps = epsilon(policy, sched, t, dt, 5, 10)
+                eps = epsilon(policy, sched, t, dt, 5)
                 a = apply_step(step_dbim(sched, t, dt, eps), x_hat0, xT, x_t, np.zeros(2))
                 b = apply_step(step_markovian(sched, t, dt, eps), x_hat0, xT, x_t, np.zeros(2))
                 worst_step = max(worst_step, float(np.max(np.abs(a - b))))
@@ -267,27 +268,26 @@ class TestAcceptance:
         test_mse = mse_vs_analytic(den, TASK_1D, n_probes=2048, seed=0)
         elapsed = time.perf_counter() - start
 
-        weights, biases = mlp_init([3, 5, 2], seed=0)
+        sizes = [3, 5, 2]
+        params = mlp_init(sizes, seed=0)
+        grads, spare = np.empty_like(params), np.empty_like(params)
+        net, spare_net = _layers(params, sizes), _layers(spare, sizes)
         gen = np.random.default_rng(12)
         x = gen.standard_normal((4, 3))
         target = gen.standard_normal((4, 2))
-        _, grads_w, grads_b = mlp_loss_and_grads(weights, biases, x, target)
+        mlp_loss_and_grads(*net, x, target, *_layers(grads, sizes))
         h = 1e-5
         worst_rel = 0.0
-        for k in range(len(weights)):
-            for params, grads in ((weights, grads_w), (biases, grads_b)):
-                it = np.nditer(params[k], flags=["multi_index"])
-                for _ in it:
-                    idx = it.multi_index
-                    orig = params[k][idx]
-                    params[k][idx] = orig + h
-                    up = mlp_loss_and_grads(weights, biases, x, target)[0]
-                    params[k][idx] = orig - h
-                    dn = mlp_loss_and_grads(weights, biases, x, target)[0]
-                    params[k][idx] = orig
-                    num = (up - dn) / (2 * h)
-                    rel = abs(num - grads[k][idx]) / max(abs(num) + abs(grads[k][idx]), 1e-8)
-                    worst_rel = max(worst_rel, rel)
+        for i in range(params.size):
+            orig = params[i]
+            params[i] = orig + h
+            up = mlp_loss_and_grads(*net, x, target, *spare_net)
+            params[i] = orig - h
+            dn = mlp_loss_and_grads(*net, x, target, *spare_net)
+            params[i] = orig
+            num = (up - dn) / (2 * h)
+            rel = abs(num - grads[i]) / max(abs(num) + abs(grads[i]), 1e-8)
+            worst_rel = max(worst_rel, rel)
         passed = test_mse <= 5e-3 and hyper.iters <= 20_000 and elapsed <= 300.0 and worst_rel <= 1e-4
         _report(
             "criterion 7 (trained denoiser)",

@@ -825,10 +825,9 @@ class TestTrainDenoiser:
         from bridgelab.schedule import Schedule
 
         model_path = tmp_path / "model.bin"
-        weights, biases = mlp_init([3, 4, 1], seed=0)
-        save_denoiser(
-            MlpDenoiser(weights, biases, Preconditioner(), Schedule(**LINEAR_SCHEDULE)), model_path
-        )
+        sizes = [3, 4, 1]
+        den = MlpDenoiser(mlp_init(sizes, 0), sizes, Preconditioner(), Schedule(**LINEAR_SCHEDULE))
+        save_denoiser(den, model_path)
         base = SAMPLE_CONFIG if command == "sample" else {
             **AFD_CONFIG, "afd": {**AFD_CONFIG["afd"], "feature": {"kind": "identity"}}}
         cfg = {**base, "task": TASK_2D, "denoiser": {"kind": "mlp", "path": str(model_path)}}

@@ -1,6 +1,7 @@
 """Analytic posterior means, preconditioning, MLP training, serialization."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -18,7 +19,6 @@ from bridgelab.denoiser import (
     AnalyticDenoiser,
     GmmCoupling,
     JointGaussian,
-    MapPlusNoise,
     MlpDenoiser,
     MlpHyper,
     Preconditioner,
@@ -38,6 +38,7 @@ from bridgelab.denoiser import (
     train_mlp_denoiser,
     zhat,
 )
+from bridgelab.denoiser import _layers
 from bridgelab.denoiser import test_mse_vs_analytic as mse_vs_analytic
 from bridgelab.schedule import Schedule, eval_schedule
 
@@ -180,10 +181,6 @@ class TestPairedDistributions:
         weights[0] = 0.5  # the caller's lists are not the coupling's
         assert gmm.weights == (0.25, 0.75)
 
-    def test_map_plus_noise_validation(self):
-        with pytest.raises(ValueError, match="noise_scale"):
-            MapPlusNoise(lambda rng, n: rng.standard_normal((n, 1)), lambda x: x, -0.1)
-
 
 class TestSamplePair:
     def test_joint_gaussian_moments(self):
@@ -213,22 +210,6 @@ class TestSamplePair:
         frac_high = float(np.mean(x_0[:, 0] > 0.0))
         se = math.sqrt(0.3 * 0.7 / 20000)
         assert abs(frac_high - 0.7) <= 4 * se + 0.01
-
-    def test_map_plus_noise_zero_noise_is_exact(self):
-        a_mat = np.array([[0.9, -0.2], [0.1, 0.7]])
-        dist = MapPlusNoise(
-            lambda rng, n: rng.standard_normal((n, 2)), lambda xT: xT @ a_mat.T, 0.0
-        )
-        x_0, x_T = sample_pair(dist, 100, np.random.default_rng(3))
-        np.testing.assert_array_equal(x_0, x_T @ a_mat.T)
-
-    def test_map_plus_noise_adds_stated_variance(self):
-        dist = MapPlusNoise(
-            lambda rng, n: rng.standard_normal((n, 2)), lambda xT: 2.0 * xT, 0.5
-        )
-        x_0, x_T = sample_pair(dist, 40000, np.random.default_rng(4))
-        resid_var = np.var(x_0 - 2.0 * x_T, axis=0)
-        np.testing.assert_allclose(resid_var, [0.25, 0.25], rtol=0.1, atol=0)
 
     def test_sample_condition_matches_xt_marginal(self):
         dist = _task_2d()
@@ -607,31 +588,30 @@ class TestPreconditioning:
 class TestMlp:
     def test_gradients_match_finite_differences(self):
         """Backprop gradients agree with central differences."""
-        weights, biases = mlp_init([3, 5, 2], seed=0)
+        sizes = [3, 5, 2]
+        params = mlp_init(sizes, seed=0)
+        grads, spare = np.empty_like(params), np.empty_like(params)
+        net, spare_net = _layers(params, sizes), _layers(spare, sizes)
         rng = np.random.default_rng(12)
         x = rng.standard_normal((4, 3))
         target = rng.standard_normal((4, 2))
-        _, grads_w, grads_b = mlp_loss_and_grads(weights, biases, x, target)
+        mlp_loss_and_grads(*net, x, target, *_layers(grads, sizes))
         h = 1e-5
 
-        def loss_at(ws, bs):
-            return mlp_loss_and_grads(ws, bs, x, target)[0]
+        def loss_at():
+            return mlp_loss_and_grads(*net, x, target, *spare_net)
 
-        for k in range(len(weights)):
-            for params, grads in ((weights, grads_w), (biases, grads_b)):
-                it = np.nditer(params[k], flags=["multi_index"])
-                for _ in it:
-                    idx = it.multi_index
-                    orig = params[k][idx]
-                    params[k][idx] = orig + h
-                    up = loss_at(weights, biases)
-                    params[k][idx] = orig - h
-                    dn = loss_at(weights, biases)
-                    params[k][idx] = orig
-                    num = (up - dn) / (2 * h)
-                    ana = grads[k][idx]
-                    rel = abs(num - ana) / max(abs(num) + abs(ana), 1e-8)
-                    assert rel <= 1e-4, f"layer {k} idx {idx}: {num} vs {ana}"
+        for i in range(params.size):
+            orig = params[i]
+            params[i] = orig + h
+            up = loss_at()
+            params[i] = orig - h
+            dn = loss_at()
+            params[i] = orig
+            num = (up - dn) / (2 * h)
+            ana = grads[i]
+            rel = abs(num - ana) / max(abs(num) + abs(ana), 1e-8)
+            assert rel <= 1e-4, f"param {i}: {num} vs {ana}"
 
     def test_training_is_deterministic(self):
         dist = _task_1d()
@@ -672,7 +652,9 @@ class TestMlp:
         "field, value",
         [("lr", math.nan), ("lr", math.inf), ("lr", -math.inf), ("lr", True), ("lr", "0.1"),
          ("layers", True), ("layers", 0), ("width", 2.5), ("width", np.float64(32.0)),
-         ("batch", "8"), ("batch", False), ("iters", 10.0), ("iters", -1)],
+         ("batch", "8"), ("batch", False), ("iters", 10.0), ("iters", -1),
+         ("t_max", True), ("t_min", "0.1"), ("t_min", math.nan), ("t_max", math.inf),
+         ("t_min", False), ("t_max", None)],
     )
     def test_hyper_rejects_a_bad_value_and_names_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"train.{field} must be"):
@@ -682,10 +664,39 @@ class TestMlp:
         assert MlpHyper(width=np.int64(8), lr=np.float64(0.1)).width == 8
 
     def test_init_shapes_and_zero_biases(self):
-        weights, biases = mlp_init([5, 7, 2], seed=1)
+        weights, biases = _layers(mlp_init([5, 7, 2], seed=1), [5, 7, 2])
         assert [w.shape for w in weights] == [(5, 7), (7, 2)]
         for b in biases:
             np.testing.assert_array_equal(b, np.zeros_like(b))
+
+    def test_layers_are_views_of_a_frozen_private_copy(self):
+        params = mlp_init([3, 4, 1], seed=0)
+        den = MlpDenoiser(params, (3, np.int64(4), 1), Preconditioner(), LINEAR)
+        params[0] += 1.0  # the caller's vector is not the denoiser's
+        assert den.params[0] != params[0] and den.sizes == (3, 4, 1) and den.d == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            den.params = params
+        with pytest.raises(ValueError, match="read-only"):
+            den.weights[0][0, 0] = 1.0
+        assert all(np.shares_memory(a, den.params) for a in den.weights + den.biases)
+        _assert_same_bits(np.concatenate([den.weights[0].ravel(), den.biases[0],
+                                          den.weights[1].ravel(), den.biases[1]]), den.params)
+
+    @pytest.mark.parametrize(
+        "sizes, params, match",
+        [([3, 4], np.zeros(16), "sizes"), ([3, 0, 1], np.zeros(5), "sizes"),
+         ([3], np.zeros(0), "sizes"), ([3.0, 4, 1], np.zeros(21), "sizes"),
+         ([3, True, 1], np.zeros(7), "sizes"), ("3,4,1", np.zeros(21), "sizes"),
+         ([3, 4, 1], np.zeros(20), "parameter block"),
+         ([3, 4, 1], np.zeros((1, 21)), "parameter block"),
+         ([3, 4, 1], np.r_[np.zeros(20), np.nan], "finite"),
+         ([3, 4, 1], np.r_[np.inf, np.zeros(20)], "finite")],
+        ids=["3-4", "zero-width", "one-size", "float-size", "bool-size", "str-sizes",
+             "short", "2d-params", "nan", "inf"],
+    )
+    def test_direct_construction_checks_sizes_length_and_values(self, sizes, params, match):
+        with pytest.raises(ValueError, match=match):
+            MlpDenoiser(params, sizes, Preconditioner(), LINEAR)
 
 
 def _forward_expression_form(weights, biases, x):
@@ -696,16 +707,22 @@ def _forward_expression_form(weights, biases, x):
     return h @ weights[-1] + biases[-1]
 
 
-def _random_net(sizes, seed):
+def _random_params(sizes, seed):
     """Weights from mlp_init and nonzero biases, so every += b changes bits."""
-    weights, _ = mlp_init(sizes, seed)
+    params = mlp_init(sizes, seed)
     gen = np.random.default_rng(seed)
-    return weights, [gen.standard_normal(n) * 0.3 for n in sizes[1:]]
+    for b in _layers(params, sizes)[1]:
+        b[...] = gen.standard_normal(b.size) * 0.3
+    return params
+
+
+def _random_net(sizes, seed):
+    return _layers(_random_params(sizes, seed), sizes)
 
 
 def _mlp_den(width: int = 32, d: int = 1, seed: int = 4) -> MlpDenoiser:
-    weights, biases = _random_net([2 * d + 1, width, width, d], seed)
-    return MlpDenoiser(weights, biases, Preconditioner(0.6, 0.9, 0.2), LINEAR)
+    sizes = [2 * d + 1, width, width, d]
+    return MlpDenoiser(_random_params(sizes, seed), sizes, Preconditioner(0.6, 0.9, 0.2), LINEAR)
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -801,15 +818,13 @@ class TestMlpLayerBuffers:
         assert peak < one_hidden
 
 
-def _map_plus_noise() -> MapPlusNoise:
-    return MapPlusNoise(lambda gen, n: gen.standard_normal((n, 2)), np.tanh, 0.1)
-
-
 def _train_per_iteration(data, sched, prec, hyper):
     """Reference training: builds each minibatch alone, one iteration at a time."""
     probe = sample_pair(data, 1, _rng.stream(hyper.seed, _rng.TAG_TASK))[0]
     d = probe.shape[1]
-    weights, biases = mlp_init([2 * d + 1] + [hyper.width] * hyper.layers + [d], hyper.seed)
+    sizes = [2 * d + 1] + [hyper.width] * hyper.layers + [d]
+    params = mlp_init(sizes, hyper.seed)
+    grads = np.empty_like(params)
     running = math.nan
     for it in range(hyper.iters):
         gen = _rng.stream(hyper.seed, _rng.TAG_TRAIN, it)
@@ -821,28 +836,25 @@ def _train_per_iteration(data, sched, prec, hyper):
         x_t = ev.alpha * x_0 + ev.beta * x_T + ev.gamma * z
         x_net = np.concatenate([c_in * x_t, x_T, c_noise], axis=1)
         target = (x_0 - c_skip * x_t) / c_out
-        loss, grads_w, grads_b = mlp_loss_and_grads(weights, biases, x_net, target)
+        loss = mlp_loss_and_grads(*_layers(params, sizes), x_net, target, *_layers(grads, sizes))
         if not math.isfinite(loss):
             raise ValueError(f"training diverged at iteration {it}: loss = {loss}")
-        for k in range(len(weights)):
-            weights[k] -= hyper.lr * grads_w[k]
-            biases[k] -= hyper.lr * grads_b[k]
+        params -= hyper.lr * grads
         running = loss if math.isnan(running) else 0.99 * running + 0.01 * loss
-    return weights, biases, running
+    return params, running
 
 
 def _assert_same_training(got, want):
     den, running = got
-    weights, biases, want_running = want
+    params, want_running = want
     assert running == want_running
-    for got_p, want_p in zip(den.weights + den.biases, weights + biases):
-        np.testing.assert_array_equal(got_p, want_p)
+    np.testing.assert_array_equal(den.params, params)
 
 
 class TestBlockedTraining:
     """Minibatches built a block of iterations at a time are the per-iteration ones."""
 
-    TASKS = {"1d": _task_1d, "2d": _task_2d, "gmm": _gmm_2comp, "map": _map_plus_noise}
+    TASKS = {"1d": _task_1d, "2d": _task_2d, "gmm": _gmm_2comp}
 
     @pytest.mark.parametrize("iters", [1, 31, 32, 33, 65])
     @pytest.mark.parametrize("task", sorted(TASKS))
@@ -870,7 +882,7 @@ class TestBlockedTraining:
         want = train_mlp_denoiser(_task_2d(), LINEAR, Preconditioner(), hyper)
         monkeypatch.setattr(denoiser_module, "_TRAIN_BLOCK_ROWS", block_iters * hyper.batch)
         got = train_mlp_denoiser(_task_2d(), LINEAR, Preconditioner(), hyper)
-        _assert_same_training(got, (want[0].weights, want[0].biases, want[1]))
+        _assert_same_training(got, (want[0].params, want[1]))
 
     def test_divergence_names_the_per_iteration_index(self):
         hyper = MlpHyper(layers=1, width=8, lr=1e9, batch=16, iters=50, seed=0)
@@ -914,7 +926,7 @@ class TestDenoiserDispatch:
         assert mse_vs_analytic(den, dist, n_probes=64) == 0.0
 
     def test_mse_needs_an_analytic_reference(self):
-        dist = MapPlusNoise(lambda rng, n: rng.standard_normal((n, 1)), lambda x: x, 0.1)
+        dist = object()
         den = AnalyticDenoiser(_task_1d(), LINEAR)
         with pytest.raises(ValueError, match="analytic reference"):
             mse_vs_analytic(den, dist, n_probes=8)
@@ -924,10 +936,10 @@ class TestAnalyticDenoiser:
     """One analytic denoiser and one uncached route serve both task kinds."""
 
     def test_task_without_a_closed_form_rejected_at_construction(self):
-        dist = MapPlusNoise(lambda rng, n: rng.standard_normal((n, 1)), lambda x: x, 0.1)
-        with pytest.raises(ValueError, match="analytic reference denoiser for map_plus_noise"):
+        dist = object()
+        with pytest.raises(ValueError, match="analytic reference denoiser for object"):
             AnalyticDenoiser(dist, LINEAR)
-        with pytest.raises(ValueError, match="map_plus_noise"):
+        with pytest.raises(ValueError, match="object"):
             analytic_denoise(dist, LINEAR, np.array([0.4]), np.array([0.8]), 0.5)
 
     def test_uncached_route_equals_denoise_on_a_mixture(self):
@@ -979,6 +991,24 @@ class TestSerialization:
         np.testing.assert_array_equal(
             mlp_denoise(den, x_t, xT, 0.5), mlp_denoise(back, x_t, xT, 0.5)
         )
+
+    # sha256 of denoiser_to_bytes and float.hex of the running loss, computed
+    # when each layer was still a separate array: the flat parameter vector
+    # changed no byte of model.bin.
+    @pytest.mark.parametrize(
+        "task, hyper, digest, running",
+        [("2d", MlpHyper(layers=2, width=8, lr=0.02, batch=64, iters=70, seed=1),
+          "91746f5cb9f11bef783640598ee3b512ced023ee1fe8e18f1c5066902d63d569",
+          "0x1.a3397835f209ep-1"),
+         ("gmm", MlpHyper(layers=1, width=16, lr=0.03, batch=32, iters=40, seed=3),
+          "a2a576d597dd9a0b8e7dad64a717a7748a94659007f0720ac747c022d6b8edf1",
+          "0x1.a55059b816f89p+0")],
+    )
+    def test_trained_model_bytes_are_pinned(self, task, hyper, digest, running):
+        data = {"2d": _task_2d, "gmm": _gmm_2comp}[task]()
+        den, got = train_mlp_denoiser(data, LINEAR, Preconditioner(0.6, 0.9, 0.2), hyper)
+        assert hashlib.sha256(denoiser_to_bytes(den)).hexdigest() == digest
+        assert got.hex() == running
 
     def test_header_names_the_format(self):
         blob = denoiser_to_bytes(self._tiny_mlp())
@@ -1052,13 +1082,11 @@ class TestSerialization:
             load_denoiser(path)
 
     def test_custom_schedule_not_serializable(self):
-        den = self._tiny_mlp()
-        object.__setattr__  # frozen dataclass note: Schedule is frozen
-        den.sched = Schedule(
+        den = dataclasses.replace(self._tiny_mlp(), sched=Schedule(
             kind="custom",
             alpha_fn=lambda t: 1 - t,
             beta_fn=lambda t: t,
             gamma_fn=lambda t: 0.1,
-        )
+        ))
         with pytest.raises(ValueError, match="not serializable"):
             denoiser_to_bytes(den)

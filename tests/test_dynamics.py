@@ -11,7 +11,6 @@ from bridgelab import rng as _rng
 from bridgelab.dynamics import (
     PathEnsemble,
     estimate_marginal_moments,
-    reverse_drift_from_score,
     simulate_ensemble,
 )
 from bridgelab.metrics import convergence_slope
@@ -19,6 +18,27 @@ from bridgelab.sampler import apply_step, step_euler_z
 from bridgelab.schedule import Schedule, bridge_coefficients, eval_schedule
 
 LINEAR = Schedule(kind="linear", gamma_max=0.125)
+
+
+def reverse_drift_from_score(
+    sched: Schedule,
+    eps: float,
+    x: np.ndarray,
+    xT: np.ndarray,
+    t: float,
+    score: np.ndarray,
+) -> np.ndarray:
+    """Reverse-family drift f x + s xT - (g^2/2 + eps) score from the raw score.
+
+    eps = 0 gives the deterministic-flow drift, eps = g^2/2 the full reverse
+    SDE, anything in between a marginal-preserving mixture.  It shares no
+    code with sampler.step_euler_z, so it serves as that step's independent
+    oracle.
+    """
+    if eps < 0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
+    bc = bridge_coefficients(sched, t)
+    return bc.f * x + bc.s * xT - (0.5 * bc.g_sq + eps) * score
 
 
 def _zero_gamma_schedule() -> Schedule:

@@ -148,7 +148,7 @@ class TestStepTable:
     def test_coefficients_reproduce_the_reference_step(self, variant, sched_name, eps_kind):
         sched, policy = SCHEDULES[sched_name], EPS_POLICIES[eps_kind]
         for t, dt, x_hat0, anchor, x_t, z in _probe_steps(50):
-            eps = epsilon(policy, sched, t, dt, 5, 10)
+            eps = epsilon(policy, sched, t, dt, 5)
             if variant == "dbim" and eval_schedule(sched, t - dt).gamma ** 2 < 2.0 * eps * dt:
                 # outside the root-split step's domain, which it must refuse
                 with pytest.raises(ValueError, match="too large"):
@@ -185,7 +185,7 @@ class TestStepTable:
             if step_index < tail:
                 x = ref_tail(LINEAR, x, anchor, x_hat0, t, dt, 0.0, 0.0)
             else:
-                eps = epsilon(policy, LINEAR, t, dt, step_index, grid.n_steps)
+                eps = epsilon(policy, LINEAR, t, dt, step_index)
                 z = _rng.stream(4, _rng.TAG_SAMPLER, step_index, 0).standard_normal(x.shape)
                 x = REFERENCE[variant](LINEAR, x, anchor, x_hat0, t, dt, eps, z)
         np.testing.assert_allclose(got, x, rtol=0, atol=1e-12)
@@ -252,7 +252,7 @@ class TestVariantEquivalences:
         the anchor coefficient vanishes and the other three agree."""
         policy = EpsilonPolicy(kind="i2sb_markovian", tail_zero_steps=0)
         for t, dt, *_ in _probe_steps(1000):
-            eps = epsilon(policy, sched, t, dt, 5, 10)
+            eps = epsilon(policy, sched, t, dt, 5)
             np.testing.assert_allclose(
                 step_dbim(sched, t, dt, eps), step_markovian(sched, t, dt, eps),
                 rtol=0, atol=1e-12,
@@ -397,8 +397,8 @@ class TestSampleLoop:
     def test_mlp_scratch_changes_no_bit(self, monkeypatch):
         """Per-chunk layer buffers give the output of a fresh network call per step,
         over two chunks, the second one short."""
-        weights, biases = mlp_init([3, 16, 16, 1], seed=2)
-        den = MlpDenoiser(weights, biases, Preconditioner(), LINEAR)
+        sizes = [3, 16, 16, 1]
+        den = MlpDenoiser(mlp_init(sizes, seed=2), sizes, Preconditioner(), LINEAR)
         cfg = SamplerConfig(
             schedule=LINEAR,
             eps_policy=EpsilonPolicy(kind="eta_scaled", eta=0.5),
@@ -543,7 +543,7 @@ class TestReverseFamilyPreservesMarginals:
         mean, var = self._kernel_law(times[0])
         for k in range(n_steps):
             t, dt = float(times[k]), float(times[k] - times[k + 1])
-            eps = epsilon(policy, LINEAR, t, dt, n_steps - 1 - k, n_steps)
+            eps = epsilon(policy, LINEAR, t, dt, n_steps - 1 - k)
             a, b, c, s = step_euler_z(LINEAR, t, dt, eps)
             at0, at1 = (
                 float(analytic_denoise(_task_1d(), LINEAR, np.array([[x]]), xT, t)[0, 0])

@@ -190,7 +190,7 @@ class TestEpsilonPolicy:
     def test_eta_scaled_example(self):
         policy = EpsilonPolicy(kind="eta_scaled", eta=0.3, tail_zero_steps=2)
         sched = Schedule(kind="linear", gamma_max=0.125)
-        got = epsilon(policy, sched, 0.5, 0.01, step_index=5, total_steps=40)
+        got = epsilon(policy, sched, 0.5, 0.01, step_index=5)
         np.testing.assert_allclose(got, 5.859375e-4, rtol=0, atol=1e-18)
 
     @pytest.mark.parametrize(
@@ -205,13 +205,13 @@ class TestEpsilonPolicy:
     )
     def test_tail_forces_zero(self, policy):
         sched = Schedule(kind="linear")
-        assert epsilon(policy, sched, 0.5, 0.01, step_index=1, total_steps=40) == 0.0
-        assert epsilon(policy, sched, 0.5, 0.01, step_index=0, total_steps=40) == 0.0
+        assert epsilon(policy, sched, 0.5, 0.01, step_index=1) == 0.0
+        assert epsilon(policy, sched, 0.5, 0.01, step_index=0) == 0.0
 
     def test_i2sb_markovian_example(self):
         policy = EpsilonPolicy(kind="i2sb_markovian", tail_zero_steps=2)
         sched = Schedule(kind="linear", gamma_max=0.125)
-        got = epsilon(policy, sched, 0.5, 0.25, step_index=5, total_steps=40)
+        got = epsilon(policy, sched, 0.5, 0.25, step_index=5)
         np.testing.assert_allclose(got, 9.765625e-4, rtol=0, atol=1e-18)
 
     def test_i2sb_markovian_negative_is_an_error(self):
@@ -226,25 +226,25 @@ class TestEpsilonPolicy:
             )
             policy = EpsilonPolicy(kind="i2sb_markovian", tail_zero_steps=0)
             with pytest.raises(ValueError, match="negative"):
-                epsilon(policy, sched, 0.5, 0.1, step_index=5, total_steps=40)
+                epsilon(policy, sched, 0.5, 0.1, step_index=5)
 
     def test_constant_and_zero_kinds(self):
         sched = Schedule(kind="linear")
-        assert epsilon(EpsilonPolicy(kind="zero"), sched, 0.4, 0.01, 9, 10) == 0.0
-        got = epsilon(EpsilonPolicy(kind="constant", const_value=0.7), sched, 0.4, 0.01, 9, 10)
+        assert epsilon(EpsilonPolicy(kind="zero"), sched, 0.4, 0.01, 9) == 0.0
+        got = epsilon(EpsilonPolicy(kind="constant", const_value=0.7), sched, 0.4, 0.01, 9)
         assert got == 0.7
 
     def test_constant_scaled_by_gamma_sq(self):
         sched = Schedule(kind="edm")
         policy = EpsilonPolicy(kind="constant", const_value=2.0, scale_by_gamma_sq=True)
-        got = epsilon(policy, sched, 0.5, 0.01, step_index=9, total_steps=10)
+        got = epsilon(policy, sched, 0.5, 0.01, step_index=9)
         np.testing.assert_allclose(got, 2.0 * 0.25, rtol=1e-15)
 
     def test_nonnegative_over_grid(self):
         policy = EpsilonPolicy(kind="eta_scaled", eta=1.0, tail_zero_steps=0)
         for sched in (Schedule(kind="linear"), Schedule(kind="trig")):
             for t in INTERIOR:
-                assert epsilon(policy, sched, t, 0.01, 5, 40) >= 0.0
+                assert epsilon(policy, sched, t, 0.01, 5) >= 0.0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -439,7 +439,7 @@ class TestArrayEvaluation:
     def test_i2sb_markovian_epsilon_checks_the_previous_time(self):
         policy = EpsilonPolicy(kind="i2sb_markovian", tail_zero_steps=0)
         with pytest.raises(ValueError, match="outside"):
-            epsilon(policy, Schedule(kind="linear"), 0.05, 0.1, step_index=5, total_steps=40)
+            epsilon(policy, Schedule(kind="linear"), 0.05, 0.1, step_index=5)
 
     @pytest.mark.parametrize("family", ["ve", "vp", "edm", "i2sb"])
     def test_reformulation_deviation_is_a_python_float(self, family):
