@@ -36,7 +36,7 @@ from .denoiser import (
     train_mlp_denoiser,
 )
 from .dynamics import estimate_marginal_moments, simulate_ensemble
-from .metrics import ConditionedSamples, Identity, afd, convergence_slope, random_projection
+from .metrics import afd, convergence_slope, random_projection
 from .sampler import (
     VARIANTS,
     SamplerConfig,
@@ -518,15 +518,15 @@ def _parse_afd_study(cfg: dict, seed: int):
     if vals["boot_values"].size < 1 or np.any(vals["boot_values"] < 0):
         raise ConfigError("afd.boot_values: expected a non-empty list of values >= 0")
     feature = vals.get("feature", {"kind": "identity"})
-    if feature["kind"] == "random_projection":
-        vals["feature"] = random_projection(task.d, feature["d_out"], feature["seed"])
-    else:
-        vals["feature"] = Identity()
+    vals["projection"] = (
+        random_projection(task.d, feature["d_out"], feature["seed"])
+        if feature["kind"] == "random_projection" else None
+    )
     return task, den, base_cfg, vals
 
 
 def _run_afd_study(task, den, base_cfg, vals, seed: int, threads: int):
-    boot_values, feature = vals["boot_values"], vals["feature"]
+    boot_values, projection = vals["boot_values"], vals["projection"]
     n_conditions, n_replicates = vals["n_conditions"], vals["n_replicates"]
     conds = sample_condition(task, n_conditions, _rng.stream(seed, _rng.TAG_TASK))
     xT_batch = np.repeat(conds, n_replicates, axis=0)
@@ -534,7 +534,7 @@ def _run_afd_study(task, den, base_cfg, vals, seed: int, threads: int):
     for b in boot_values:
         cfg_b = dataclasses.replace(base_cfg, boot_b=float(b), record_trajectory=False)
         result = sample(cfg_b, den, xT_batch, threads=threads)
-        report = afd(ConditionedSamples(np.split(result.x0_batch, n_conditions), feature))
+        report = afd(np.split(result.x0_batch, n_conditions), projection)
         afd_values.append(report.afd)
         group_afds.append(report.per_group)
 

@@ -40,14 +40,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointGaussian:
     """Jointly Gaussian endpoint pair (x0, xT) given by block moments.
 
     Frozen, with read-only copies of its blocks, so the factors built once at
     construction stay valid: the Cholesky factor of covTT with its
     whitening matrix and half log-determinant, the gain M and covariance C of
-    x0 | xT, and a square root of C.
+    x0 | xT, and a square root of C.  It compares and hashes by identity, as
+    its array fields have no single truth value.
     """
 
     mean0: np.ndarray
@@ -150,6 +151,7 @@ def sample_pair(
     dist: AnalyticTask, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draws n endpoint pairs (x0, xT) from the coupling."""
+    _check_analytic(dist)
     if isinstance(dist, JointGaussian):
         z_T = rng.standard_normal((n, dist.d))
         z_0 = rng.standard_normal((n, dist.d))
@@ -169,6 +171,7 @@ def sample_pair(
 
 def sample_condition(dist: AnalyticTask, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draws n conditioning endpoints xT from the coupling's xT marginal."""
+    _check_analytic(dist)
     if isinstance(dist, JointGaussian):
         return dist.meanT + rng.standard_normal((n, dist.d)) @ dist._chol_TT.T
     ks = rng.choice(len(dist.weights), size=n, p=dist.weights)
@@ -448,15 +451,16 @@ def _layers(params: np.ndarray, sizes: Sequence[int]) -> tuple[list[np.ndarray],
     return weights, biases
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MlpDenoiser:
     """Residual network F plus the scalings that assemble D from it.
 
     params holds every weight and bias in one float64 vector, the model.bin
     body, for layer widths sizes = [2d+1, ..., d].  Frozen, with a read-only
     copy of params, so the weights and biases views built once at
-    construction stay valid.  Bad sizes, a params vector of the wrong length
-    or a non-finite value raise ValueError.
+    construction stay valid.  It compares and hashes by identity.  Bad sizes,
+    a params vector of the wrong length or a non-finite value raise
+    ValueError.
     """
 
     params: np.ndarray

@@ -98,8 +98,7 @@ def simulate_ensemble(
     family f x + s xT - (g^2/2 + eps) score.
 
     Args:
-        start: initial positions; a d-vector shared by all paths or a callable
-            (rng, n) -> (n, d) drawn per chunk.
+        start: initial position, d-vector shared by all paths.
         xT: conditioning endpoint, d-vector (broadcast across paths).
         grid: TimeGrid (walked t_min -> t_max) or an explicit strictly
             increasing time array.
@@ -113,7 +112,8 @@ def simulate_ensemble(
     xT = np.asarray(xT, dtype=np.float64)
     if not np.all(np.isfinite(xT)):
         raise ValueError("xT must be finite")
-    if not callable(start) and not np.all(np.isfinite(start)):
+    start = np.asarray(start, dtype=np.float64)
+    if not np.all(np.isfinite(start)):
         raise ValueError("start must be finite")
     d = xT.shape[-1]
     m = times.shape[0]
@@ -123,15 +123,7 @@ def simulate_ensemble(
 
     def work(chunk: int, sl: slice) -> None:
         rows = sl.stop - sl.start
-        if callable(start):
-            x = start(_rng.stream(seed, _rng.TAG_START, 0, chunk), rows)
-            x = np.array(x, dtype=np.float64)  # a private float copy: the steps update it in place
-        else:
-            x = np.broadcast_to(np.asarray(start, dtype=np.float64), (rows, d)).copy()
-        if x.shape != (rows, d):
-            raise ValueError(f"start produced shape {x.shape}, expected {(rows, d)}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"start produced non-finite values in rows [{sl.start}:{sl.stop})")
+        x = np.broadcast_to(start, (rows, d)).copy()  # the steps update x in place
         if record:
             out[sl, 0] = x
         for k in range(m - 1):

@@ -1,69 +1,24 @@
-"""Diversity and distribution diagnostics: AFD, MSE, energy distance, slopes."""
+"""Diversity and distribution diagnostics: AFD, energy distance, slopes.
+
+AFD takes plain replicate groups and an optional projection matrix.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from . import rng as _rng
 
-@dataclass(frozen=True)
-class Identity:
-    kind = "identity"
 
-
-@dataclass
-class AffineProjection:
-    """Fixed linear feature map y -> y @ matrix.T."""
-
-    matrix: np.ndarray
-
-    kind = "affine_projection"
-
-    def __post_init__(self):
-        self.matrix = np.atleast_2d(np.asarray(self.matrix, dtype=np.float64))
-        if not np.all(np.isfinite(self.matrix)):
-            raise ValueError("matrix contains non-finite values")
-
-
-FeatureMap = Union[Identity, AffineProjection]
-
-
-def random_projection(d_in: int, d_out: int, seed: int) -> AffineProjection:
-    """Seeded random projection emulating a latent feature space."""
+def random_projection(d_in: int, d_out: int, seed: int) -> np.ndarray:
+    """Seeded (d_out, d_in) random projection emulating a latent feature space."""
     if not _rng.is_integer(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     gen = np.random.default_rng(seed)
-    return AffineProjection(gen.standard_normal((d_out, d_in)) / np.sqrt(d_in))
-
-
-@dataclass
-class ConditionedSamples:
-    """Replicate groups, one group of outputs per conditioning input."""
-
-    groups: Sequence[np.ndarray]
-    feature_map: FeatureMap = Identity()
-
-    def __post_init__(self):
-        self.groups = tuple(np.atleast_2d(np.asarray(g, dtype=np.float64)) for g in self.groups)
-        if not self.groups:
-            raise ValueError("at least one replicate group is required")
-        if len({g.shape[1] for g in self.groups}) != 1:
-            raise ValueError("all groups must share one feature dimension")
-        for i, g in enumerate(self.groups):
-            if not np.all(np.isfinite(g)):
-                raise ValueError(f"groups[{i}] contains non-finite values")
-        if isinstance(self.feature_map, AffineProjection):
-            d_in, d = self.feature_map.matrix.shape[1], self.groups[0].shape[1]
-            if d_in != d:
-                raise ValueError(f"feature_map takes {d_in}-d inputs, groups are {d}-d")
-
-    def features(self) -> tuple[np.ndarray, ...]:
-        if isinstance(self.feature_map, Identity):
-            return self.groups
-        return tuple(g @ self.feature_map.matrix.T for g in self.groups)
+    return gen.standard_normal((d_out, d_in)) / np.sqrt(d_in)
 
 
 @dataclass(frozen=True)
@@ -109,14 +64,32 @@ def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _AFD_STACK_ENTRIES = 1 << 20
 
 
-def afd(cs: ConditionedSamples) -> AFDReport:
+def afd(groups: Sequence[np.ndarray], projection: np.ndarray | None = None) -> AFDReport:
     """Mean pairwise feature distance within each group, averaged over groups.
 
-    Per group with L replicates: sum of ||F(y_k) - F(y_l)|| over ordered pairs
-    k != l, divided by L^2 - L.  Groups of one size share one stacked
-    distance call.
+    ``groups`` holds one (L_i, d) array of replicate outputs per conditioning
+    input; the features are the rows themselves, or ``g @ projection.T`` for
+    a (d_out, d) ``projection``.  Per group with L replicates: sum of
+    ||F(y_k) - F(y_l)|| over ordered pairs k != l, divided by L^2 - L.
+    Groups of one size share one stacked distance call.
     """
-    feats = cs.features()
+    groups = [np.atleast_2d(np.asarray(g, dtype=np.float64)) for g in groups]
+    if not groups:
+        raise ValueError("at least one replicate group is required")
+    if len({g.shape[1] for g in groups}) != 1:
+        raise ValueError("all groups must share one feature dimension")
+    for i, g in enumerate(groups):
+        if not np.all(np.isfinite(g)):
+            raise ValueError(f"groups[{i}] contains non-finite values")
+    feats = groups
+    if projection is not None:
+        projection = np.atleast_2d(np.asarray(projection, dtype=np.float64))
+        if not np.all(np.isfinite(projection)):
+            raise ValueError("projection matrix contains non-finite values")
+        d_in, d = projection.shape[1], groups[0].shape[1]
+        if d_in != d:
+            raise ValueError(f"projection takes {d_in}-d inputs, groups are {d}-d")
+        feats = [g @ projection.T for g in groups]
     sizes = np.array([f.shape[0] for f in feats])
     for i, n in enumerate(sizes):
         if n < 2:
@@ -131,14 +104,6 @@ def afd(cs: ConditionedSamples) -> AFDReport:
             sums[part] = _pair_distances(stack, stack).sum(axis=(1, 2))
     per_group = sums / (sizes * sizes - sizes)
     return AFDReport(float(np.mean(per_group)), tuple(per_group.tolist()))
-
-
-def mse(batch: np.ndarray, reference: np.ndarray) -> float:
-    batch = np.asarray(batch, dtype=np.float64)
-    reference = np.asarray(reference, dtype=np.float64)
-    if batch.shape != reference.shape:
-        raise ValueError(f"shape mismatch: {batch.shape} vs {reference.shape}")
-    return float(np.mean((batch - reference) ** 2))
 
 
 def _two_samples(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

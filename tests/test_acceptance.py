@@ -32,7 +32,6 @@ from bridgelab.denoiser import _layers
 from bridgelab.denoiser import test_mse_vs_analytic as mse_vs_analytic
 from bridgelab.dynamics import estimate_marginal_moments, simulate_ensemble
 from bridgelab.metrics import (
-    ConditionedSamples,
     afd,
     convergence_slope,
     energy_distance,
@@ -298,8 +297,8 @@ class TestAcceptance:
 
     def test_criterion_8_afd_examples_and_monotonicity(self):
         """AFD hand values are exact and diversity grows with the boot level."""
-        two_points = afd(ConditionedSamples([np.array([[0.0, 0.0], [3.0, 4.0]])])).afd
-        collapsed = afd(ConditionedSamples([np.ones((4, 2))])).afd
+        two_points = afd([np.array([[0.0, 0.0], [3.0, 4.0]])]).afd
+        collapsed = afd([np.ones((4, 2))]).afd
         exact_ok = two_points == 5.0 and collapsed == 0.0
 
         den = AnalyticDenoiser(GMM_BIMODAL, LINEAR)
@@ -318,7 +317,7 @@ class TestAcceptance:
             )
             result = sample(cfg, den, xT_batch, threads=2)
             groups = [result.x0_batch[i * 8 : (i + 1) * 8] for i in range(6)]
-            values.append(afd(ConditionedSamples(groups)).afd)
+            values.append(afd(groups).afd)
         monotone = values[0] < values[1] < values[2]
         passed = exact_ok and monotone
         _report(

@@ -1,6 +1,7 @@
 """End-to-end command runs: exit codes, artifacts, atomicity, determinism."""
 
 import copy
+import hashlib
 import json
 import math
 import os
@@ -618,6 +619,41 @@ class TestAfdStudy:
             },
         )
         assert _run("afd-study", cfg, tmp_path / "out") == 0
+
+
+    # sha256 of each artifact, computed while afd still took a wrapper type
+    # around its groups and feature map: passing the plain groups and
+    # projection matrix changed no byte.
+    @pytest.mark.parametrize(
+        "task, feature, digests",
+        [(GMM_TASK, {"kind": "identity"},
+          {"afd.csv": "9cc2bc2c383f146cf66590a0731ae573b9edb399ea5436fe392a7ea865566a66",
+           "afd_groups.csv": "e69ebca3fd59d1977dd7ee5d1f72124d123c3580929a0dc50754ade1e610acd3",
+           "afd.json": "c06cf4116017e37bcb3d093203280eefd48167bf3f9ed5654bb9d039707561a6"}),
+         (TASK_2D, {"kind": "random_projection", "d_out": 16, "seed": 2},
+          {"afd.csv": "6ff7a9a6d1ab21ef035c4a38f6974a1da8bc9a63d7abac7f739a04de7130e9e1",
+           "afd_groups.csv": "6ea8989037b8c55f60db5a208f714b3f088fed9112ab3aa998f39dd515775e68",
+           "afd.json": "fc0fe6803ab5739573e297ba093851df79226b463257260ced9d8f2e2a963e77"})],
+        ids=["identity", "random_projection"],
+    )
+    def test_artifact_bytes_are_pinned(self, tmp_path, task, feature, digests):
+        cfg = _write_config(
+            tmp_path, "c.json",
+            {
+                "schedule": LINEAR_SCHEDULE,
+                "grid": {"n_steps": 12},
+                "eps_policy": {"kind": "zero"},
+                "task": task,
+                "denoiser": {"kind": "analytic"},
+                "sampler": {"variant": "gamma_simplified"},
+                "afd": {"boot_values": [0.0, 0.25, 0.5], "n_conditions": 6, "n_replicates": 8,
+                        "feature": feature},
+            },
+        )
+        out = tmp_path / "out"
+        assert _run("afd-study", cfg, out, seed=1) == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256(_read_bytes(out, name)).hexdigest() == digest, name
 
 
 class TestConvergenceStudy:

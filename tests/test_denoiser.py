@@ -942,6 +942,30 @@ class TestAnalyticDenoiser:
         with pytest.raises(ValueError, match="object"):
             analytic_denoise(dist, LINEAR, np.array([0.4]), np.array([0.8]), 0.5)
 
+    @pytest.mark.parametrize("entry", [
+        lambda dist: sample_pair(dist, 2, np.random.default_rng(0)),
+        lambda dist: sample_condition(dist, 2, np.random.default_rng(0)),
+        lambda dist: train_mlp_denoiser(dist, LINEAR, Preconditioner(), MlpHyper(iters=1)),
+    ], ids=["sample_pair", "sample_condition", "train_mlp_denoiser"])
+    def test_task_without_a_closed_form_rejected_by_samplers_and_training(self, entry):
+        with pytest.raises(ValueError, match="analytic reference denoiser for object"):
+            entry(object())
+
+    def test_array_holding_objects_compare_and_hash_by_identity(self):
+        """Equal-valued but distinct tasks and networks compare unequal without
+        raising; each equals itself and hashes."""
+        task_a, task_b = _task_2d(), _task_2d()
+        mlp_a, mlp_b = _mlp_den(d=2), _mlp_den(d=2)
+        den_a, den_b = AnalyticDenoiser(task_a, LINEAR), AnalyticDenoiser(task_b, LINEAR)
+        for a, b in ((task_a, task_b), (mlp_a, mlp_b), (den_a, den_b)):
+            assert a == a and b == b
+            assert a != b
+            assert hash(a) == hash(a)
+        assert AnalyticDenoiser(task_a, LINEAR) == den_a
+        gmm = GmmCoupling(weights=(1.0,), components=(task_a,))
+        assert gmm == GmmCoupling(weights=(1.0,), components=(task_a,))
+        assert len({gmm, task_a, mlp_a}) == 3
+
     def test_uncached_route_equals_denoise_on_a_mixture(self):
         gmm = _gmm_2d()
         gen = np.random.default_rng(11)
