@@ -237,13 +237,8 @@ def _build(path: str, make, *args, **kwargs):
 # everything the run needs, so a bad config fails before any computation.
 
 
-def _schedule(path: str, kind: str, **vals) -> Schedule:
-    vals = {k: tuple(v.tolist()) if isinstance(v, np.ndarray) else v for k, v in vals.items()}
-    return _build(path, Schedule, kind, **vals)
-
-
 def _parse_schedule(cfg: dict) -> Schedule:
-    return _schedule("schedule", **_read(cfg, "schedule", _SPECS["schedule"]))
+    return _build("schedule", Schedule, **_read(cfg, "schedule", _SPECS["schedule"]))
 
 
 def _parse_grid(cfg: dict) -> TimeGrid:
@@ -641,17 +636,14 @@ def _parse_reformulation_check(cfg: dict, seed: int):
     vals = _read(cfg, "reformulation", _SPECS["reformulation"])
     if not (0 < vals["t_lo"] < vals["t_hi"] < T_HORIZON):
         raise ConfigError("reformulation.t_lo/t_hi: need 0 < t_lo < t_hi < 1")
-    keys = ("beta_d", "beta_min", *_I2SB)
-    # verify_reformulation builds this schedule from the same values.
-    given = {k: vals[k] for k in keys if k in vals}
-    sched = _schedule("reformulation", _FAMILIES[vals["family"]], **given)
-    return vals, {k: getattr(sched, k) for k in keys}
+    given = {k: vals[k] for k in ("beta_d", "beta_min", *_I2SB) if k in vals}
+    return vals, _build("reformulation", Schedule, _FAMILIES[vals["family"]], **given)
 
 
-def _run_reformulation_check(vals, sched_kw, seed: int, threads: int):
+def _run_reformulation_check(vals, sched, seed: int, threads: int):
     family, threshold = vals["family"], vals["threshold"]
     t_grid = np.linspace(vals["t_lo"], vals["t_hi"], vals["n_points"])
-    deviation = verify_reformulation(family, t_grid, n_probes=vals["n_probes"], **sched_kw)
+    deviation = verify_reformulation(sched, t_grid, n_probes=vals["n_probes"])
     passed = deviation <= threshold
     failures = [] if passed else [
         f"reformulation deviation for {family} is {deviation}, above threshold {threshold}"

@@ -224,7 +224,7 @@ def _whitening(chol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _plan(dist: AnalyticTask, sched: Schedule, t) -> _Plan:
-    """The plan of E[x0 | x_t, xT] at t, a float or an (n,) array.
+    """The plan of E[x0 | x_t, xT] at t, a float or an (n,) float64 array.
 
     Per component, with x0 | xT = N(mean0 + M(xT - meanT), C) and the kernel
     x_t | x0, xT = N(alpha x0 + beta xT, gamma^2 I), conditioning in the
@@ -240,7 +240,6 @@ def _plan(dist: AnalyticTask, sched: Schedule, t) -> _Plan:
         weights, components = dist.weights, dist.components
     else:
         weights, components = (1.0,), (dist,)
-    t = _times(t)
     ev = eval_schedule(sched, t)
     at = _first_where(ev.gamma < 1e-12, t, ev.gamma)
     if at:
@@ -285,37 +284,21 @@ def _times_rows(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _posterior_mean(plan: _Plan, x_t: np.ndarray, xT: np.ndarray) -> np.ndarray:
-    """E[x0 | x_t, xT] from a plan: one affine map, then for a mixture the
-    responsibility-weighted sum of the component means."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    squeeze = x_t.ndim == 1
-    x_t2 = np.atleast_2d(x_t)
-    xT2 = np.broadcast_to(np.atleast_2d(np.asarray(xT, dtype=np.float64)), x_t2.shape)
-    u = _times_rows(x_t2, plan.X) + _times_rows(xT2, plan.Y) + plan.c
+    """E[x0 | x_t, xT] for (n, d) rows from a plan: one affine map, then for a
+    mixture the responsibility-weighted sum of the component means."""
+    u = _times_rows(x_t, plan.X) + _times_rows(xT, plan.Y) + plan.c
     if plan.log_norm is None:
-        out = u
-    else:
-        # Components run along axis 0, so each reduction over them is elementwise
-        # across rows; numpy reduces along a short last axis many times slower.
-        n, d = x_t2.shape
-        k = plan.log_norm.shape[0]
-        pick = np.tile(np.repeat(np.eye(k), d, axis=0), (2, 1))  # sums a component's squares
-        log_resp = plan.log_norm - 0.5 * (pick.T @ (u[:, k * d :] ** 2).T)
-        log_resp -= log_resp.max(axis=0)
-        resp = np.exp(log_resp)
-        resp /= resp.sum(axis=0)
-        out = np.einsum("kn,nkd->nd", resp, u[:, : k * d].reshape(n, k, d))
-    return out[0] if squeeze else out
-
-
-def analytic_denoise(
-    dist: AnalyticTask, sched: Schedule, x_t: np.ndarray, xT: np.ndarray, t
-) -> np.ndarray:
-    """E[x0 | x_t, xT] for a JointGaussian or GmmCoupling task, uncached; t is a
-    float or an (n,) array.  denoise(AnalyticDenoiser(dist, sched), ...) gives
-    the same bits from its per-t plan cache."""
-    _check_analytic(dist)
-    return _posterior_mean(_plan(dist, sched, t), x_t, xT)
+        return u
+    # Components run along axis 0, so each reduction over them is elementwise
+    # across rows; numpy reduces along a short last axis many times slower.
+    n, d = x_t.shape
+    k = plan.log_norm.shape[0]
+    pick = np.tile(np.repeat(np.eye(k), d, axis=0), (2, 1))  # sums a component's squares
+    log_resp = plan.log_norm - 0.5 * (pick.T @ (u[:, k * d :] ** 2).T)
+    log_resp -= log_resp.max(axis=0)
+    resp = np.exp(log_resp)
+    resp /= resp.sum(axis=0)
+    return np.einsum("kn,nkd->nd", resp, u[:, : k * d].reshape(n, k, d))
 
 
 def score_from_denoiser(
@@ -655,38 +638,29 @@ def _layer_buffers(den: MlpDenoiser, rows: int, scratch: Optional[dict]):
     return bufs
 
 
-def mlp_denoise(
-    den: MlpDenoiser, x_t: np.ndarray, xT: np.ndarray, t, scratch: Optional[dict] = None
+def _mlp_denoise(
+    den: MlpDenoiser, x_t: np.ndarray, xT: np.ndarray, t, scratch: Optional[dict]
 ) -> np.ndarray:
-    """D = c_skip x_t + c_out F at t, a float or an (n,) array (one time per row).
-
-    scratch, if given, keeps the network's layer outputs between calls (see
-    denoise); the returned array is always fresh.
-    """
-    x_t = np.asarray(x_t, dtype=np.float64)
-    squeeze = x_t.ndim == 1
-    x_t2 = np.atleast_2d(x_t)
-    xT2 = np.broadcast_to(np.atleast_2d(np.asarray(xT, dtype=np.float64)), x_t2.shape)
-    t = _times(t)
+    """D = c_skip x_t + c_out F on (n, d) rows at t, a float or an (n,) array."""
     t = t if isinstance(t, float) else np.reshape(t, (-1, 1))
     c_in, c_skip, c_out, c_noise, _ = precondition(den.prec, den.sched, t)
-    noise_col = np.broadcast_to(c_noise, (x_t2.shape[0], 1))
-    x_net = np.concatenate([c_in * x_t2, xT2, noise_col], axis=1)
+    noise_col = np.broadcast_to(c_noise, (x_t.shape[0], 1))
+    x_net = np.concatenate([c_in * x_t, xT, noise_col], axis=1)
     bufs = _layer_buffers(den, x_net.shape[0], scratch)
     f_out, _ = mlp_forward(den.weights, den.biases, x_net, bufs)
-    out = c_skip * x_t2 + c_out * f_out
-    return out[0] if squeeze else out
+    return c_skip * x_t + c_out * f_out
 
 
 @dataclass(frozen=True)
 class AnalyticDenoiser:
     """The exact posterior mean of a JointGaussian or GmmCoupling task.
 
-    It caches the plan of every float t it is called at, so a sampler pays the
-    t-only algebra once per step time, not once per chunk.  The plan is a pure
-    function of (task, schedule, t), and both task kinds are frozen.  Chunks
-    racing under --threads store equal values, so the cache needs no lock.
-    Errors raise before anything is stored, so they fire on every call.
+    denoise caches the plan of every float t it is called at, so a sampler
+    pays the t-only algebra once per step time, not once per chunk; one time
+    per row is never cached.  The plan is a pure function of (task, schedule,
+    t), and both task kinds are frozen.  Chunks racing under --threads store
+    equal values, so the cache needs no lock.  Errors raise before anything
+    is stored, so they fire on every call.
     """
 
     dist: AnalyticTask
@@ -706,36 +680,42 @@ class AnalyticDenoiser:
 Denoiser = Union[AnalyticDenoiser, MlpDenoiser]
 
 
-def _cached_plan(den: AnalyticDenoiser, t) -> _Plan:
-    t = _times(t)
-    if not isinstance(t, float):  # one time per row: never cached
-        return _plan(den.dist, den.sched, t)
-    plan = den._plans.get(t)
-    if plan is None:
-        plan = den._plans[t] = _plan(den.dist, den.sched, t)
-    return plan
-
-
 def denoise(
     den: Denoiser, x_t: np.ndarray, xT: np.ndarray, t, scratch: Optional[dict] = None
 ) -> np.ndarray:
-    """Evaluates x0hat(x_t, xT, t) for any denoiser kind; t is a float or an (n,) array.
+    """Evaluates x0hat(x_t, xT, t) for any denoiser kind: the one entry point.
+
+    x_t is a d-vector, giving a d-vector, or (n, d) rows; xT is broadcast to
+    x_t; t is a float or an (n,) array of one time per row.  An
+    AnalyticDenoiser reuses the plan it cached for a float t (see its class).
 
     scratch is an optional dict, owned by the caller, in which an MLP denoiser
     keeps its layer outputs from one call to the next; an AnalyticDenoiser
     ignores it.  A fresh 4096 x 32 float64 temporary is 1 MB, a new memory
     mapping whose pages fault in on first touch, so a sampler passes one
-    scratch per row chunk and reuses it for all of that chunk's steps.  The buffers keep the full chunk's GEMM
-    shapes: evaluating the network in smaller row blocks would sum in another
-    order and change the output bits.  A scratch must not be shared between
-    threads, and it dies with the chunk, so it adds nothing to peak memory
-    after the loop.  The returned x0hat never aliases the scratch.
+    scratch per row chunk and reuses it for all of that chunk's steps.  The
+    buffers keep the full chunk's GEMM shapes: evaluating the network in
+    smaller row blocks would sum in another order and change the output bits.
+    A scratch must not be shared between threads, and it dies with the chunk,
+    so it adds nothing to peak memory after the loop.  The returned x0hat
+    never aliases the scratch.
     """
+    x_t = np.asarray(x_t, dtype=np.float64)
+    squeeze = x_t.ndim == 1
+    x_t = np.atleast_2d(x_t)
+    xT = np.broadcast_to(np.atleast_2d(np.asarray(xT, dtype=np.float64)), x_t.shape)
+    t = _times(t)
     if isinstance(den, AnalyticDenoiser):
-        return _posterior_mean(_cached_plan(den, t), x_t, xT)
-    if isinstance(den, MlpDenoiser):
-        return mlp_denoise(den, x_t, xT, t, scratch)
-    raise ValueError(f"unknown denoiser type {type(den).__name__}")
+        if not isinstance(t, float):  # one time per row: never cached
+            plan = _plan(den.dist, den.sched, t)
+        elif (plan := den._plans.get(t)) is None:
+            plan = den._plans[t] = _plan(den.dist, den.sched, t)
+        out = _posterior_mean(plan, x_t, xT)
+    elif isinstance(den, MlpDenoiser):
+        out = _mlp_denoise(den, x_t, xT, t, scratch)
+    else:
+        raise ValueError(f"unknown denoiser type {type(den).__name__}")
+    return out[0] if squeeze else out
 
 
 def test_mse_vs_analytic(
@@ -799,11 +779,6 @@ def denoiser_to_bytes(den: MlpDenoiser) -> bytes:
     return json.dumps(header, sort_keys=True).encode() + b"\n" + body
 
 
-def save_denoiser(den: MlpDenoiser, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(denoiser_to_bytes(den))
-
-
 def load_denoiser(path) -> MlpDenoiser:
     """Reads a denoiser file; a corrupt header or body raises ValueError."""
     with open(path, "rb") as fh:
@@ -819,11 +794,5 @@ def load_denoiser(path) -> MlpDenoiser:
     if len(body) % 8:
         raise ValueError(f"parameter block holds {len(body)} bytes, not whole float64 values")
     prec = Preconditioner(**_header_object(header, "prec", _PREC_FIELDS))
-    sched_cfg = _header_object(header, "schedule", _SCHEDULE_FIELDS)
-    try:
-        sched = Schedule(**{
-            key: tuple(val) if key.startswith("i2sb") else val for key, val in sched_cfg.items()
-        })
-    except TypeError as err:  # a field of the wrong type
-        raise ValueError(f"header field 'schedule' is malformed ({err})") from err
+    sched = Schedule(**_header_object(header, "schedule", _SCHEDULE_FIELDS))
     return MlpDenoiser(np.frombuffer(body, dtype="<f8"), header.get("sizes"), prec, sched)

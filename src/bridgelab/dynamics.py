@@ -105,17 +105,20 @@ def simulate_ensemble(
         threads: worker threads over fixed-size path chunks; any value yields
             bit-identical output.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-
+    if not _rng.is_integer(n_paths) or n_paths < 1:
+        raise ValueError(f"n_paths must be an integer >= 1, got {n_paths!r}")
     times = _resolve_times(grid)
     xT = np.asarray(xT, dtype=np.float64)
+    if xT.ndim != 1:
+        raise ValueError(f"xT must be a d-vector, got shape {xT.shape}")
     if not np.all(np.isfinite(xT)):
         raise ValueError("xT must be finite")
+    d = xT.shape[0]
     start = np.asarray(start, dtype=np.float64)
+    if start.shape != (d,):
+        raise ValueError(f"start must be a d-vector like xT, d = {d}; got shape {start.shape}")
     if not np.all(np.isfinite(start)):
         raise ValueError("start must be finite")
-    d = xT.shape[-1]
     m = times.shape[0]
     # record=False keeps only the terminal slice; full trajectories at 1e5
     # paths and 1e3 steps would not fit comfortably in memory.

@@ -40,6 +40,10 @@ class SamplerConfig:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not (_rng.is_real(self.boot_b) and 0 <= self.boot_b < math.inf):
             raise ValueError(f"boot_b must be finite, real and >= 0, got {self.boot_b!r}")
+        if not _rng.is_integer(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.record_trajectory, bool):
+            raise ValueError(f"record_trajectory must be a bool, got {self.record_trajectory!r}")
 
 
 @dataclass

@@ -41,7 +41,8 @@ class Schedule:
 
     i2sb_breakpoints and i2sb_values describe a piecewise-constant noise rate
     b(tau) on [0, T]: values[j] holds on [breakpoints[j], breakpoints[j+1]).
-    sigma_t^2 is its exact running integral.
+    sigma_t^2 is its exact running integral.  Both are stored as tuples of
+    floats, so a schedule hashes and compares by value.
 
     Custom schedules supply alpha_fn/beta_fn/gamma_fn callables; their
     derivatives come from central differences with step fd_step, and every
@@ -71,11 +72,16 @@ class Schedule:
             if not (_rng.is_real(val) and math.isfinite(val)):
                 raise ValueError(f"{name} must be finite and real, got {val!r}")
         for name in ("i2sb_breakpoints", "i2sb_values"):
-            for val in getattr(self, name):
+            seq = getattr(self, name)
+            seq = seq.tolist() if isinstance(seq, np.ndarray) else seq
+            if not isinstance(seq, (list, tuple)):
+                raise ValueError(f"{name} must be a sequence of numbers, got {seq!r}")
+            for val in seq:
                 if not (_rng.is_real(val) and math.isfinite(val)):
                     raise ValueError(
                         f"i2sb breakpoints and values must be finite and real; {name} holds {val!r}"
                     )
+            object.__setattr__(self, name, tuple(map(float, seq)))
         if self.kind in ("linear", "trig") and self.gamma_max <= 0:
             raise ValueError(f"gamma_max must be positive, got {self.gamma_max}")
         if self.kind == "linear" and self.gamma_multiplier <= 0:
@@ -418,26 +424,22 @@ def _probe_states(n: int, d: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray
 
 
 def verify_reformulation(
-    family: str,
-    t_grid: TimeGrid | Sequence[float],
-    beta_d: float = 2.0,
-    beta_min: float = 0.1,
-    i2sb_breakpoints: tuple[float, ...] = (0.0, 1.0),
-    i2sb_values: tuple[float, ...] = (1.0,),
-    n_probes: int = 32,
+    sched: Schedule, t_grid: TimeGrid | Sequence[float], n_probes: int = 32
 ) -> float:
     """Max deviation between schedule-derived and native family expressions.
 
+    The family is the schedule's kind: ddbm_ve, ddbm_vp, edm or i2sb.
     VE: framework drift f x + s xT vs 2 sigma sigma' (xT - x)/(sigma_T^2 -
     sigma_t^2) and g^2 vs 2 sigma sigma'.  VP: same comparison against the
     scaled-process drift fbar x - gbar^2 hbar and gbar^2.  EDM: the eps = 0
     drift vs -sigma sigma' score.  I2SB: the Markovian one-step coefficients
     vs the integrated-noise posterior coefficients on consecutive grid pairs.
     """
-    if family not in ("ve", "vp", "edm", "i2sb"):
-        raise ValueError(f"unknown reformulation family {family!r}")
+    if sched.kind not in ("ddbm_ve", "ddbm_vp", "edm", "i2sb"):
+        raise ValueError(f"no reformulation family for schedule kind {sched.kind!r}; "
+                         "expected ddbm_ve, ddbm_vp, edm or i2sb")
     pts = np.asarray(t_grid.points if isinstance(t_grid, TimeGrid) else t_grid, dtype=np.float64)
-    if pts.ndim != 1 or pts.size < 2 or n_probes < 1:
+    if pts.ndim != 1 or pts.size < 2 or not _rng.is_integer(n_probes) or n_probes < 1:
         raise ValueError(
             f"need a 1-d grid of >= 2 times and n_probes >= 1, got {pts.shape}, {n_probes}"
         )
@@ -447,15 +449,27 @@ def verify_reformulation(
     def max_abs(*diffs) -> float:
         return float(max(np.max(np.abs(d)) for d in diffs))
 
-    if family == "ve":
-        bc = bridge_coefficients(Schedule("ddbm_ve"), t)
+    if sched.kind == "i2sb":
+        # Markovian step coefficients against the posterior form written with
+        # the integrated noise rate directly, on consecutive pairs.
+        t_hi, t_lo = pts[:-1], pts[1:]
+        now, prev = _eval_full(sched, t_hi), _eval_full(sched, t_lo)
+        c0 = prev.alpha - now.alpha * prev.beta / now.beta
+        cx = prev.beta / now.beta
+        cn_sq = prev.gamma**2 - prev.beta**2 * now.gamma**2 / now.beta**2
+        sig_n_sq, _ = _i2sb_integral(sched, t_lo)
+        a_n_sq = _i2sb_integral(sched, t_hi)[0] - sig_n_sq
+        tot = sig_n_sq + a_n_sq
+        return max_abs(c0 - a_n_sq / tot, cx - sig_n_sq / tot, cn_sq - sig_n_sq * a_n_sq / tot)
+
+    bc = bridge_coefficients(sched, t)
+    if sched.kind == "ddbm_ve":
         native = 2.0 * t * (x_T - x) / (1.0 - t * t)
         return max_abs(bc.f * x + bc.s * x_T - native, bc.g_sq - 2.0 * t)
 
-    if family == "vp":
-        bc = bridge_coefficients(Schedule("ddbm_vp", beta_d=beta_d, beta_min=beta_min), t)
-        _, _, sigma1, a_1 = _vp_base(T_HORIZON, beta_d, beta_min)
-        a_rate, e, sigma, a_t = _vp_base(t, beta_d, beta_min)
+    if sched.kind == "ddbm_vp":
+        _, _, sigma1, a_1 = _vp_base(T_HORIZON, sched.beta_d, sched.beta_min)
+        a_rate, e, sigma, a_t = _vp_base(t, sched.beta_d, sched.beta_min)
         d_a = -0.5 * a_rate * a_t
         d_sigma = a_rate * e / (2.0 * sigma)
         f_native = d_a / a_t
@@ -466,20 +480,6 @@ def verify_reformulation(
         native = f_native * x + g_sq_native * h_bar
         return max_abs(bc.f * x + bc.s * x_T - native, bc.g_sq - g_sq_native)
 
-    if family == "edm":
-        bc = bridge_coefficients(Schedule("edm"), t)
-        ours = bc.f * x + bc.s * x_T - 0.5 * bc.g_sq * score
-        return max_abs(ours - (-t * score), bc.g_sq - 2.0 * t)
-
-    # i2sb: compare Markovian step coefficients against the posterior form
-    # written with the integrated noise rate directly, on consecutive pairs.
-    sched = Schedule("i2sb", i2sb_breakpoints=i2sb_breakpoints, i2sb_values=i2sb_values)
-    t_hi, t_lo = pts[:-1], pts[1:]
-    now, prev = _eval_full(sched, t_hi), _eval_full(sched, t_lo)
-    c0 = prev.alpha - now.alpha * prev.beta / now.beta
-    cx = prev.beta / now.beta
-    cn_sq = prev.gamma**2 - prev.beta**2 * now.gamma**2 / now.beta**2
-    sig_n_sq, _ = _i2sb_integral(sched, t_lo)
-    a_n_sq = _i2sb_integral(sched, t_hi)[0] - sig_n_sq
-    tot = sig_n_sq + a_n_sq
-    return max_abs(c0 - a_n_sq / tot, cx - sig_n_sq / tot, cn_sq - sig_n_sq * a_n_sq / tot)
+    # edm
+    ours = bc.f * x + bc.s * x_T - 0.5 * bc.g_sq * score
+    return max_abs(ours - (-t * score), bc.g_sq - 2.0 * t)

@@ -20,7 +20,7 @@ from bridgelab.denoiser import (
     JointGaussian,
     MlpHyper,
     Preconditioner,
-    analytic_denoise,
+    denoise,
     mlp_init,
     mlp_loss_and_grads,
     precondition,
@@ -159,7 +159,7 @@ class TestAcceptance:
             xT = sample_condition(TASK_2D, 1, gen)[0]
             mu_c = TASK_2D.mean0 + gain @ (xT - TASK_2D.meanT)
             x_t = ev.alpha * mu_c + ev.beta * xT + 0.3 * gen.standard_normal(2)
-            x_hat0 = analytic_denoise(TASK_2D, LINEAR, x_t, xT, t)
+            x_hat0 = denoise(AnalyticDenoiser(TASK_2D, LINEAR), x_t, xT, t)
             got = score_from_denoiser(LINEAR, x_hat0, x_t, xT, t)
             cov_t = ev.alpha**2 * cov_c + ev.gamma**2 * np.eye(2)
             want = np.linalg.solve(cov_t, ev.alpha * mu_c + ev.beta * xT - x_t)
@@ -207,7 +207,8 @@ class TestAcceptance:
     def test_criterion_5_reformulations_and_markovian_match(self):
         """Named-family drift rewrites and the matched-eps equivalence hold."""
         t_grid = np.linspace(0.1, 0.9, 25)
-        devs = {fam: verify_reformulation(fam, t_grid) for fam in ("ve", "vp", "edm")}
+        devs = {fam: verify_reformulation(Schedule(kind=kind), t_grid)
+                for fam, kind in (("ve", "ddbm_ve"), ("vp", "ddbm_vp"), ("edm", "edm"))}
         worst_family = max(devs.values())
 
         worst_step = 0.0

@@ -494,6 +494,21 @@ class TestSample:
         x = np.array([[float(v) for v in r[2:]] for r in rows])
         assert x.tobytes() == ens.paths[:, -1, :].tobytes()
 
+    # sha256 of each artifact, computed while the analytic denoiser had an
+    # uncached twin and shaped its inputs in the posterior-mean routine.
+    def test_gmm_artifact_bytes_are_pinned(self, tmp_path):
+        cfg = {**self.CONFIG, "grid": {"n_steps": 12}, "task": GMM_TASK,
+               "sample": {"n_conditions": 6, "n_replicates": 4}}
+        out = tmp_path / "out"
+        assert _run("sample", _write_config(tmp_path, "c.json", cfg), out, seed=3) == 0
+        digests = {
+            "sample.csv": "ce706ab8b680e938c43744fcd1ce699e24395f09260a4d6367cfc6602e62c952",
+            "moments.json": "f1a2e1deb4c8ef36b19d811dc9dbc64b94ddc571f5f46486a118aa28fd89e25b",
+            "diagnostics.json": "735b0f7e88c30236f5dd89ccb39a9cb17b873b5b55e4d775de5370ca594b9830",
+        }
+        for name, digest in digests.items():
+            assert hashlib.sha256(_read_bytes(out, name)).hexdigest() == digest, name
+
 
 class TestSimulateForward:
     def test_writes_moments_and_paths(self, tmp_path):
@@ -776,6 +791,48 @@ class TestTrainDenoiser:
         for name in ("sample.csv", "moments.json", "diagnostics.json"):
             assert _read_bytes(out_a, name) == _read_bytes(out_b, name)
 
+    # sha256 of each artifact, computed while the MLP denoiser had its own
+    # public entry point: train.json holds test_mse_vs_analytic, which takes
+    # the one-time-per-row path of both denoiser kinds.
+    def test_train_and_mlp_sample_bytes_are_pinned(self, tmp_path):
+        train_cfg = _write_config(
+            tmp_path, "train.json",
+            {
+                "schedule": LINEAR_SCHEDULE,
+                "task": TASK_2D,
+                "train": {"layers": 2, "width": 8, "lr": 0.05, "batch": 32, "iters": 20},
+            },
+        )
+        train_out = tmp_path / "train_out"
+        assert _run("train-denoiser", train_cfg, train_out, seed=0) == 0
+        cfg = _write_config(
+            tmp_path, "c.json",
+            {
+                "schedule": LINEAR_SCHEDULE,
+                "grid": {"n_steps": 8},
+                "eps_policy": {"kind": "eta_scaled", "eta": 0.3},
+                "task": TASK_2D,
+                "denoiser": {"kind": "mlp", "path": str(train_out / "model.bin")},
+                "sampler": {"variant": "dbim", "boot_b": 0.25},
+                "sample": {"n_conditions": 5, "n_replicates": 3},
+            },
+        )
+        out = tmp_path / "out"
+        assert _run("sample", cfg, out, seed=7) == 0
+        digests = {
+            (train_out, "model.bin"):
+                "6073cc561e75e661557630c140d584c8e9254e8bbb06026927428c20b386aaac",
+            (train_out, "train.json"):
+                "417738cceba35bc340729de0a0d049c2193155e18b30eee3dadd5fa0b4ff56b8",
+            (out, "sample.csv"): "04a06bf3ec3e3809a1d05754c6d67f161c030b5783ac02d40ecfd6f3f0ff3b52",
+            (out, "moments.json"):
+                "12b49c7f831dadff1312558f5ccb861396a8aa34e9cf566afa117fae105648c1",
+            (out, "diagnostics.json"):
+                "7f350c6cd01ca5a5d8c216ff649c206f2f63767f06b8dcba28025c6d16a4e7ba",
+        }
+        for (where, name), digest in digests.items():
+            assert hashlib.sha256(_read_bytes(where, name)).hexdigest() == digest, name
+
     def test_estimated_preconditioner_is_reported(self, tmp_path):
         cfg = _write_config(
             tmp_path, "c.json",
@@ -857,13 +914,13 @@ class TestTrainDenoiser:
 
     @pytest.mark.parametrize("command", ["sample", "afd-study"])
     def test_model_of_another_dimension_exits_1_without_artifacts(self, tmp_path, capsys, command):
-        from bridgelab.denoiser import MlpDenoiser, Preconditioner, mlp_init, save_denoiser
+        from bridgelab.denoiser import MlpDenoiser, Preconditioner, denoiser_to_bytes, mlp_init
         from bridgelab.schedule import Schedule
 
         model_path = tmp_path / "model.bin"
         sizes = [3, 4, 1]
         den = MlpDenoiser(mlp_init(sizes, 0), sizes, Preconditioner(), Schedule(**LINEAR_SCHEDULE))
-        save_denoiser(den, model_path)
+        model_path.write_bytes(denoiser_to_bytes(den))
         base = SAMPLE_CONFIG if command == "sample" else {
             **AFD_CONFIG, "afd": {**AFD_CONFIG["afd"], "feature": {"kind": "identity"}}}
         cfg = {**base, "task": TASK_2D, "denoiser": {"kind": "mlp", "path": str(model_path)}}

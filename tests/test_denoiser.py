@@ -22,18 +22,15 @@ from bridgelab.denoiser import (
     MlpDenoiser,
     MlpHyper,
     Preconditioner,
-    analytic_denoise,
     denoise,
     denoiser_to_bytes,
     load_denoiser,
-    mlp_denoise,
     mlp_forward,
     mlp_init,
     mlp_loss_and_grads,
     precondition,
     sample_condition,
     sample_pair,
-    save_denoiser,
     score_from_denoiser,
     train_mlp_denoiser,
     zhat,
@@ -221,7 +218,7 @@ class TestSamplePair:
 
 class TestAnalyticDenoise:
     def test_frozen_oracle(self):
-        got = analytic_denoise(_task_1d(), LINEAR, np.array([0.45]), np.array([0.8]), 0.5)
+        got = denoise(AnalyticDenoiser(_task_1d(), LINEAR), np.array([0.45]), np.array([0.8]), 0.5)
         np.testing.assert_allclose(got, [GAUSS_ORACLE], rtol=0, atol=1e-15)
 
     def test_batch_rows_match_single_calls(self):
@@ -229,10 +226,11 @@ class TestAnalyticDenoise:
         rng = np.random.default_rng(6)
         x_t = rng.standard_normal((5, 2))
         xT = rng.standard_normal(2)
-        batched = analytic_denoise(dist, LINEAR, x_t, xT, 0.4)
+        batched = denoise(AnalyticDenoiser(dist, LINEAR), x_t, xT, 0.4)
         for i in range(5):
             np.testing.assert_allclose(
-                batched[i], analytic_denoise(dist, LINEAR, x_t[i], xT, 0.4), rtol=0, atol=1e-14
+                batched[i], denoise(AnalyticDenoiser(dist, LINEAR), x_t[i], xT, 0.4),
+                rtol=0, atol=1e-14,
             )
 
     def test_large_gamma_limit_returns_prior_mean(self):
@@ -240,7 +238,7 @@ class TestAnalyticDenoise:
         dist = JointGaussian([0.35], [0.5], [[0.2501]], [[1.0]], [[0.5]])
         xT = np.array([0.9])
         mu_c = 0.35 + 0.5 * (0.9 - 0.5)
-        got = analytic_denoise(dist, Schedule(kind="edm"), np.array([mu_c + 1.0]), xT, 1.0)
+        got = denoise(AnalyticDenoiser(dist, Schedule(kind="edm")), np.array([mu_c + 1.0]), xT, 1.0)
         np.testing.assert_allclose(got, [mu_c], rtol=0, atol=2e-4)
 
     def test_small_time_limit_returns_de_mixed_state(self):
@@ -249,13 +247,13 @@ class TestAnalyticDenoise:
         t = 1e-6
         ev = eval_schedule(LINEAR, t)
         x_t, xT = np.array([0.37]), np.array([0.8])
-        got = analytic_denoise(dist, LINEAR, x_t, xT, t)
+        got = denoise(AnalyticDenoiser(dist, LINEAR), x_t, xT, t)
         np.testing.assert_allclose(got, (x_t - ev.beta * xT) / ev.alpha, rtol=0, atol=1e-5)
 
     def test_singular_conditional_rejected(self):
         dist = JointGaussian([0.35], [0.5], [[0.25]], [[1.0]], [[0.5]])
         with pytest.raises(ValueError, match="singular"):
-            analytic_denoise(dist, LINEAR, np.array([0.4]), np.array([0.8]), 0.5)
+            denoise(AnalyticDenoiser(dist, LINEAR), np.array([0.4]), np.array([0.8]), 0.5)
 
     @pytest.mark.parametrize(
         "den",
@@ -280,7 +278,7 @@ class TestScoreIdentity:
             xT = sample_condition(dist, 1, gen)[0]
             mu_c = dist.mean0 + gain @ (xT - dist.meanT)
             x_t = ev.alpha * mu_c + ev.beta * xT + 0.3 * gen.standard_normal(2)
-            x_hat0 = analytic_denoise(dist, LINEAR, x_t, xT, t)
+            x_hat0 = denoise(AnalyticDenoiser(dist, LINEAR), x_t, xT, t)
             got = score_from_denoiser(LINEAR, x_hat0, x_t, xT, t)
             cov_t = ev.alpha**2 * cov_c + ev.gamma**2 * np.eye(2)
             want = np.linalg.solve(cov_t, ev.alpha * mu_c + ev.beta * xT - x_t)
@@ -313,7 +311,7 @@ class TestScoreIdentity:
 
 class TestGmmDenoise:
     def test_frozen_quadrature_oracle(self):
-        got = analytic_denoise(_gmm_2comp(), LINEAR, np.array([0.1]), np.array([0.2]), 0.5)
+        got = denoise(AnalyticDenoiser(_gmm_2comp(), LINEAR), np.array([0.1]), np.array([0.2]), 0.5)
         np.testing.assert_allclose(got, [GMM_ORACLE], rtol=0, atol=1e-12)
 
     def test_single_component_equals_gaussian(self):
@@ -324,8 +322,8 @@ class TestGmmDenoise:
         xT = rng.standard_normal(2)
         for t in (0.1, 0.5, 0.9):
             np.testing.assert_allclose(
-                analytic_denoise(gmm, LINEAR, x_t, xT, t),
-                analytic_denoise(dist, LINEAR, x_t, xT, t),
+                denoise(AnalyticDenoiser(gmm, LINEAR), x_t, xT, t),
+                denoise(AnalyticDenoiser(dist, LINEAR), x_t, xT, t),
                 rtol=0,
                 atol=1e-12,
             )
@@ -333,7 +331,7 @@ class TestGmmDenoise:
     def test_duplicated_component_equals_single(self):
         dist = _task_1d()
         gmm = GmmCoupling(weights=(0.5, 0.5), components=(dist, dist))
-        got = analytic_denoise(gmm, LINEAR, np.array([0.45]), np.array([0.8]), 0.5)
+        got = denoise(AnalyticDenoiser(gmm, LINEAR), np.array([0.45]), np.array([0.8]), 0.5)
         np.testing.assert_allclose(got, [GAUSS_ORACLE], rtol=0, atol=1e-14)
 
     def test_batch_rows_match_single_calls(self):
@@ -341,10 +339,11 @@ class TestGmmDenoise:
         rng = np.random.default_rng(9)
         x_t = rng.standard_normal((5, 1))
         xT = rng.standard_normal(1)
-        batched = analytic_denoise(gmm, LINEAR, x_t, xT, 0.3)
+        batched = denoise(AnalyticDenoiser(gmm, LINEAR), x_t, xT, 0.3)
         for i in range(5):
             np.testing.assert_allclose(
-                batched[i], analytic_denoise(gmm, LINEAR, x_t[i], xT, 0.3), rtol=0, atol=1e-14
+                batched[i], denoise(AnalyticDenoiser(gmm, LINEAR), x_t[i], xT, 0.3),
+                rtol=0, atol=1e-14,
             )
 
 
@@ -417,6 +416,7 @@ class TestPosteriorPlan:
 
     @pytest.mark.parametrize("kind", ["gaussian", "mixture"])
     def test_cache_hit_equals_uncached_route_bit_for_bit(self, kind):
+        """A warm denoiser gives the bits of a fresh instance, whose cache is cold."""
         dist = _task_2d() if kind == "gaussian" else _gmm_2d()
         den = AnalyticDenoiser(dist, LINEAR)
         x_t, xT = self._probes(dist, 0.4, 1)
@@ -424,7 +424,12 @@ class TestPosteriorPlan:
         assert list(den._plans) == [0.4]
         second = denoise(den, x_t, xT, 0.4)
         np.testing.assert_array_equal(first, second)
-        np.testing.assert_array_equal(second, analytic_denoise(dist, LINEAR, x_t, xT, 0.4))
+        np.testing.assert_array_equal(second, denoise(AnalyticDenoiser(dist, LINEAR), x_t, xT, 0.4))
+        ts = np.random.default_rng(1).uniform(0.01, 0.99, x_t.shape[0])
+        np.testing.assert_array_equal(
+            denoise(den, x_t, xT, ts), denoise(AnalyticDenoiser(dist, LINEAR), x_t, xT, ts)
+        )
+        assert list(den._plans) == [0.4]
 
     def test_errors_are_never_cached(self):
         singular = AnalyticDenoiser(
@@ -444,7 +449,7 @@ class TestPosteriorPlan:
         den_a, den_b = AnalyticDenoiser(dist, LINEAR), AnalyticDenoiser(dist, wide)
         x_t, xT = self._probes(dist, 0.5, 2)
         got_a, got_b = denoise(den_a, x_t, xT, 0.5), denoise(den_b, x_t, xT, 0.5)
-        np.testing.assert_array_equal(got_b, analytic_denoise(dist, wide, x_t, xT, 0.5))
+        np.testing.assert_array_equal(got_b, denoise(AnalyticDenoiser(dist, wide), x_t, xT, 0.5))
         assert np.max(np.abs(got_a - got_b)) > 1e-3
         assert den_a._plans is not den_b._plans
 
@@ -463,7 +468,7 @@ class TestPosteriorPlan:
         finally:
             sys.setswitchinterval(switch)
         for t, out in zip(times * 4, got):
-            np.testing.assert_array_equal(out, analytic_denoise(gmm, LINEAR, x_t, xT, t))
+            np.testing.assert_array_equal(out, denoise(AnalyticDenoiser(gmm, LINEAR), x_t, xT, t))
         assert sorted(den._plans) == times
 
     def test_analytic_denoisers_are_frozen(self):
@@ -766,8 +771,7 @@ class TestMlpLayerBuffers:
         for rows in (4096, 3616, 1, 4096):
             x_t, xT = gen.standard_normal((rows, 1)), gen.standard_normal((rows, 1))
             t = gen.uniform(0.05, 0.95, rows) if per_row_t else 0.37
-            want = mlp_denoise(den, x_t, xT, t)
-            _assert_same_bits(mlp_denoise(den, x_t, xT, t, scratch), want)
+            want = denoise(den, x_t, xT, t)
             _assert_same_bits(denoise(den, x_t, xT, t, scratch), want)
             assert [buf.shape[0] for buf in scratch["mlp_layers"]] == [rows] * 3
 
@@ -776,8 +780,8 @@ class TestMlpLayerBuffers:
         x_t, xT = np.full((6, 2), 0.3), np.full((6, 2), -0.2)
         for width in (8, 16):
             den = _mlp_den(width=width, d=2)
-            want = mlp_denoise(den, x_t, xT, 0.5)
-            _assert_same_bits(mlp_denoise(den, x_t, xT, 0.5, scratch), want)
+            want = denoise(den, x_t, xT, 0.5)
+            _assert_same_bits(denoise(den, x_t, xT, 0.5, scratch), want)
 
     def test_returned_x0hat_survives_the_next_call(self):
         """The sampler keeps the previous step's x0hat; it must not alias the scratch."""
@@ -939,8 +943,6 @@ class TestAnalyticDenoiser:
         dist = object()
         with pytest.raises(ValueError, match="analytic reference denoiser for object"):
             AnalyticDenoiser(dist, LINEAR)
-        with pytest.raises(ValueError, match="object"):
-            analytic_denoise(dist, LINEAR, np.array([0.4]), np.array([0.8]), 0.5)
 
     @pytest.mark.parametrize("entry", [
         lambda dist: sample_pair(dist, 2, np.random.default_rng(0)),
@@ -967,14 +969,16 @@ class TestAnalyticDenoiser:
         assert len({gmm, task_a, mlp_a}) == 3
 
     def test_uncached_route_equals_denoise_on_a_mixture(self):
+        """A fresh instance, whose cache is cold, gives the bits of a warm one."""
         gmm = _gmm_2d()
         gen = np.random.default_rng(11)
         x_t, xT = gen.standard_normal((9, 2)), gen.standard_normal((9, 2))
         ts = gen.uniform(0.01, 0.99, 9)
         den = AnalyticDenoiser(gmm, LINEAR)
+        denoise(den, x_t, xT, 0.3)  # warms the cache
         for t in (0.3, ts):
             np.testing.assert_array_equal(
-                analytic_denoise(gmm, LINEAR, x_t, xT, t), denoise(den, x_t, xT, t)
+                denoise(AnalyticDenoiser(gmm, LINEAR), x_t, xT, t), denoise(den, x_t, xT, t)
             )
 
     def test_gaussian_equals_its_one_component_mixture_bit_for_bit(self):
@@ -997,7 +1001,7 @@ class TestSerialization:
     def test_round_trip_is_bit_exact(self, tmp_path):
         den = self._tiny_mlp()
         path = tmp_path / "model.bin"
-        save_denoiser(den, path)
+        path.write_bytes(denoiser_to_bytes(den))
         back = load_denoiser(path)
         for w_a, w_b in zip(den.weights, back.weights):
             np.testing.assert_array_equal(w_a, w_b)
@@ -1006,14 +1010,23 @@ class TestSerialization:
         assert back.prec == den.prec
         assert back.sched == den.sched
 
+    def test_array_i2sb_schedule_round_trips(self, tmp_path):
+        """i2sb fields given as arrays are stored as tuples, so they serialize."""
+        sched = Schedule(kind="i2sb", i2sb_breakpoints=np.array([0.0, 0.5, 1.0]),
+                         i2sb_values=np.array([1.0, 2.0]))
+        den = dataclasses.replace(self._tiny_mlp(), sched=sched)
+        path = tmp_path / "model.bin"
+        path.write_bytes(denoiser_to_bytes(den))
+        assert load_denoiser(path).sched == sched
+
     def test_round_trip_predictions_identical(self, tmp_path):
         den = self._tiny_mlp()
         path = tmp_path / "model.bin"
-        save_denoiser(den, path)
+        path.write_bytes(denoiser_to_bytes(den))
         back = load_denoiser(path)
         x_t, xT = np.array([0.4]), np.array([0.8])
         np.testing.assert_array_equal(
-            mlp_denoise(den, x_t, xT, 0.5), mlp_denoise(back, x_t, xT, 0.5)
+            denoise(den, x_t, xT, 0.5), denoise(back, x_t, xT, 0.5)
         )
 
     # sha256 of denoiser_to_bytes and float.hex of the running loss, computed

@@ -79,6 +79,29 @@ class TestForwardStepEm:
             with pytest.raises(ValueError, match=name):
                 simulate_ensemble(LINEAR, start, xT, times, 8, 0)
 
+    @pytest.mark.parametrize(
+        "start, xT, n_paths, match",
+        [
+            (np.zeros(3), np.zeros(2), 8, r"start must be a d-vector like xT, d = 2; got shape \(3,\)"),
+            (np.zeros((8, 2)), np.zeros(2), 8, r"start .* d = 2; got shape \(8, 2\)"),
+            (np.zeros(2), np.zeros((8, 2)), 8, r"xT must be a d-vector, got shape \(8, 2\)"),
+            (0.0, 1.0, 8, r"xT must be a d-vector, got shape \(\)"),
+            (np.zeros(1), np.ones(1), 4.5, "n_paths must be an integer >= 1, got 4.5"),
+            (np.zeros(1), np.ones(1), 0, "n_paths must be an integer >= 1, got 0"),
+            (np.zeros(1), np.ones(1), True, "n_paths must be an integer >= 1, got True"),
+        ],
+        ids=["start-length", "start-rows", "xT-rows", "scalar-xT", "float-n_paths",
+             "zero-n_paths", "bool-n_paths"],
+    )
+    def test_bad_argument_rejected_before_any_chunk_runs(
+        self, monkeypatch, start, xT, n_paths, match
+    ):
+        """A start or xT that is not one d-vector, or a count that is not an
+        integer >= 1, names the argument before the chunk workers start."""
+        monkeypatch.setattr(_rng, "run_chunked", lambda *args: pytest.fail("a chunk ran"))
+        with pytest.raises(ValueError, match=match):
+            simulate_ensemble(LINEAR, start, xT, np.linspace(0.1, 0.5, 5), n_paths, 0)
+
     @staticmethod
     def _reference(start, xT, times, n_paths, seed):
         """The Euler-Maruyama loop in its expression form, chunk by chunk."""

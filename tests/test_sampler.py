@@ -12,7 +12,6 @@ from bridgelab.denoiser import (
     JointGaussian,
     MlpDenoiser,
     Preconditioner,
-    analytic_denoise,
     denoise,
     mlp_init,
     sample_condition,
@@ -321,6 +320,24 @@ class TestSamplerConfig:
                 boot_b=boot_b,
             )
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [("seed", 1.5, "seed must be an integer, got 1.5"),
+         ("seed", True, "seed must be an integer, got True"),
+         ("seed", "7", "seed must be an integer, got '7'"),
+         ("record_trajectory", "no", "record_trajectory must be a bool, got 'no'"),
+         ("record_trajectory", 1, "record_trajectory must be a bool, got 1")],
+        ids=["float-seed", "bool-seed", "str-seed", "str-record", "int-record"],
+    )
+    def test_seed_and_record_flag_are_checked_and_named(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            SamplerConfig(
+                schedule=LINEAR,
+                eps_policy=EpsilonPolicy(kind="zero"),
+                grid=make_time_grid(4),
+                **{field: value},
+            )
+
     def test_variant_listing(self):
         assert VARIANTS == ("euler_z", "gamma_simplified", "dbim", "markovian")
 
@@ -546,7 +563,7 @@ class TestReverseFamilyPreservesMarginals:
             eps = epsilon(policy, LINEAR, t, dt, n_steps - 1 - k)
             a, b, c, s = step_euler_z(LINEAR, t, dt, eps)
             at0, at1 = (
-                float(analytic_denoise(_task_1d(), LINEAR, np.array([[x]]), xT, t)[0, 0])
+                float(denoise(AnalyticDenoiser(_task_1d(), LINEAR), np.array([[x]]), xT, t)[0, 0])
                 for x in (0.0, 1.0)
             )
             gain = a * (at1 - at0) + c  # d x' / d x, with x0hat = at0 + (at1 - at0) x

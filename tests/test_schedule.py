@@ -131,6 +131,25 @@ class TestEvalExamples:
         with pytest.raises(ValueError, match=f"{field} holds True"):
             Schedule(kind="i2sb", **kw)
 
+    @pytest.mark.parametrize("as_sequence", [np.array, list], ids=["array", "list"])
+    def test_i2sb_sequences_are_stored_as_float_tuples(self, as_sequence):
+        """An array or list of i2sb values is stored as a tuple of floats, so the
+        schedule hashes and compares by value."""
+        sched = Schedule(kind="i2sb", i2sb_breakpoints=as_sequence([0, 0.5, 1.0]),
+                         i2sb_values=as_sequence([1.0, 2.0]))
+        assert sched.i2sb_breakpoints == (0.0, 0.5, 1.0) and sched.i2sb_values == (1.0, 2.0)
+        assert all(type(v) is float for v in sched.i2sb_breakpoints + sched.i2sb_values)
+        same = Schedule(kind="i2sb", i2sb_breakpoints=(0.0, 0.5, 1.0), i2sb_values=(1.0, 2.0))
+        assert sched == same and hash(sched) == hash(same)
+        for a, b in zip(eval_schedule(sched, INTERIOR), eval_schedule(same, INTERIOR)):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("value", [5, 2.0, np.array(1.0), "1.0", None],
+                             ids=["int", "float", "0-d-array", "str", "None"])
+    def test_i2sb_field_that_is_not_a_sequence_rejected(self, value):
+        with pytest.raises(ValueError, match="i2sb_values must be a sequence of numbers"):
+            Schedule(kind="i2sb", i2sb_values=value)
+
 
 class TestDerivativeConsistency:
     @pytest.mark.parametrize("sched", PINNED_KINDS + [Schedule(kind="edm")], ids=lambda s: s.kind)
@@ -326,40 +345,44 @@ class TestTimeGrid:
         assert pts[0] == grid.t_max and pts[-1] == grid.t_min
 
 
+# reformulation family -> the schedule kind it is checked on
+FAMILY_KINDS = {"ve": "ddbm_ve", "vp": "ddbm_vp", "edm": "edm", "i2sb": "i2sb"}
+
+
 class TestReformulations:
     def test_ve_identity(self):
-        dev = verify_reformulation("ve", np.linspace(0.1, 0.9, 33))
+        dev = verify_reformulation(Schedule(kind="ddbm_ve"), np.linspace(0.1, 0.9, 33))
         assert dev <= 1e-10
 
     def test_edm_identity(self):
-        dev = verify_reformulation("edm", np.linspace(0.1, 0.9, 33))
+        dev = verify_reformulation(Schedule(kind="edm"), np.linspace(0.1, 0.9, 33))
         assert dev <= 1e-12
 
     def test_vp_identity(self):
-        dev = verify_reformulation("vp", np.linspace(0.1, 0.9, 33), beta_d=2.0, beta_min=0.1)
+        vp = Schedule(kind="ddbm_vp", beta_d=2.0, beta_min=0.1)
+        dev = verify_reformulation(vp, np.linspace(0.1, 0.9, 33))
         assert dev <= 1e-8
 
     @pytest.mark.parametrize("family", ["ve", "vp", "edm", "i2sb"])
     def test_all_families_on_50_point_grid(self, family):
-        dev = verify_reformulation(family, np.linspace(0.05, 0.95, 50))
+        dev = verify_reformulation(Schedule(kind=FAMILY_KINDS[family]), np.linspace(0.05, 0.95, 50))
         assert dev <= 1e-8
 
     def test_i2sb_multi_segment(self):
         dev = verify_reformulation(
-            "i2sb",
+            Schedule(kind="i2sb", i2sb_breakpoints=(0.0, 0.25, 0.8, 1.0),
+                     i2sb_values=(0.7, 1.8, 0.9)),
             np.linspace(0.05, 0.95, 40),
-            i2sb_breakpoints=(0.0, 0.25, 0.8, 1.0),
-            i2sb_values=(0.7, 1.8, 0.9),
         )
         assert dev <= 1e-8
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="family"):
-            verify_reformulation("vip", np.linspace(0.1, 0.9, 5))
+            verify_reformulation(Schedule(kind="linear"), np.linspace(0.1, 0.9, 5))
 
     def test_grid_argument_accepts_time_grid(self):
         grid = make_time_grid(20, t_min=0.1, t_max=0.9)
-        assert verify_reformulation("ve", grid) <= 1e-10
+        assert verify_reformulation(Schedule(kind="ddbm_ve"), grid) <= 1e-10
 
 
 class TestCustomSchedule:
@@ -443,9 +466,11 @@ class TestArrayEvaluation:
 
     @pytest.mark.parametrize("family", ["ve", "vp", "edm", "i2sb"])
     def test_reformulation_deviation_is_a_python_float(self, family):
-        assert type(verify_reformulation(family, np.linspace(0.1, 0.9, 5))) is float
+        sched = Schedule(kind=FAMILY_KINDS[family])
+        assert type(verify_reformulation(sched, np.linspace(0.1, 0.9, 5))) is float
 
     def test_reformulation_needs_a_grid_and_probes(self):
-        for family, grid, n_probes in (("i2sb", [0.5], 32), ("ve", [], 32), ("ve", [0.4, 0.5], 0)):
+        for family, grid, n_probes in (("i2sb", [0.5], 32), ("ve", [], 32), ("ve", [0.4, 0.5], 0),
+                                       ("ve", [0.4, 0.5], 2.5), ("ve", [0.4, 0.5], True)):
             with pytest.raises(ValueError, match="need a 1-d grid of >= 2 times and n_probes >= 1"):
-                verify_reformulation(family, grid, n_probes=n_probes)
+                verify_reformulation(Schedule(kind=FAMILY_KINDS[family]), grid, n_probes=n_probes)
