@@ -1,10 +1,12 @@
 """Experiment runner: config parsing, named runs, deterministic artifacts.
 
-Every run writes its artifacts with temp-file + atomic rename after the
-computation finishes, so failed or invalid runs never leave partial files.
+After the computation finishes, each artifact is encoded while it is written
+to a temp file, a block at a time, so no encoded copy of a table is held.
+The manifest is encoded last, and only when every temp file is complete are
+they renamed into place; a run that fails before that leaves no file behind.
 Numeric CSV fields use 17 significant digits so reruns are byte-comparable.
-Exit codes: 0 success, 1 config/validation error, 2 numerical-property
-failure.
+Exit codes: 0 success, 1 config/validation or output error, 2
+numerical-property failure.
 """
 
 from __future__ import annotations
@@ -283,22 +285,22 @@ def _parse_sampling(cfg: dict, seed: int):
 _BLOCK_ROWS = 4096
 
 
-def _csv_bytes(header: list[str], columns) -> bytes:
+def _csv_blocks(header: list[str], columns):
     """CSV of equal-length columns: floats to 17 significant digits, integers and labels as is.
 
-    Rows are formatted and encoded a block at a time, so no text copy of the table is held.
+    Yields the encoded header, then the encoded rows a block at a time, so neither a text
+    nor a byte copy of the table is held.
     """
     columns = [np.asarray(col) for col in columns]
     template = ",".join("%.17g" if col.dtype.kind == "f" else "%s" for col in columns) + "\n"
-    blocks = [(",".join(header) + "\n").encode()]
+    yield (",".join(header) + "\n").encode()
     k = len(columns)
     for lo in range(0, len(columns[0]), _BLOCK_ROWS):
         block = [col[lo : lo + _BLOCK_ROWS].tolist() for col in columns]
         cells = [None] * (k * len(block[0]))  # the block's values in row order
         for j, values in enumerate(block):
             cells[j::k] = values
-        blocks.append((template * len(block[0]) % tuple(cells)).encode())
-    return b"".join(blocks)
+        yield (template * len(block[0]) % tuple(cells)).encode()
 
 
 def _jsonable(obj):
@@ -320,22 +322,36 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n").encode()
 
 
-def _write_artifacts(out_dir: str, artifacts: dict[str, bytes]) -> None:
+def _write_artifacts(out_dir: str, artifacts: dict) -> None:
+    """Writes each artifact, bytes or an iterable of bytes-like blocks, into out_dir.
+
+    Artifacts are written in order, each to a temp file as its blocks are produced, and
+    renamed into place only once every temp file is complete.  If anything raises before
+    then, every temp file is unlinked and no artifact of the run is renamed into place.
+    """
     os.makedirs(out_dir, exist_ok=True)
     umask = os.umask(0)
     os.umask(umask)
-    for name in sorted(artifacts):
-        fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
-        try:
+    written = []  # (temp file, artifact path)
+    try:
+        for name, data in artifacts.items():
+            path = os.path.join(out_dir, name)
+            if os.path.isdir(path):  # os.replace would fail only after earlier renames
+                raise IsADirectoryError(f"{path} is a directory")
+            fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
+            written.append((tmp, path))
             with os.fdopen(fd, "wb") as fh:
-                fh.write(artifacts[name])
+                for block in [data] if isinstance(data, bytes) else data:
+                    fh.write(block)
             # mkstemp creates the file 0600; give it the mode open() would have.
             os.chmod(tmp, 0o666 & ~umask)
-            os.replace(tmp, os.path.join(out_dir, name))
-        except BaseException:
-            if os.path.exists(tmp):
+        for tmp, path in written:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in written:
+            if os.path.exists(tmp):  # not yet renamed
                 os.unlink(tmp)
-            raise
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +401,7 @@ def _run_verify_schedule(sched, grid, seed: int, threads: int):
         failures.append(f"g_sq is negative on the grid (min {min_g_sq})")
 
     artifacts = {
-        "schedule.csv": _csv_bytes(
+        "schedule.csv": _csv_blocks(
             ["t", "alpha", "beta", "gamma", "d_alpha", "d_beta", "d_gamma", "f", "s", "g_sq"],
             [ts, *ev[:6], *co],
         ),
@@ -434,11 +450,11 @@ def _run_simulate_forward(sched, grid, fwd, seed: int, threads: int):
         n, m, d = ens.paths.shape
         # Every path shares the grid, so each time is formatted once, not once per path.
         times = np.array(["%.17g" % t for t in ens.times.tolist()], dtype=object)
-        artifacts["forward.csv"] = _csv_bytes(
+        artifacts["forward.csv"] = _csv_blocks(
             ["path_id", "time"] + [f"x_{j}" for j in range(d)],
             [np.repeat(np.arange(n), m), np.tile(times, n), *ens.paths.reshape(n * m, d).T],
         )
-        artifacts["forward.traj"] = ens.to_binary()
+        artifacts["forward.traj"] = ens.binary_parts()
     return artifacts, []
 
 
@@ -455,7 +471,7 @@ def _run_sample(task, den, sampler_cfg, vals, seed: int, threads: int):
     x0 = result.x0_batch
     artifacts = {
         # each condition's replicates in consecutive rows
-        "sample.csv": _csv_bytes(
+        "sample.csv": _csv_blocks(
             ["row_id", "replicate_id"] + [f"x_{j}" for j in range(d)],
             [*np.divmod(np.arange(x0.shape[0]), n_replicates), *x0.T],
         ),
@@ -471,7 +487,7 @@ def _run_sample(task, den, sampler_cfg, vals, seed: int, threads: int):
         ),
     }
     if result.trajectories is not None:
-        artifacts["sample.traj"] = result.trajectories.to_binary()
+        artifacts["sample.traj"] = result.trajectories.binary_parts()
     return artifacts, []
 
 
@@ -535,8 +551,8 @@ def _run_afd_study(task, den, base_cfg, vals, seed: int, threads: int):
 
     nondecreasing = all(a <= b + 1e-15 for a, b in zip(afd_values, afd_values[1:]))
     artifacts = {
-        "afd.csv": _csv_bytes(["boot_b", "afd"], [boot_values, afd_values]),
-        "afd_groups.csv": _csv_bytes(
+        "afd.csv": _csv_blocks(["boot_b", "afd"], [boot_values, afd_values]),
+        "afd_groups.csv": _csv_blocks(
             ["boot_b", "group_id", "afd"],
             [np.repeat(boot_values, n_conditions),
              np.tile(np.arange(n_conditions), boot_values.size), np.concatenate(group_afds)],
@@ -614,7 +630,7 @@ def _run_convergence_study(sched, policy, vals, seed: int, threads: int):
             )
 
     artifacts = {
-        "convergence.csv": _csv_bytes(
+        "convergence.csv": _csv_blocks(
             ["pair", "dt", "mean_diff"],
             [np.repeat([f"{a}|{b}" for a, b in vals["pairs"]], dts.size),
              np.tile(dts, len(vals["pairs"])), all_diffs],
@@ -720,21 +736,31 @@ def main(argv=None) -> int:
 
     echo = {k: v for k, v in cfg.items() if k != "out"}
     echo["seed"] = seed
-    artifacts["manifest.json"] = _json_bytes(
-        {
-            "command": args.command,
-            "config": echo,
-            "seed": seed,
-            "threads": args.threads,
-            "versions": {
-                "bridgelab": __version__,
-                "numpy": np.__version__,
-                "python": sys.version.split()[0],
-            },
-            "wall_time_s": time.perf_counter() - start,
-        }
-    )
-    _write_artifacts(out_dir, artifacts)
+
+    def manifest():
+        # Produced when the writer reaches it, after every other artifact is encoded and
+        # written, so wall_time_s covers that work too.
+        yield _json_bytes(
+            {
+                "command": args.command,
+                "config": echo,
+                "seed": seed,
+                "threads": args.threads,
+                "versions": {
+                    "bridgelab": __version__,
+                    "numpy": np.__version__,
+                    "python": sys.version.split()[0],
+                },
+                "wall_time_s": time.perf_counter() - start,
+            }
+        )
+
+    artifacts["manifest.json"] = manifest()
+    try:
+        _write_artifacts(out_dir, artifacts)
+    except OSError as err:
+        print(f"output error: cannot write {out_dir!r} ({err})", file=sys.stderr)
+        return 1
     for failure in failures:
         print(f"numerical failure: {failure}", file=sys.stderr)
     return 2 if failures else 0

@@ -336,7 +336,7 @@ class Preconditioner:
     def __post_init__(self):
         for name in ("sigma0", "sigmaT", "sigma0T"):
             val = getattr(self, name)
-            if not _rng.is_real(val) or not math.isfinite(val) or (val <= 0 and name != "sigma0T"):
+            if not _rng.is_finite_real(val) or (val <= 0 and name != "sigma0T"):
                 raise ValueError(f"prec.{name} must be finite (sigma0, sigmaT: > 0), got {val!r}")
 
     @classmethod
@@ -405,7 +405,7 @@ class MlpHyper:
                 raise ValueError(f"train.{name} must be a positive integer, got {val!r}")
         for name in ("lr", "t_min", "t_max"):
             val = getattr(self, name)
-            if not _rng.is_real(val) or not math.isfinite(val) or (name == "lr" and val <= 0):
+            if not _rng.is_finite_real(val) or (name == "lr" and val <= 0):
                 raise ValueError(f"train.{name} must be finite (lr: positive), got {val!r}")
         if not 0.0 < self.t_min < self.t_max <= T_HORIZON:
             raise ValueError(f"need 0 < t_min < t_max <= T, got [{self.t_min}, {self.t_max}]")

@@ -40,10 +40,14 @@ class PathEnsemble:
                 f"paths axis 1 ({self.paths.shape[1]})"
             )
 
-    def to_binary(self) -> bytes:
+    def binary_parts(self) -> tuple:
+        """The header, times and paths of to_binary; contiguous arrays are not copied."""
         n, m, d = self.paths.shape
         header = _BINARY_MAGIC + struct.pack("<qqqq", n, m, d, self.seed)
-        return header + self.times.tobytes() + self.paths.tobytes()
+        return header, *(memoryview(np.ascontiguousarray(a)) for a in (self.times, self.paths))
+
+    def to_binary(self) -> bytes:
+        return b"".join(self.binary_parts())
 
     @classmethod
     def from_binary(cls, blob: bytes) -> "PathEnsemble":

@@ -63,6 +63,14 @@ def is_real(val) -> bool:
     return isinstance(val, (int, float, np.integer, np.floating)) and not isinstance(val, bool)
 
 
+def is_finite_real(val) -> bool:
+    """True for a real (is_real) that is finite as a float; an int too large for one is not."""
+    try:
+        return is_real(val) and abs(float(val)) < np.inf
+    except OverflowError:
+        return False
+
+
 def stream(seed: int, tag: int, step: int = 0, chunk: int = 0) -> np.random.Generator:
     """Returns a fresh generator for one (seed, tag, step, chunk) cell.
 

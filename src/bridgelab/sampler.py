@@ -38,7 +38,7 @@ class SamplerConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if not (_rng.is_real(self.boot_b) and 0 <= self.boot_b < math.inf):
+        if not (_rng.is_finite_real(self.boot_b) and self.boot_b >= 0):
             raise ValueError(f"boot_b must be finite, real and >= 0, got {self.boot_b!r}")
         if not _rng.is_integer(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")

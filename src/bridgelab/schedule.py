@@ -69,7 +69,7 @@ class Schedule:
         for name in ("gamma_max", "gamma_multiplier", "gamma_scale", "beta_d", "beta_min",
                      "fd_step"):
             val = getattr(self, name)
-            if not (_rng.is_real(val) and math.isfinite(val)):
+            if not _rng.is_finite_real(val):
                 raise ValueError(f"{name} must be finite and real, got {val!r}")
         for name in ("i2sb_breakpoints", "i2sb_values"):
             seq = getattr(self, name)
@@ -77,7 +77,7 @@ class Schedule:
             if not isinstance(seq, (list, tuple)):
                 raise ValueError(f"{name} must be a sequence of numbers, got {seq!r}")
             for val in seq:
-                if not (_rng.is_real(val) and math.isfinite(val)):
+                if not _rng.is_finite_real(val):
                     raise ValueError(
                         f"i2sb breakpoints and values must be finite and real; {name} holds {val!r}"
                     )
@@ -164,7 +164,7 @@ class EpsilonPolicy:
             raise ValueError(f"unknown epsilon policy kind {self.kind!r}")
         if not (_rng.is_real(self.eta) and 0.0 <= self.eta <= 1.0):
             raise ValueError(f"eta must be a real number in [0, 1], got {self.eta!r}")
-        if not (_rng.is_real(self.const_value) and 0 <= self.const_value < math.inf):
+        if not (_rng.is_finite_real(self.const_value) and self.const_value >= 0):
             raise ValueError(f"const_value must be finite, real and >= 0, got {self.const_value!r}")
         if not isinstance(self.scale_by_gamma_sq, bool):
             raise ValueError(f"scale_by_gamma_sq must be a bool, got {self.scale_by_gamma_sq!r}")
@@ -400,8 +400,8 @@ def make_time_grid(
     if not _rng.is_integer(N) or N < 1:
         raise ValueError(f"N must be an integer >= 1, got {N!r}")
     for name, val in (("t_min", t_min), ("t_max", t_max), ("rho", rho)):
-        if not _rng.is_real(val):
-            raise ValueError(f"{name} must be a real number, got {val!r}")
+        if not _rng.is_finite_real(val):
+            raise ValueError(f"{name} must be a real number and finite, got {val!r}")
     if not 0.0 < t_min < t_max <= T_HORIZON:
         raise ValueError(f"need 0 < t_min < t_max <= {T_HORIZON}, got [{t_min}, {t_max}]")
     if rho <= 0:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -361,6 +362,61 @@ class TestArtifactMode:
             assert os.stat(out / name).st_mode & 0o777 == mode, name
 
 
+class TestOutputErrors:
+    """An output that cannot be written exits 1 with one line and leaves no file behind."""
+
+    FORWARD = {
+        "schedule": LINEAR_SCHEDULE,
+        "grid": {"n_steps": 10},
+        "forward": {"x0": [0.0], "xT": [1.0], "n_paths": 20, "record": True},
+    }
+
+    def test_out_that_is_a_regular_file_exits_1(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, "c.json", self.FORWARD)
+        out = tmp_path / "out"
+        out.write_bytes(b"keep")
+        assert _run("simulate-forward", cfg, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert str(out) in err
+        assert out.read_bytes() == b"keep"
+        assert sorted(os.listdir(tmp_path)) == ["c.json", "out"]
+
+    def test_artifact_path_that_is_a_directory_renames_nothing(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, "c.json", self.FORWARD)
+        out = tmp_path / "out"
+        (out / "forward.traj").mkdir(parents=True)
+        assert _run("simulate-forward", cfg, out) == 1
+        assert "forward.traj is a directory" in capsys.readouterr().err
+        assert os.listdir(out) == ["forward.traj"]
+
+    @pytest.mark.parametrize("error", [OSError, RuntimeError])
+    def test_encoder_failing_after_the_first_temp_file_leaves_the_directory_as_it_was(
+        self, tmp_path, capsys, monkeypatch, error
+    ):
+        cfg = _write_config(tmp_path, "c.json", self.FORWARD)
+        out = tmp_path / "out"
+        assert _run("simulate-forward", cfg, out, seed=1) == 0
+        before = {name: _read_bytes(out, name) for name in os.listdir(out)}
+        seen = []
+
+        def failing_encoder(header, columns):
+            seen.extend(os.listdir(out))
+            yield b"path_id,time,x_0\n"
+            raise error(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "_csv_blocks", failing_encoder)
+        if error is OSError:
+            assert _run("simulate-forward", cfg, out, seed=2) == 1
+            assert capsys.readouterr().err.startswith(f"output error: cannot write {str(out)!r}")
+        else:
+            with pytest.raises(RuntimeError):
+                _run("simulate-forward", cfg, out, seed=2)
+        # moments.json, written before forward.csv, had its temp file when the encoder ran
+        assert any(name.startswith(".moments.json.") for name in seen)
+        assert {name: _read_bytes(out, name) for name in os.listdir(out)} == before
+
+
 class TestCsvEncoder:
     EDGES = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 1 / 3, 1e-7, 0.1, -2.5e-300]
 
@@ -384,7 +440,7 @@ class TestCsvEncoder:
         columns = [edges, edges[::-1]]
         columns.insert(position, labels)
         header = ["a", "b", "c"]
-        got = cli._csv_bytes(header, [np.array(col) for col in columns])
+        got = b"".join(cli._csv_blocks(header, [np.array(col) for col in columns]))
         assert got == self._reference(header, columns)
         assert got.count(b"\n") == 1 + n
 
@@ -509,8 +565,58 @@ class TestSample:
         for name, digest in digests.items():
             assert hashlib.sha256(_read_bytes(out, name)).hexdigest() == digest, name
 
+    # sha256 computed while the encoded artifacts were held in memory before writing
+    def test_trajectory_bytes_are_pinned(self, tmp_path):
+        cfg = {**self.CONFIG, "task": TASK_2D,
+               "sampler": {**self.CONFIG["sampler"], "record_trajectory": True},
+               "sample": {"n_conditions": 5, "n_replicates": 3}}
+        out = tmp_path / "out"
+        assert _run("sample", _write_config(tmp_path, "c.json", cfg), out, seed=7) == 0
+        digests = {
+            "sample.traj": "653cea8774330cc9886dc9f6a00779cc0677c47f90fe54e5bd3895b8a2ebe03e",
+            "sample.csv": "f191aea6e430dc6516e0356b87826ebb8325fd5eed7157ba53b56cc573b49726",
+        }
+        for name, digest in digests.items():
+            assert hashlib.sha256(_read_bytes(out, name)).hexdigest() == digest, name
+
 
 class TestSimulateForward:
+    @staticmethod
+    def _config(tmp_path, n_paths: int, grid: dict, x0=(0.0,), xT=(1.0,)) -> str:
+        return _write_config(
+            tmp_path, "c.json",
+            {"schedule": LINEAR_SCHEDULE, "grid": grid,
+             "forward": {"x0": list(x0), "xT": list(xT), "n_paths": n_paths, "record": True}},
+        )
+
+    # sha256 computed while the encoded artifacts were held in memory before
+    # writing; 300 paths x 21 times span two CSV blocks.
+    def test_path_artifact_bytes_are_pinned(self, tmp_path):
+        grid = {"n_steps": 20, "t_min": 0.02, "t_max": 0.7, "rho": 7.0}
+        cfg = self._config(tmp_path, 300, grid, x0=(0.0, 2.0), xT=(1.0, -1.0))
+        out = tmp_path / "out"
+        assert _run("simulate-forward", cfg, out, seed=11) == 0
+        digests = {
+            "forward.csv": "6e1f69623f1017961b0f0bb1a4bc253364f729f897ede22ab8752faeea77b536",
+            "forward.traj": "dc37191cf903799cccf8702b162aed5960beb1495350d00a08f1f5038e546415",
+        }
+        for name, digest in digests.items():
+            assert hashlib.sha256(_read_bytes(out, name)).hexdigest() == digest, name
+
+    def test_peak_memory_is_below_the_csv_it_writes(self, tmp_path):
+        """Each artifact is encoded while it is written, so no encoded copy of the CSV is held."""
+        grid = {"n_steps": 100, "t_min": 0.02, "t_max": 0.5, "rho": 1.0}
+        cfg, out = self._config(tmp_path, 1000, grid), tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = _run("simulate-forward", cfg, out, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        csv_bytes = os.path.getsize(out / "forward.csv")
+        assert peak < csv_bytes, f"peak {peak / 1e6:.1f} MB, forward.csv {csv_bytes / 1e6:.1f} MB"
+
     def test_writes_moments_and_paths(self, tmp_path):
         cfg = _write_config(
             tmp_path, "c.json",
@@ -570,10 +676,10 @@ class TestSimulateForward:
 
         ens = PathEnsemble.from_binary(_read_bytes(out, "forward.traj"))
         n, m, d = ens.paths.shape
-        want = cli._csv_bytes(
+        want = b"".join(cli._csv_blocks(
             ["path_id", "time", "x_0", "x_1"],
             [np.repeat(np.arange(n), m), np.tile(ens.times, n), *ens.paths.reshape(n * m, d).T],
-        )
+        ))
         assert _read_bytes(out, "forward.csv") == want
 
     def test_record_false_skips_path_artifacts(self, tmp_path):

@@ -574,8 +574,9 @@ class TestPreconditioning:
     @pytest.mark.parametrize(
         "kwargs",
         [{"sigma0": math.nan}, {"sigmaT": math.inf}, {"sigma0T": -math.inf}, {"sigma0": "x"},
-         {"sigmaT": None}, {"sigma0T": True}, {"sigma0": 0.0}, {"sigmaT": -0.5}],
-        ids=["nan", "inf", "-inf", "str", "none", "bool", "zero-sd", "negative-sd"],
+         {"sigmaT": None}, {"sigma0T": True}, {"sigma0": 0.0}, {"sigmaT": -0.5},
+         {"sigma0": 10**400}],
+        ids=["nan", "inf", "-inf", "str", "none", "bool", "zero-sd", "negative-sd", "huge-int"],
     )
     def test_bad_statistics_rejected(self, kwargs):
         with pytest.raises(ValueError, match="prec"):
@@ -659,7 +660,8 @@ class TestMlp:
          ("layers", True), ("layers", 0), ("width", 2.5), ("width", np.float64(32.0)),
          ("batch", "8"), ("batch", False), ("iters", 10.0), ("iters", -1),
          ("t_max", True), ("t_min", "0.1"), ("t_min", math.nan), ("t_max", math.inf),
-         ("t_min", False), ("t_max", None)],
+         ("t_min", False), ("t_max", None),
+         pytest.param("lr", 10**400, id="lr-huge-int")],
     )
     def test_hyper_rejects_a_bad_value_and_names_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"train.{field} must be"):

@@ -296,6 +296,17 @@ class TestPathEnsembleSerialization:
         np.testing.assert_array_equal(back.times, ens.times)
         assert back.seed == 42
 
+    def test_binary_parts_view_the_arrays_and_join_to_the_blob(self):
+        rng = np.random.default_rng(9)
+        ens = PathEnsemble(rng.standard_normal((5, 4, 3)), np.linspace(0.9, 0.1, 4), 42)
+        header, times, paths = ens.binary_parts()
+        assert times.obj is ens.times and paths.obj is ens.paths
+        assert ens.to_binary() == header + ens.times.tobytes() + ens.paths.tobytes()
+        # a strided array is written as its contiguous copy would be
+        strided = PathEnsemble(ens.paths[:, ::-1], ens.times[::-1], 42)
+        want = PathEnsemble(ens.paths[:, ::-1].copy(), ens.times[::-1].copy(), 42)
+        assert strided.to_binary() == want.to_binary()
+
     def test_binary_rejects_other_blobs(self):
         with pytest.raises(ValueError, match="blob"):
             PathEnsemble.from_binary(b"not a path ensemble at all")

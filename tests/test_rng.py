@@ -122,3 +122,18 @@ def test_is_real_accepts_python_and_numpy_numbers(value):
 @pytest.mark.parametrize("value", [True, False, np.bool_(True), "1.0", None, 1j, [1.0]])
 def test_is_real_rejects_bools_and_non_numbers(value):
     assert not _rng.is_real(value)
+
+
+@pytest.mark.parametrize("value", [0, -3, 2.5, pytest.param(10**300, id="big-int"), np.int64(4), np.float32(0.5), 1.7e308])
+def test_is_finite_real_accepts_finite_numbers(value):
+    assert _rng.is_finite_real(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [math.inf, -math.inf, math.nan, np.float64(math.nan), pytest.param(10**400, id="huge-int"),
+     pytest.param(-(10**400), id="-huge-int"), True, "1.0", None, 1j],
+)
+def test_is_finite_real_rejects_non_finite_values_and_non_numbers(value):
+    # 10**400 is an int too large for a float; it must not raise OverflowError
+    assert not _rng.is_finite_real(value)

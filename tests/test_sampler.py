@@ -300,7 +300,7 @@ class TestSamplerConfig:
                 boot_b=-0.5,
             )
 
-    @pytest.mark.parametrize("boot_b", [math.inf, math.nan])
+    @pytest.mark.parametrize("boot_b", [math.inf, math.nan, pytest.param(10**400, id="huge-int")])
     def test_non_finite_boot_rejected(self, boot_b):
         with pytest.raises(ValueError, match="boot_b must be finite"):
             SamplerConfig(

@@ -474,3 +474,20 @@ class TestArrayEvaluation:
                                        ("ve", [0.4, 0.5], 2.5), ("ve", [0.4, 0.5], True)):
             with pytest.raises(ValueError, match="need a 1-d grid of >= 2 times and n_probes >= 1"):
                 verify_reformulation(Schedule(kind=FAMILY_KINDS[family]), grid, n_probes=n_probes)
+
+
+HUGE = 10**400  # a Python int too large for a float
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [(lambda: Schedule(kind="linear", gamma_max=HUGE), "gamma_max must be finite and real"),
+     (lambda: Schedule(kind="i2sb", i2sb_breakpoints=(0.0, 0.5, 1.0), i2sb_values=(1.0, HUGE)),
+      "i2sb_values holds"),
+     (lambda: EpsilonPolicy(kind="constant", const_value=HUGE), "const_value must be finite"),
+     (lambda: make_time_grid(5, rho=HUGE), "rho must be a real number and finite")],
+    ids=["gamma_max", "i2sb_values", "const_value", "rho"],
+)
+def test_int_too_large_for_a_float_is_a_named_value_error(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
