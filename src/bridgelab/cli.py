@@ -469,19 +469,19 @@ def _run_sample(task, den, sampler_cfg, vals, seed: int, threads: int):
     result = sample(sampler_cfg, den, xT_batch, threads=threads)
     d = xT_batch.shape[1]
     x0 = result.x0_batch
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x0.mean(axis=0)
+        cov = np.cov(x0.T) if x0.shape[0] > 1 else np.zeros((d, d))
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        raise ValueError(f"the mean or covariance of the {x0.shape[0]} sample rows is not finite "
+                         "(an overflow)")
     artifacts = {
         # each condition's replicates in consecutive rows
         "sample.csv": _csv_blocks(
             ["row_id", "replicate_id"] + [f"x_{j}" for j in range(d)],
             [*np.divmod(np.arange(x0.shape[0]), n_replicates), *x0.T],
         ),
-        "moments.json": _json_bytes(
-            {
-                "mean": x0.mean(axis=0),
-                "cov": np.cov(x0.T) if x0.shape[0] > 1 else np.zeros((d, d)),
-                "n": x0.shape[0],
-            }
-        ),
+        "moments.json": _json_bytes({"mean": mean, "cov": cov, "n": x0.shape[0]}),
         "diagnostics.json": _json_bytes(
             {"eps_used": result.eps_used, "x0hat_change": result.x0hat_change}
         ),

@@ -279,26 +279,82 @@ def _plan(dist: AnalyticTask, sched: Schedule, t) -> _Plan:
 
 
 def _times_rows(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x @ m for one matrix, or row i of x times m[i] for an (n, d, w) stack."""
-    return x @ m if m.ndim == 2 else (x[:, None, :] @ m)[:, 0]
+    """x @ m for one (d, w) matrix, or row i of x times m[i] for an (n, d, w)
+    stack.
+
+    numpy multiplies a single row by a matrix-vector kernel whose summation
+    order depends on m's memory layout, so one row uses m as the plan built
+    it.  Two or more rows go to a matrix-matrix kernel, whose bits do not
+    depend on the layout and which multiplies a C-contiguous m fastest.
+    """
+    if m.ndim == 3:
+        return (x[:, None, :] @ m)[:, 0]
+    return x @ (m if x.shape[0] == 1 else np.ascontiguousarray(m))
+
+
+def _along_rows(a: np.ndarray) -> np.ndarray:
+    """A plan row, (w,), or one per data row, (n, w), as (w, 1) or (w, n)."""
+    return np.reshape(a.T, (a.shape[-1], -1))
 
 
 def _posterior_mean(plan: _Plan, x_t: np.ndarray, xT: np.ndarray) -> np.ndarray:
     """E[x0 | x_t, xT] for (n, d) rows from a plan: one affine map, then for a
-    mixture the responsibility-weighted sum of the component means."""
-    u = _times_rows(x_t, plan.X) + _times_rows(xT, plan.Y) + plan.c
-    if plan.log_norm is None:
-        return u
-    # Components run along axis 0, so each reduction over them is elementwise
-    # across rows; numpy reduces along a short last axis many times slower.
+    mixture the responsibility-weighted sum of the component means.
+
+    Every elementwise pass runs along the n rows, as numpy loops over a short
+    last axis many times slower.  A Gaussian adds the offset c one column at
+    a time; a mixture works on u^T, one row per plan column, and sums each
+    component's squares and means in index order.  Each pass adds and
+    multiplies in the order of the expressions it replaces, so the bits are
+    theirs: u = x_t X + xT Y + c, and for one row numpy's own kernels for the
+    sums over components.  A mixture row whose quadratic form is not finite
+    raises ValueError.
+    """
     n, d = x_t.shape
+    if plan.log_norm is None:
+        u = _times_rows(x_t, plan.X)
+        u += _times_rows(xT, plan.Y)
+        if plan.c.ndim == 2:
+            u += plan.c
+        else:
+            for j, c_j in enumerate(plan.c.tolist()):
+                u[:, j] += c_j
+        return u
     k = plan.log_norm.shape[0]
-    pick = np.tile(np.repeat(np.eye(k), d, axis=0), (2, 1))  # sums a component's squares
-    log_resp = plan.log_norm - 0.5 * (pick.T @ (u[:, k * d :] ** 2).T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if d == 1:  # a contraction of length 1 is one product per entry
+            u = _along_rows(plan.X[..., 0, :]) * x_t[:, 0]
+            u += _along_rows(plan.Y[..., 0, :]) * xT[:, 0]
+        else:
+            u = _times_rows(x_t, plan.X)
+            u += _times_rows(xT, plan.Y)
+            u = np.ascontiguousarray(u.T)
+        u += _along_rows(plan.c)
+        sq = u[k * d :] ** 2  # whitened residuals of x_t | xT, then of xT
+        if n == 1:  # a matrix-vector product, which sums in its own order
+            log_resp = np.tile(np.repeat(np.eye(k), d, axis=0), (2, 1)).T @ sq
+        else:
+            terms = sq.reshape(2, k, d, n).swapaxes(1, 2).reshape(2 * d, k, n)
+            log_resp = terms[0].copy()
+            for term in terms[1:]:
+                log_resp += term
+    if not log_resp.max(initial=-math.inf) < math.inf:
+        row = np.flatnonzero(~np.all(np.isfinite(log_resp), axis=0))[0]
+        raise ValueError(f"the mixture quadratic form of row {row} of {n} is not finite")
+    log_resp *= -0.5
+    log_resp += plan.log_norm
     log_resp -= log_resp.max(axis=0)
-    resp = np.exp(log_resp)
+    resp = np.exp(log_resp, out=log_resp)
     resp /= resp.sum(axis=0)
-    return np.einsum("kn,nkd->nd", resp, u[:, : k * d].reshape(n, k, d))
+    if n == 1:
+        return np.einsum("kn,nkd->nd", resp, u[: k * d].reshape(n, k, d))
+    means = u[: k * d].reshape(k, d, n)
+    out = np.empty((n, d))
+    out_cols = out.T
+    np.multiply(resp[0], means[0], out=out_cols)
+    for j in range(1, k):
+        out_cols += resp[j] * means[j]
+    return out
 
 
 def score_from_denoiser(

@@ -135,9 +135,17 @@ def step_coefficients(variant: str, sched: Schedule, t: float, dt: float, eps: f
 
 
 def apply_step(coeffs, x_hat0, anchor, x, z=0.0):
-    """x' = a x0hat + b anchor + c x + s z; the default z = 0 leaves out the noise."""
+    """x' = a x0hat + b anchor + c x + s z; the default z = 0 leaves out the noise.
+
+    The terms accumulate into one array shaped like x0hat, added left to right
+    as the expression reads, so the result has the expression's bits.
+    """
     a, b, c, s = coeffs
-    return a * x_hat0 + b * anchor + c * x + s * z
+    out = a * x_hat0
+    out += b * anchor
+    out += c * x
+    out += s * z
+    return out
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -180,6 +188,18 @@ def sample(cfg: SamplerConfig, den: Denoiser, xT_batch: np.ndarray, threads: int
     change_sums[:, 0] = math.nan
 
     def work(chunk: int, sl: slice) -> None:
+        # An overflow shows as a non-finite x0hat change or sample, checked once per chunk.
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = walk(chunk, sl)
+        bad_steps = np.flatnonzero(~np.isfinite(change_sums[chunk, 1:]))
+        if bad_steps.size or not np.all(np.isfinite(x)):
+            k = int(bad_steps[0]) + 1 if bad_steps.size else n_steps - 1
+            what = "the x0hat change" if bad_steps.size else "the sample"
+            raise ValueError(f"rows [{sl.start}:{sl.stop}), step {n_steps - 1 - k} at "
+                             f"t = {float(ts[k])}: {what} is not finite (an overflow)")
+        x0_batch[sl] = x
+
+    def walk(chunk: int, sl: slice) -> np.ndarray:
         xT = xT_batch[sl]
         x = xT.copy()
         if cfg.boot_b > 0:
@@ -215,7 +235,7 @@ def sample(cfg: SamplerConfig, den: Denoiser, xT_batch: np.ndarray, threads: int
                 ) from err
             if traj is not None:
                 traj[sl, k + 1] = x
-        x0_batch[sl] = x
+        return x
 
     _rng.run_chunked(n, threads, work)
     trajectories = PathEnsemble(traj, ts, cfg.seed) if traj is not None else None

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,24 @@ TASK_2D = {
     "cov00": [[0.29, 0.0], [0.0, 0.2]],
     "covTT": [[1.0, 0.0], [0.0, 1.0]],
     "cov0T": [[0.5, 0.0], [0.0, 0.3]],
+}
+# Non-diagonal 2-d Gaussian (TASK_2D is diagonal) and a 2-d two-component mixture
+TASK_2D_FULL = {
+    "kind": "joint_gaussian",
+    "mean0": [0.85, -0.4],
+    "meanT": [0.5, -0.5],
+    "cov00": [[0.754, 0.165], [0.165, 0.474]],
+    "covTT": [[1.0, 0.3], [0.3, 0.8]],
+    "cov0T": [[0.84, 0.11], [0.31, 0.59]],
+}
+GMM_2D_TASK = {
+    "kind": "gmm_coupling",
+    "weights": [0.4, 0.6],
+    "components": [
+        {key: TASK_2D_FULL[key] for key in ("mean0", "meanT", "cov00", "covTT", "cov0T")},
+        {"mean0": [-0.6, 0.9], "meanT": [-0.4, 0.7], "cov00": [[0.5, -0.1], [-0.1, 0.3]],
+         "covTT": [[0.6, 0.1], [0.1, 0.9]], "cov0T": [[0.2, 0.05], [-0.1, 0.25]]},
+    ],
 }
 GMM_TASK = {
     "kind": "gmm_coupling",
@@ -516,6 +535,23 @@ class TestSample:
         assert not out.exists()
         assert "gamma(1.0) = 0.0 is singular" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task, boot_b, match", [
+        (GMM_TASK, 1e160, r"rows \[0:10\), step 7 at t = 0\.9999: "
+                          r"the mixture quadratic form of row \d+ of 10 is not finite"),
+        (TASK_1D, 1e306, r"rows \[0:10\), step \d+ at t = 0\.\d+: "
+                         r"the x0hat change is not finite"),
+        (TASK_1D, 1e154, r"the mean or covariance of the 10 sample rows is not finite"),
+    ], ids=["mixture", "gaussian", "gaussian-moments"])
+    def test_overflow_exits_2_naming_rows_step_and_t(self, tmp_path, capsys, task, boot_b, match):
+        """Before, each exited 0: nan rows and a null mean, or an infinite covariance."""
+        cfg = {**self.CONFIG, "task": task, "sampler": {**self.CONFIG["sampler"], "boot_b": boot_b},
+               "sample": {"n_conditions": 5, "n_replicates": 2}}
+        out = tmp_path / "out"
+        assert _run("sample", _write_config(tmp_path, "c.json", cfg), out) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and re.search(match, err), err
+
     def test_trajectory_artifact_when_requested(self, tmp_path):
         cfg_dict = {
             **self.CONFIG,
@@ -576,6 +612,29 @@ class TestSample:
             "sample.traj": "653cea8774330cc9886dc9f6a00779cc0677c47f90fe54e5bd3895b8a2ebe03e",
             "sample.csv": "f191aea6e430dc6516e0356b87826ebb8325fd5eed7157ba53b56cc573b49726",
         }
+        for name, digest in digests.items():
+            assert hashlib.sha256(_read_bytes(out, name)).hexdigest() == digest, name
+
+
+    # sha256 of each artifact, computed before the posterior mean ran along the
+    # rows; 4097 rows leave a last chunk of one row.
+    @pytest.mark.parametrize("task, digests", [
+        (TASK_2D_FULL, {
+            "sample.csv": "655be76f2dcecc5078ab7024ce6b731a5c94d4d9bffbed47903db6ad8c22a0b4",
+            "moments.json": "b40b8352d5fc763dd2aaef1ea85806b79c8bd1fc39cd5c0d62305f11e8a15dcd",
+            "diagnostics.json": "9f275d7b59c423d86ea7dd4a1c7d7df0e44bd9f8871d12c656d7e3b968234924",
+        }),
+        (GMM_2D_TASK, {
+            "sample.csv": "9eb85710a79f088113b680d09e6de2513fdbb8caa2f96f763a6f4d4da53d0f31",
+            "moments.json": "ae0af9665b0509356795b4f729c4469897b063cc1ef6c98f5f032f011a1d01d3",
+            "diagnostics.json": "3f410013be763c9f2a013dab410efde3316362c2a1ff59717147894084f60e08",
+        }),
+    ], ids=["gaussian-2d", "mixture-2d"])
+    def test_4097_row_artifact_bytes_are_pinned(self, tmp_path, task, digests):
+        cfg = {**self.CONFIG, "grid": {"n_steps": 6}, "task": task,
+               "sample": {"n_conditions": 4097, "n_replicates": 1}}
+        out = tmp_path / "out"
+        assert _run("sample", _write_config(tmp_path, "c.json", cfg), out, seed=5) == 0
         for name, digest in digests.items():
             assert hashlib.sha256(_read_bytes(out, name)).hexdigest() == digest, name
 

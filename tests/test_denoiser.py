@@ -250,6 +250,16 @@ class TestAnalyticDenoise:
         got = denoise(AnalyticDenoiser(dist, LINEAR), x_t, xT, t)
         np.testing.assert_allclose(got, (x_t - ev.beta * xT) / ev.alpha, rtol=0, atol=1e-5)
 
+    @pytest.mark.parametrize("task", ["bimodal-1d", "two-component-2d"])
+    def test_mixture_row_whose_quadratic_form_overflows_is_named(self, task):
+        """Before, the row became a silent nan (with a warning); now no warning."""
+        gmm = _gmm_bimodal() if task == "bimodal-1d" else _gmm_2d()
+        x_t = np.full((3, gmm.d), 0.2)
+        x_t[1] = 1e160
+        for t in (0.5, np.full(3, 0.5)):
+            with pytest.raises(ValueError, match="mixture quadratic form of row 1 of 3 is not finite"):
+                denoise(AnalyticDenoiser(gmm, LINEAR), x_t, np.zeros(gmm.d), t)
+
     def test_singular_conditional_rejected(self):
         dist = JointGaussian([0.35], [0.5], [[0.25]], [[1.0]], [[0.5]])
         with pytest.raises(ValueError, match="singular"):
@@ -358,6 +368,41 @@ def _gmm_2d() -> GmmCoupling:
     return GmmCoupling(weights=(0.4, 0.6), components=(_task_2d(), shifted))
 
 
+def _gmm_bimodal() -> GmmCoupling:
+    """The well-separated 1-d two-mode mixture that the sample benchmark runs."""
+    return GmmCoupling(
+        weights=(0.5, 0.5),
+        components=(
+            JointGaussian([-1.5], [-0.2], [[0.05]], [[0.4]], [[0.05]]),
+            JointGaussian([1.5], [0.2], [[0.05]], [[0.4]], [[0.05]]),
+        ),
+    )
+
+
+def _gmm_3comp() -> GmmCoupling:
+    middle = JointGaussian([0.1], [0.05], [[0.2]], [[0.3]], [[0.1]])
+    return GmmCoupling(weights=(0.3, 0.2, 0.5),
+                       components=(*_gmm_bimodal().components, middle))
+
+
+def _gmm_3d() -> GmmCoupling:
+    first = JointGaussian(
+        mean0=[0.4, -0.3, 1.1],
+        meanT=[0.2, 0.0, 0.9],
+        cov00=[[0.6, 0.1, -0.05], [0.1, 0.5, 0.12], [-0.05, 0.12, 0.4]],
+        covTT=[[0.9, 0.2, 0.0], [0.2, 0.7, -0.1], [0.0, -0.1, 0.8]],
+        cov0T=[[0.3, 0.05, 0.02], [-0.04, 0.25, 0.06], [0.1, 0.0, 0.2]],
+    )
+    second = JointGaussian(
+        mean0=[-0.9, 0.5, -0.2],
+        meanT=[-0.6, 0.4, 0.1],
+        cov00=[[0.35, -0.08, 0.0], [-0.08, 0.45, 0.05], [0.0, 0.05, 0.3]],
+        covTT=[[0.5, 0.0, 0.1], [0.0, 0.6, 0.15], [0.1, 0.15, 0.7]],
+        cov0T=[[0.15, 0.02, 0.0], [0.0, 0.2, -0.03], [0.05, 0.04, 0.12]],
+    )
+    return GmmCoupling(weights=(0.25, 0.75), components=(first, second))
+
+
 def _joint_conditioning(comp: JointGaussian, sched, x_t, xT, t):
     """(E[x0 | x_t, xT], log p(x_t, xT)) per row, by conditioning the full
     (x0, x_t, xT) Gaussian in covariance form with one solve."""
@@ -377,6 +422,20 @@ def _joint_conditioning(comp: JointGaussian, sched, x_t, xT, t):
     maha = np.einsum("in,ni->n", sol, resid)
     log_p = -0.5 * (maha + np.linalg.slogdet(cov[d:, d:])[1] + 2 * d * math.log(2 * math.pi))
     return post, log_p
+
+
+def _mixture_by_joint_conditioning(gmm: GmmCoupling, x_t, xT, t):
+    """E[x0 | x_t, xT] per row of a mixture from _joint_conditioning of each
+    component, at a float t or at one t per row."""
+    if not isinstance(t, float):
+        return np.concatenate([_mixture_by_joint_conditioning(gmm, x_t[i : i + 1],
+                                                              xT[i : i + 1], float(t_i))
+                               for i, t_i in enumerate(t)])
+    posts, log_ps = zip(*(_joint_conditioning(c, LINEAR, x_t, xT, t) for c in gmm.components))
+    log_r = np.log(gmm.weights) + np.stack(log_ps, axis=1)
+    resp = np.exp(log_r - log_r.max(axis=1, keepdims=True))
+    resp /= resp.sum(axis=1, keepdims=True)
+    return np.einsum("nk,knd->nd", resp, np.stack(posts))
 
 
 class TestPosteriorPlan:
@@ -401,17 +460,26 @@ class TestPosteriorPlan:
             want, _ = _joint_conditioning(dist, LINEAR, x_t, xT, t)
             np.testing.assert_allclose(denoise(den, x_t, xT, t), want, rtol=0, atol=1e-12)
 
-    def test_mixture_matches_joint_conditioning(self):
-        gmm = _gmm_2d()
+    MIXTURES = {"bimodal-1d": _gmm_bimodal, "three-component-1d": _gmm_3comp,
+                "two-component-2d": _gmm_2d}
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["float-t", "per-row-t"])
+    @pytest.mark.parametrize("task", sorted(MIXTURES))
+    def test_mixture_matches_joint_conditioning(self, task, per_row):
+        """Also the benchmark's 1-d bimodal shape, three components, and one
+        time per row as test_mse_vs_analytic evaluates it."""
+        gmm = self.MIXTURES[task]()
         den = AnalyticDenoiser(gmm, LINEAR)
         for k, t in enumerate(self.TIMES):
-            x_t, xT = self._probes(gmm, t, k)
-            posts, log_ps = zip(*(_joint_conditioning(c, LINEAR, x_t, xT, t)
-                                  for c in gmm.components))
-            log_r = np.log(gmm.weights) + np.stack(log_ps, axis=1)
-            resp = np.exp(log_r - log_r.max(axis=1, keepdims=True))
-            resp /= resp.sum(axis=1, keepdims=True)
-            want = np.einsum("nk,knd->nd", resp, np.stack(posts))
+            if per_row:
+                gen = np.random.default_rng(50 + k)
+                t = gen.uniform(0.02, t, 64)
+                x_0, xT = sample_pair(gmm, 64, gen)
+                ev = eval_schedule(LINEAR, t[:, None])
+                x_t = ev.alpha * x_0 + ev.beta * xT + ev.gamma * gen.standard_normal(x_0.shape)
+            else:
+                x_t, xT = self._probes(gmm, t, k)
+            want = _mixture_by_joint_conditioning(gmm, x_t, xT, t)
             np.testing.assert_allclose(denoise(den, x_t, xT, t), want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["gaussian", "mixture"])
@@ -493,6 +561,77 @@ class TestPosteriorPlan:
         for i, t in enumerate(ts.tolist()):
             np.testing.assert_allclose(got[i], denoise(den, x_t[i], xT[i], t), rtol=0, atol=1e-14)
         assert not getattr(den, "_plans", {}).keys() - set(ts.tolist())
+
+
+def _sha256_of_floats(*arrays) -> str:
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+class TestPinnedBits:
+    """The bits of denoise on one d-vector and on 1, 2, 7 and 4096 rows.
+
+    numpy may sum a product of one or a few rows in another order than a
+    product of many, and the order can depend on the operands' memory layout;
+    no tolerance test sees either.  Each digest hashes the output at one
+    float t and, for rows, at one t per row.  The digests were computed before
+    the posterior mean ran along the rows.
+    """
+
+    TASKS = {"gauss1d": _task_1d, "gauss2d": _task_2d, "gmm1d": _gmm_bimodal,
+             "gmm2d": _gmm_2d, "gmm3d": _gmm_3d}
+    PINNED = {
+        ("gauss1d", 0): "a65cca97ee49919bac0e95c410b5845b4f40817be9f486de4673b9eebb3e2732",
+        ("gauss1d", 1): "3b31b2611bb725cfa2f7917f468400d522ede6460b519ff3eed8550a32e26b56",
+        ("gauss1d", 2): "6ecd0d6caac9a91aa8e6cb635008415e102d2c9635332ddc4a3e9f1b795ada05",
+        ("gauss1d", 7): "87fd6479a0ae3f03f96c2ba67b7f500485317a847d874f8d966a013ec7127a1f",
+        ("gauss1d", 4096): "f3518a30467aafdbffa3f062b51604f6e746d2ebccaa1fe82fb2e1c8fa75ab71",
+        ("gauss2d", 0): "8912969b0a29fd24dd0a6ebf34f1358448e232096cdb319d1ed6a367d49fc472",
+        ("gauss2d", 1): "566cb895b7b0de0ae7b2f6a78b66953ec3ef9f400a237a66c29e2e38ef206af1",
+        ("gauss2d", 2): "992b9707ea2a42352bb808f61e936ad27f995305e29e0a3c5f5cd29afd4814cd",
+        ("gauss2d", 7): "d6f6746823125cf876229685235da1faf72ce4c387a3b638f6510bb0a79927bf",
+        ("gauss2d", 4096): "29ee60cb08c4e8fc760f0daef6b0ddb42beca2121df7bd9d590f6b68a6e80c5d",
+        ("gmm1d", 0): "ce10ee25b91af9008e18629ac08309af6b01c781e96475a9c090699b1691f214",
+        ("gmm1d", 1): "e0fa36d9fecb56633b40e7e09fffc45b44b399089a87fc39ec4ca3b5e0148929",
+        ("gmm1d", 2): "0ca62dc9e1e05fede857af98cf9a7178a9295f87a38afd7a061af9822dd9f1e6",
+        ("gmm1d", 7): "e57289213804bd6c1dcd41aaf6a8d2b67a1da3eeb5f3fd5fc609857664bf1bfc",
+        ("gmm1d", 4096): "beb36dc8f864de0b03e423898c65e5afd9f2f993b0f022793baebdfe761a04fe",
+        ("gmm2d", 0): "7319da21420d9acbf7acdc7b24f79e45f583720496d985c72900dfd7a8195b64",
+        ("gmm2d", 1): "a54cdeaa36aa5341ee4c0f3d9366167b2822859a95b3ffc10264d3877abd112e",
+        ("gmm2d", 2): "5c2c9e4e5e04e9652fff742f6720c9894f7512c43e7d99acecc840f10b328727",
+        ("gmm2d", 7): "7bccf6772317952bea89f44dfa99de6a3f0db45cc926f846eee6d1e3a9a0ccae",
+        ("gmm2d", 4096): "37d690eef2188563f74544c01bb2de9d19d1e7c708909ca78f88c2bf1a2ba1b2",
+        ("gmm3d", 0): "bead5797f6315460f529f2e8808bad2348cc8ba0682592a67a7984b09c4deedc",
+        ("gmm3d", 1): "ffcd81e69f381a5a34e8ec8adccd7ceee9eb599f89efe6915e09ab4fd7d1de49",
+        ("gmm3d", 2): "d3794575f210207afe683e5af0dfcc8ff1ea6f59d65b0730918d3f1dc88ce624",
+        ("gmm3d", 7): "0237db1d74f0c63514927b4bd2206147e35dfae61d129195e75aa61aa9573a8c",
+        ("gmm3d", 4096): "65a4d1ed86cf200dd7ad2de56b536257ffbff6d6ceb73d6d893aee8b7d2218fa",
+    }
+
+    @classmethod
+    def digest(cls, task: str, rows: int) -> str:
+        """sha256 of the outputs for rows rows; rows = 0 is one d-vector."""
+        dist = cls.TASKS[task]()
+        gen = np.random.default_rng(1000 + rows)
+        n = max(rows, 1)
+        x_0, x_T = sample_pair(dist, n, gen)
+        z = gen.standard_normal(x_0.shape)
+        ts = gen.uniform(0.02, 0.9999, n)
+        den = AnalyticDenoiser(dist, LINEAR)
+        ev = eval_schedule(LINEAR, 0.37)
+        x_t = ev.alpha * x_0 + ev.beta * x_T + ev.gamma * z
+        if rows == 0:
+            return _sha256_of_floats(denoise(den, x_t[0], x_T[0], 0.37))
+        ev = eval_schedule(LINEAR, ts[:, None])
+        x_r = ev.alpha * x_0 + ev.beta * x_T + ev.gamma * z
+        return _sha256_of_floats(denoise(den, x_t, x_T, 0.37), denoise(den, x_r, x_T, ts))
+
+    @pytest.mark.parametrize("task", sorted(TASKS))
+    @pytest.mark.parametrize("rows", [0, 1, 2, 7, 4096])
+    def test_output_bits_are_pinned(self, task, rows):
+        assert self.digest(task, rows) == self.PINNED[task, rows]
 
 
 class TestPreconditioning:

@@ -534,6 +534,36 @@ class TestSampleLoop:
         with pytest.raises(ValueError, match=r"rows \[0:2\), step \d+ at t = "):
             sample(cfg, den, np.array([[0.8], [0.1]]))
 
+    def test_overflowing_x0hat_change_names_the_chunk_step_and_t(self):
+        """A start near the float limit overflows the change's squares, not as a
+        warning but as one error per chunk; the second chunk is named."""
+        cfg = SamplerConfig(
+            schedule=LINEAR, eps_policy=EpsilonPolicy(kind="eta_scaled", eta=0.3),
+            grid=make_time_grid(6), boot_b=1e306,
+        )
+        xT = np.zeros((_rng.CHUNK_ROWS + 3, 1))
+        with pytest.raises(ValueError, match=r"rows \[\d+:\d+\), step 4 at t = 0\.\d+: "
+                                             r"the x0hat change is not finite"):
+            sample(cfg, _den_1d(), xT)
+
+    def test_non_finite_sample_names_the_last_step(self, monkeypatch):
+        """A non-finite last update shows only in the sample; before, it was returned."""
+        grid = make_time_grid(4, t_min=0.2, t_max=0.9)
+        cfg = SamplerConfig(schedule=LINEAR, eps_policy=EpsilonPolicy(kind="eta_scaled", eta=0.3),
+                            grid=grid)
+        real_step = sampler_module.apply_step
+        calls = []
+
+        def last_step_overflows(*args):
+            calls.append(None)
+            out = real_step(*args)
+            return np.full_like(out, math.inf) if len(calls) == grid.n_steps else out
+
+        monkeypatch.setattr(sampler_module, "apply_step", last_step_overflows)
+        with pytest.raises(ValueError, match=r"rows \[0:2\), step 0 at t = 0\.\d+: "
+                                             r"the sample is not finite"):
+            sample(cfg, _den_1d(), np.array([[0.8], [0.1]]))
+
 
 class TestReverseFamilyPreservesMarginals:
     """From the exact t = 0.95 marginal of the 1-d task, the euler_z step with the
