@@ -53,6 +53,7 @@ from .schedule import (
     EpsilonPolicy,
     Schedule,
     TimeGrid,
+    _probe_states,
     bridge_coefficients,
     epsilon,
     eval_schedule,
@@ -433,11 +434,16 @@ def _run_simulate_forward(sched, grid, fwd, seed: int, threads: int):
     ens = simulate_ensemble(
         sched, x0, fwd["xT"], grid, fwd["n_paths"], seed, threads=threads, record=record
     )
-    mom = estimate_marginal_moments(ens, -1)
+    t = float(ens.times[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        mom = estimate_marginal_moments(ens, -1)
+    if not all(np.all(np.isfinite(v)) for v in (mom.mean, mom.cov, mom.se_mean)):
+        raise ValueError(f"the mean, covariance or se_mean of the {mom.n} paths at t = {t} "
+                         "is not finite (an overflow)")
     artifacts = {
         "moments.json": _json_bytes(
             {
-                "t": float(ens.times[-1]),
+                "t": t,
                 "mean": mom.mean,
                 "cov": mom.cov,
                 "n": mom.n,
@@ -591,19 +597,14 @@ def _parse_convergence_study(cfg: dict, seed: int):
         if len(slope_range) != 2 or not slope_range[0] <= slope_range[1]:
             raise ConfigError("convergence.slope_range: expected [lo, hi] with lo <= hi, or null")
         vals["slope_range"] = (float(slope_range[0]), float(slope_range[1]))
-    policy = _build(
-        "convergence.eta", EpsilonPolicy, "eta_scaled", eta=vals["eta"], tail_zero_steps=0
-    )
+    policy = _build("convergence.eta", EpsilonPolicy, "eta_scaled", eta=vals["eta"])
     return sched, policy, vals
 
 
 def _run_convergence_study(sched, policy, vals, seed: int, threads: int):
     t, eta, dts, slope_range = vals["t"], vals["eta"], vals["dts"], vals.get("slope_range")
     n_probes, d = vals["n_probes"], vals["d"]
-    gen = _rng.stream(seed, _rng.TAG_PROBE)
-    x_hat0 = gen.standard_normal((n_probes, d))
-    anchor = gen.standard_normal((n_probes, d))
-    zh = gen.standard_normal((n_probes, d))
+    x_hat0, anchor, zh = _probe_states(n_probes, d, seed)
     ev = eval_schedule(sched, t)
     x_t = ev.alpha * x_hat0 + ev.beta * anchor + ev.gamma * zh
 
@@ -613,7 +614,7 @@ def _run_convergence_study(sched, policy, vals, seed: int, threads: int):
     for a_name, b_name in vals["pairs"]:
         diffs = []
         for dt in dts:
-            eps = epsilon(policy, sched, t, float(dt), 1)
+            eps = epsilon(policy, sched, t, float(dt))
             out_a, out_b = (
                 apply_step(step_coefficients(name, sched, t, float(dt), eps), x_hat0, anchor, x_t)
                 for name in (a_name, b_name)

@@ -45,10 +45,9 @@ class JointGaussian:
     """Jointly Gaussian endpoint pair (x0, xT) given by block moments.
 
     Frozen, with read-only copies of its blocks, so the factors built once at
-    construction stay valid: the Cholesky factor of covTT with its
-    whitening matrix and half log-determinant, the gain M and covariance C of
-    x0 | xT, and a square root of C.  It compares and hashes by identity, as
-    its array fields have no single truth value.
+    construction stay valid: the Cholesky factor of covTT, the gain M and
+    covariance C of x0 | xT, and a square root of C.  It compares and hashes
+    by identity, as its array fields have no single truth value.
     """
 
     mean0: np.ndarray
@@ -57,13 +56,9 @@ class JointGaussian:
     covTT: np.ndarray
     cov0T: np.ndarray  # Cov(x0, xT), shape (d, d)
     _chol_TT: np.ndarray = field(init=False, repr=False, compare=False)
-    _white_TT: np.ndarray = field(init=False, repr=False, compare=False)
-    _half_logdet_TT: float = field(init=False, repr=False, compare=False)
     _gain: np.ndarray = field(init=False, repr=False, compare=False)
     _cov_c: np.ndarray = field(init=False, repr=False, compare=False)
     _chol_c: np.ndarray = field(init=False, repr=False, compare=False)
-
-    kind = "joint_gaussian"
 
     def __post_init__(self):
         for name, as_array in (("mean0", _as_vector), ("meanT", _as_vector), ("cov00", _as_matrix),
@@ -90,11 +85,9 @@ class JointGaussian:
         gain = np.linalg.solve(self.covTT.T, self.cov0T.T).T
         cov = self.cov00 - gain @ self.cov0T.T
         cov_c = 0.5 * (cov + cov.T)
-        white_TT, half_logdet_TT = _whitening(chol_TT)
-        for name, val in (("_chol_TT", chol_TT), ("_white_TT", white_TT), ("_gain", gain),
-                          ("_cov_c", cov_c), ("_chol_c", _chol_psd(cov_c))):
+        for name, val in (("_chol_TT", chol_TT), ("_gain", gain), ("_cov_c", cov_c),
+                          ("_chol_c", _chol_psd(cov_c))):
             object.__setattr__(self, name, _read_only(val))
-        object.__setattr__(self, "_half_logdet_TT", float(half_logdet_TT))
 
     @property
     def d(self) -> int:
@@ -115,8 +108,6 @@ class GmmCoupling:
 
     weights: Sequence[float]
     components: Sequence[JointGaussian]
-
-    kind = "gmm_coupling"
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
@@ -142,9 +133,8 @@ AnalyticTask = Union[JointGaussian, GmmCoupling]
 
 def _check_analytic(dist) -> None:
     if not isinstance(dist, (JointGaussian, GmmCoupling)):
-        kind = getattr(dist, "kind", type(dist).__name__)
-        raise ValueError(f"no analytic reference denoiser for {kind}: the task must be "
-                         "a joint_gaussian or a gmm_coupling")
+        raise ValueError(f"no analytic reference denoiser for {type(dist).__name__}: the task "
+                         "must be a joint_gaussian or a gmm_coupling")
 
 
 def sample_pair(
@@ -214,11 +204,6 @@ def _whiten(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         raise ValueError("covariance must be positive definite") from None
-    return _whitening(chol)
-
-
-def _whitening(chol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_whiten from the (stack of) Cholesky factor(s) of the covariance."""
     half_logdet = np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
     return np.swapaxes(np.linalg.inv(chol), -1, -2), half_logdet
 
@@ -267,7 +252,7 @@ def _plan(dist: AnalyticTask, sched: Schedule, t) -> _Plan:
         means.append((sol[..., :d, :], sol[..., d : 2 * d, :], sol[..., 2 * d, :]))
         if mixed:
             Wt, half_t = _whiten(alpha**2 * cov_c + g_sq * eye)
-            WT, half_T = comp._white_TT, comp._half_logdet_TT
+            WT, half_T = _whiten(comp.covTT)
             AT = np.swapaxes(alpha * gain + beta * eye, -1, -2)
             a = alpha[..., 0] * offset
             resid_t.append((Wt, -AT @ Wt, -np.einsum("...i,...ij->...j", a, Wt)))
@@ -509,8 +494,6 @@ class MlpDenoiser:
     weights: list[np.ndarray] = field(init=False, repr=False, compare=False)
     biases: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
-    kind = "mlp"
-
     def __post_init__(self):
         sizes = self.sizes
         if (
@@ -659,8 +642,8 @@ def train_mlp_denoiser(
     The layer views of the parameters and of the one gradient buffer are built
     once per run, and each step is one update of the flat parameter vector.
     """
-    probe = sample_pair(data, 1, _rng.stream(hyper.seed, _rng.TAG_TASK))[0]
-    d = probe.shape[1]
+    _check_analytic(data)
+    d = data.d
     sizes = [2 * d + 1] + [hyper.width] * hyper.layers + [d]
     params = mlp_init(sizes, hyper.seed)
     grads = np.empty_like(params)
@@ -722,8 +705,6 @@ class AnalyticDenoiser:
     dist: AnalyticTask
     sched: Schedule
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    kind = "analytic"
 
     def __post_init__(self):
         _check_analytic(self.dist)

@@ -1,9 +1,13 @@
 """Deterministic counter-based random streams for the simulation modules.
 
-Every draw in the package is produced by a Philox generator keyed by
+Every draw outside metrics is produced by a Philox generator keyed by
 (seed, tag, step, chunk).  Paths and batch rows are processed in fixed-size
 row chunks, each owning its own key, so results are bit-identical no matter
-how many worker threads consume the chunks.
+how many worker threads consume the chunks.  The two exceptions are
+metrics.random_projection and metrics.energy_permutation_quantile, which draw
+from np.random.default_rng(seed) in one thread: moving them to a keyed stream
+would change the bits that the q95 float.hex pins and the random_projection
+afd-study pins hold.
 """
 
 from __future__ import annotations

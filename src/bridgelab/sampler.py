@@ -224,7 +224,7 @@ def sample(cfg: SamplerConfig, den: Denoiser, xT_batch: np.ndarray, threads: int
                     coeffs = _fold(cur, nxt.alpha, nxt.beta, 0.0, nxt.gamma, 0.0)
                     x = apply_step(coeffs, x_hat0, anchor, x)
                 else:
-                    eps = epsilon(cfg.eps_policy, cfg.schedule, t, dt, step_index)
+                    eps = epsilon(cfg.eps_policy, cfg.schedule, t, dt)
                     eps_used[k] = eps
                     coeffs = step_coefficients(cfg.variant, cfg.schedule, t, dt, eps)
                     z = _rng.stream(cfg.seed, _rng.TAG_SAMPLER, step_index, chunk)

@@ -28,8 +28,6 @@ DEFAULT_RHO = 0.6
 SCHEDULE_KINDS = ("linear", "trig", "ddbm_ve", "ddbm_vp", "i2sb", "edm", "custom")
 EPSILON_KINDS = ("zero", "eta_scaled", "i2sb_markovian", "constant")
 
-_ENDPOINT_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Schedule:
@@ -150,7 +148,9 @@ class EpsilonPolicy:
     constant (eps = const_value, optionally scaled by gamma_t^2 which gives
     the churn-style shape used with variance-exploding kernels).
 
-    Every kind returns 0 for the final tail_zero_steps steps.
+    tail_zero_steps belongs to the sampler, not to epsilon: sampler.sample
+    runs its final tail_zero_steps steps as the noise-free re-interpolation
+    and asks epsilon for none of them.
     """
 
     kind: str
@@ -345,19 +345,14 @@ def bridge_coefficients(sched: Schedule, t) -> BridgeCoefficients:
     return BridgeCoefficients(f, ev.d_beta - f * ev.beta, g_sq)
 
 
-def epsilon(
-    policy: EpsilonPolicy,
-    sched: Schedule,
-    t: float,
-    dt: float,
-    step_index: int,
-) -> float:
-    """Per-step stochasticity level; step_index counts the remaining steps down
-    to 0, and the last policy.tail_zero_steps of them take none."""
+def epsilon(policy: EpsilonPolicy, sched: Schedule, t: float, dt: float) -> float:
+    """Stochasticity level of the step from t to t - dt.
+
+    It does not read policy.tail_zero_steps: the sampler runs its zero tail
+    without asking for eps.
+    """
     if dt < 0:
         raise ValueError(f"dt must be >= 0, got {dt}")
-    if step_index < policy.tail_zero_steps:
-        return 0.0
     if policy.kind == "zero":
         return 0.0
     if policy.kind == "eta_scaled":

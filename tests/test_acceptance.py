@@ -191,7 +191,7 @@ class TestAcceptance:
         for pair in (("euler_z", "gamma_simplified"), ("gamma_simplified", "dbim")):
             diffs = []
             for dt in dts:
-                eps = epsilon(policy, LINEAR, t, dt, 1)
+                eps = epsilon(policy, LINEAR, t, dt)
                 out_a = variant_step(pair[0], dt, eps)
                 out_b = variant_step(pair[1], dt, eps)
                 diffs.append(float(np.mean(np.linalg.norm(out_a - out_b, axis=1))))
@@ -226,7 +226,7 @@ class TestAcceptance:
                 zh = rng.standard_normal(2)
                 ev = eval_schedule(sched, t)
                 x_t = ev.alpha * x_hat0 + ev.beta * xT + ev.gamma * zh
-                eps = epsilon(policy, sched, t, dt, 5)
+                eps = epsilon(policy, sched, t, dt)
                 a = apply_step(step_dbim(sched, t, dt, eps), x_hat0, xT, x_t, np.zeros(2))
                 b = apply_step(step_markovian(sched, t, dt, eps), x_hat0, xT, x_t, np.zeros(2))
                 worst_step = max(worst_step, float(np.max(np.abs(a - b))))

@@ -754,6 +754,21 @@ class TestSimulateForward:
         assert _run("simulate-forward", cfg, out) == 0
         assert sorted(os.listdir(out)) == ["manifest.json", "moments.json"]
 
+    @pytest.mark.parametrize("record", [False, True])
+    def test_overflowing_moments_exit_2_naming_paths_and_t(self, tmp_path, capsys, record):
+        """Before, this exited 0 with an infinite cov and se_mean in moments.json."""
+        cfg = _write_config(
+            tmp_path, "c.json",
+            {"schedule": LINEAR_SCHEDULE, "grid": {"n_steps": 10, "t_max": 0.5},
+             "forward": {"x0": [1e200], "xT": [1.0], "n_paths": 50, "record": record}},
+        )
+        out = tmp_path / "out"
+        assert _run("simulate-forward", cfg, out) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert "of the 50 paths at t = 0.5 is not finite" in err, err
+
 
 class TestAfdStudy:
     def test_boot_sweep_reports_nondecreasing_diversity(self, tmp_path):
@@ -853,6 +868,19 @@ class TestConvergenceStudy:
         lines = _read_bytes(out, "convergence.csv").decode().strip().split("\n")
         assert lines[0] == "pair,dt,mean_diff"
         assert len(lines) == 1 + 2 * 4
+
+    # sha256 of each artifact, computed while the command drew its probe
+    # states inline and passed a step index to epsilon.
+    def test_artifact_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "out"
+        assert _run("convergence-study", _write_config(tmp_path, "c.json", self.CONFIG), out,
+                    seed=7) == 0
+        digests = {
+            "convergence.csv": "5dcd69cb0461caccf26084488392750aefe627f412c6855642a5b0158b5742f3",
+            "convergence.json": "8d7c9ca8aa896b3bc8bd7f5b20caa9763595a71e408f3c15653c0e6157538d72",
+        }
+        for name, digest in digests.items():
+            assert hashlib.sha256(_read_bytes(out, name)).hexdigest() == digest, name
 
     def test_impossible_slope_range_exits_2_with_artifacts(self, tmp_path):
         cfg_dict = {

@@ -965,8 +965,7 @@ class TestMlpLayerBuffers:
 
 def _train_per_iteration(data, sched, prec, hyper):
     """Reference training: builds each minibatch alone, one iteration at a time."""
-    probe = sample_pair(data, 1, _rng.stream(hyper.seed, _rng.TAG_TASK))[0]
-    d = probe.shape[1]
+    d = data.d
     sizes = [2 * d + 1] + [hyper.width] * hyper.layers + [d]
     params = mlp_init(sizes, hyper.seed)
     grads = np.empty_like(params)

@@ -1,8 +1,12 @@
 """The package namespace: __all__ and the public names __init__ imports agree,
-and importing the package pulls in no SciPy."""
+importing the package pulls in no SciPy, and no private module-level name is
+left unused."""
 
+import ast
+import collections
 import inspect
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -31,3 +35,35 @@ def test_import_loads_no_scipy():
         check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def _references(node):
+    """Every name read under node: loaded identifiers and attribute names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_private_module_name_is_used():
+    """A module-level function, class or assignment named _x is read somewhere
+    in the package outside its own definition."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(pathlib.Path(bridgelab.__file__).parent.glob("*.py"))}
+    uses = collections.Counter(name for tree in trees.values() for name in _references(tree))
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = collections.Counter(_references(node))
+            unused += [f"{module}:{name}" for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and uses[name] == own[name]]
+    assert unused == []

@@ -147,7 +147,7 @@ class TestStepTable:
     def test_coefficients_reproduce_the_reference_step(self, variant, sched_name, eps_kind):
         sched, policy = SCHEDULES[sched_name], EPS_POLICIES[eps_kind]
         for t, dt, x_hat0, anchor, x_t, z in _probe_steps(50):
-            eps = epsilon(policy, sched, t, dt, 5)
+            eps = epsilon(policy, sched, t, dt)
             if variant == "dbim" and eval_schedule(sched, t - dt).gamma ** 2 < 2.0 * eps * dt:
                 # outside the root-split step's domain, which it must refuse
                 with pytest.raises(ValueError, match="too large"):
@@ -184,7 +184,7 @@ class TestStepTable:
             if step_index < tail:
                 x = ref_tail(LINEAR, x, anchor, x_hat0, t, dt, 0.0, 0.0)
             else:
-                eps = epsilon(policy, LINEAR, t, dt, step_index)
+                eps = epsilon(policy, LINEAR, t, dt)
                 z = _rng.stream(4, _rng.TAG_SAMPLER, step_index, 0).standard_normal(x.shape)
                 x = REFERENCE[variant](LINEAR, x, anchor, x_hat0, t, dt, eps, z)
         np.testing.assert_allclose(got, x, rtol=0, atol=1e-12)
@@ -251,7 +251,7 @@ class TestVariantEquivalences:
         the anchor coefficient vanishes and the other three agree."""
         policy = EpsilonPolicy(kind="i2sb_markovian", tail_zero_steps=0)
         for t, dt, *_ in _probe_steps(1000):
-            eps = epsilon(policy, sched, t, dt, 5)
+            eps = epsilon(policy, sched, t, dt)
             np.testing.assert_allclose(
                 step_dbim(sched, t, dt, eps), step_markovian(sched, t, dt, eps),
                 rtol=0, atol=1e-12,
@@ -378,21 +378,26 @@ class TestSampleLoop:
             outs.append(sample(cfg, den, xT).x0_batch)
         np.testing.assert_array_equal(outs[0], outs[1])
 
-    def test_full_zero_tail_ignores_seed_for_any_policy(self):
-        """tail_zero_steps = N silences every step regardless of eta."""
+    @pytest.mark.parametrize("policy", [
+        EpsilonPolicy(kind="zero", tail_zero_steps=8),
+        EpsilonPolicy(kind="eta_scaled", eta=1.0, tail_zero_steps=8),
+        EpsilonPolicy(kind="i2sb_markovian", tail_zero_steps=8),
+        EpsilonPolicy(kind="constant", const_value=0.4, tail_zero_steps=8),
+    ], ids=lambda p: p.kind)
+    def test_full_zero_tail_ignores_seed_for_any_policy(self, policy):
+        """tail_zero_steps = N silences every step, whatever eps the policy would give."""
         den = _den_1d()
         grid = make_time_grid(8)
         xT = np.array([[0.8], [0.2]])
-        outs = []
+        results = []
         for seed in (5, 6):
             cfg = SamplerConfig(
-                schedule=LINEAR,
-                eps_policy=EpsilonPolicy(kind="eta_scaled", eta=1.0, tail_zero_steps=8),
-                grid=grid, variant="dbim", seed=seed,
+                schedule=LINEAR, eps_policy=policy, grid=grid, variant="dbim", seed=seed,
             )
-            outs.append(sample(cfg, den, xT).x0_batch)
-        np.testing.assert_array_equal(outs[0], outs[1])
-        assert np.all(outs[0] != xT)
+            results.append(sample(cfg, den, xT))
+        np.testing.assert_array_equal(results[0].x0_batch, results[1].x0_batch)
+        assert np.all(results[0].x0_batch != xT)
+        assert np.all(results[0].eps_used == 0.0)
 
     def test_same_seed_is_bit_identical_and_thread_invariant(self):
         den = _den_1d()
@@ -590,7 +595,7 @@ class TestReverseFamilyPreservesMarginals:
         mean, var = self._kernel_law(times[0])
         for k in range(n_steps):
             t, dt = float(times[k]), float(times[k] - times[k + 1])
-            eps = epsilon(policy, LINEAR, t, dt, n_steps - 1 - k)
+            eps = epsilon(policy, LINEAR, t, dt)
             a, b, c, s = step_euler_z(LINEAR, t, dt, eps)
             at0, at1 = (
                 float(denoise(AnalyticDenoiser(_task_1d(), LINEAR), np.array([[x]]), xT, t)[0, 0])
