@@ -159,12 +159,19 @@ def simulate_ensemble(
 
 
 def estimate_marginal_moments(ens: PathEnsemble, time_index: int) -> MomentEstimate:
-    """Unbiased mean/covariance of the ensemble slice at one recorded time."""
+    """Unbiased mean/covariance of the ensemble slice at one recorded time.
+
+    Raises ValueError when the mean, covariance or standard error overflows.
+    """
     x = ens.paths[:, time_index, :]
     n = x.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 paths for moment estimation, got {n}")
-    mean = x.mean(axis=0)
-    cov = np.atleast_2d(np.cov(x, rowvar=False))
-    se = x.std(axis=0, ddof=1) / np.sqrt(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        cov = np.atleast_2d(np.cov(x, rowvar=False))
+        se = x.std(axis=0, ddof=1) / np.sqrt(n)
+    if not all(np.all(np.isfinite(v)) for v in (mean, cov, se)):
+        raise ValueError(f"the mean, covariance or se_mean of the {n} paths at "
+                         f"t = {float(ens.times[time_index])} is not finite (an overflow)")
     return MomentEstimate(mean, cov, n, se)

@@ -279,6 +279,13 @@ class TestMomentEstimate:
         with pytest.raises(ValueError, match="at least 2"):
             estimate_marginal_moments(ens, 0)
 
+    def test_overflowing_moments_are_rejected_naming_paths_and_t(self):
+        """Finite paths whose moments overflow; before, cov and se_mean came back inf."""
+        ens = simulate_ensemble(LINEAR, np.array([1e200]), np.array([1.0]),
+                                np.linspace(0.0, 0.5, 11), 50, 0, record=False)
+        with pytest.raises(ValueError, match="of the 50 paths at t = 0.5 is not finite"):
+            estimate_marginal_moments(ens, -1)
+
     def test_cov_is_symmetric(self):
         rng = np.random.default_rng(2)
         ens = PathEnsemble(rng.standard_normal((50, 1, 3)), np.array([0.5]), 0)

@@ -51,6 +51,29 @@ class TestPairDistances:
                 - cdist(b, b).sum() / (45 * 44))
         assert _same_bits(energy_distance(a, b), want)
 
+    def test_energy_distance_in_row_tiles_equals_the_tiled_cdist_formula(self, monkeypatch):
+        """40 and 37 rows in tiles of 7: several tiles per block and a ragged last tile.
+
+        Seed 17 gives data whose tiled and whole-block sums differ in the last
+        bits, so the bit check tells the two orders apart."""
+        monkeypatch.setattr(metrics, "_ROW_TILE", 7)
+        rng = np.random.default_rng(17)
+        a = rng.standard_normal((40, 3))
+        b = 1.5 * rng.standard_normal((37, 3)) + 0.4
+
+        def tiled(x, y):
+            total = 0.0
+            for lo in range(0, x.shape[0], 7):
+                total += cdist(x[lo : lo + 7], y).sum()
+            return total
+
+        got = energy_distance(a, b)
+        want = 2.0 * (tiled(a, b) / (40 * 37)) - tiled(a, a) / (40 * 39) - tiled(b, b) / (37 * 36)
+        assert _same_bits(got, want)
+        full = (2.0 * (cdist(a, b).sum() / (40 * 37)) - cdist(a, a).sum() / (40 * 39)
+                - cdist(b, b).sum() / (37 * 36))
+        np.testing.assert_allclose(got, full, rtol=1e-12, atol=0)
+
 
 class TestAfd:
     def test_two_point_group_is_their_distance(self):
@@ -129,6 +152,15 @@ class TestAfd:
         proj = random_projection(3, 64, seed=4)
         want = [cdist(g @ proj.T, g @ proj.T).sum() / 56 for g in groups]
         assert _same_bits(afd(groups, proj).per_group, want)
+
+    def test_overflowing_group_sum_is_rejected_naming_the_group(self):
+        """Finite rows whose distances overflow; before, afd returned inf."""
+        groups = [np.zeros((3, 1)), np.array([[0.0], [1e200], [1.0]]), np.ones((3, 1))]
+        with pytest.raises(ValueError, match="^afd: the distance sum of group 1 is not finite"):
+            afd(groups)
+        projected = [np.zeros((3, 2)), np.array([[0.0, 0.0], [1e300, 1e300]])]
+        with pytest.raises(ValueError, match="^afd: the distance sum of group 1 is not finite"):
+            afd(projected, np.array([[1e10, 1e10]]))
 
     def test_projection_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="projection takes 3-d inputs, groups are 2-d"):
@@ -289,6 +321,29 @@ class TestPermutationAtGateShape:
         got = energy_permutation_quantile(a, b, n_permutations=200, seed=seed)
         assert got.hex() == self.PINNED_Q95[seed]
 
+    def test_energy_distance_peak_memory_is_below_a_quarter_block(self):
+        a, b = _gate_shape_samples(0)
+        block_bytes = a.shape[0] * b.shape[0] * 8
+        tracemalloc.start()
+        try:
+            energy_distance(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block_bytes / 4, f"peak {peak / 1e6:.1f} MB"
+
+    def test_null_peak_memory_is_the_labels_and_two_row_tiles(self):
+        a, b = _gate_shape_samples(0)
+        pooled, n_permutations = a.shape[0] + b.shape[0], 200
+        bound = 8 * pooled * n_permutations + 2 * 8 * metrics._ROW_TILE * pooled + 2**20
+        tracemalloc.start()
+        try:
+            energy_permutation_quantile(a, b, n_permutations=n_permutations, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+
     def test_peak_memory_is_below_half_the_pooled_matrix(self):
         a, b = _gate_shape_samples(0)
         pooled_bytes = (a.shape[0] + b.shape[0]) ** 2 * 8
@@ -314,6 +369,26 @@ class TestEnergyInputValidation:
         with pytest.raises(ValueError, match=f"^{side} contains non-finite"):
             energy_distance(a, b)
         with pytest.raises(ValueError, match=f"^{side} contains non-finite"):
+            energy_permutation_quantile(a, b, n_permutations=5)
+
+    def test_overflowing_distance_sums_are_rejected_naming_the_rows(self, monkeypatch):
+        """Finite rows whose distances overflow; before, both returned nan.
+
+        Rows at +-1e154 lie a finite distance from rows near 0 but an overflowing
+        one from each other, so only the (b, b) block overflows."""
+        monkeypatch.setattr(metrics, "_ROW_TILE", 7)
+        rng = np.random.default_rng(17)
+        a = rng.standard_normal((40, 2))
+        b = rng.standard_normal((37, 2))
+        a[10, 0] = 1e200
+        with pytest.raises(ValueError, match=r"^energy_distance: the \(a, b\) distance sum "
+                                             r"of rows \[7:14\) is not finite"):
+            energy_distance(a, b)
+        with pytest.raises(ValueError, match=r"^energy_distance: the \(b, b\) distance sum "
+                                             r"of rows \[35:37\) is not finite"):
+            energy_distance(a[:5], np.concatenate([b[:35], [[1e154, 0.0], [-1e154, 0.0]]]))
+        with pytest.raises(ValueError, match=r"^energy_permutation_quantile: the distance sum "
+                                             r"of rows \[0:7\) is not finite"):
             energy_permutation_quantile(a, b, n_permutations=5)
 
     def test_mismatched_feature_dimensions(self):

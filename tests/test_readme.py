@@ -1,11 +1,12 @@
-"""The README's config reference, its `sample` example and its library example match the code."""
+"""The README's config reference, its `sample` example, its library example and the
+tile sizes it states match the code."""
 
 import json
 import os
 import re
 from pathlib import Path
 
-from bridgelab import cli
+from bridgelab import cli, metrics
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -54,3 +55,16 @@ def test_library_usage_runs_as_written(capsys):
     exec(compile(block, "README.md", "exec"), scope)
     assert scope["result"].x0_batch.shape == (1000, 1)
     assert capsys.readouterr().out.startswith("[")
+
+
+def _row_counts(text: str) -> set[int]:
+    """Every row count the text states, as "N rows" or "N-row"."""
+    return {int(n) for n in re.findall(r"(\d+)[ -]rows?\b", text)}
+
+
+def test_metrics_paragraphs_state_the_tile_constants():
+    metrics_item = _readme_section("What it does").split("- **Metrics**", 1)[1].split("\n- **", 1)[0]
+    assert _row_counts(metrics_item) == {metrics._ROW_TILE}
+    note = _readme_section("Numerical notes").split(
+        "- **Pair distances equal SciPy's `cdist` bit for bit.**", 1)[1].split("\n- **", 1)[0]
+    assert _row_counts(note) == {metrics._PAIR_BLOCK}
