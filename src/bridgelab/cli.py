@@ -48,7 +48,6 @@ from .sampler import (
 )
 from .schedule import (
     EPSILON_KINDS,
-    SCHEDULE_KINDS,
     T_HORIZON,
     EpsilonPolicy,
     Schedule,
@@ -98,11 +97,14 @@ _I2SB = {"i2sb_breakpoints": ("array", None, 1), "i2sb_values": ("array", None, 
 _FAMILIES = {"ve": "ddbm_ve", "vp": "ddbm_vp", "edm": "edm", "i2sb": "i2sb"}
 
 _SPECS = {
-    "schedule": {
-        "kind": ("string", _REQUIRED, tuple(k for k in SCHEDULE_KINDS if k != "custom")),
-        "gamma_max": _NUMBER, "gamma_multiplier": _NUMBER, "gamma_scale": _NUMBER,
-        "beta_d": _NUMBER, "beta_min": _NUMBER, **_I2SB,
-    },
+    "schedule": {"kind": {
+        "linear": {"gamma_max": _NUMBER, "gamma_multiplier": _NUMBER},
+        "trig": {"gamma_scale": _NUMBER},
+        "ddbm_ve": {},
+        "ddbm_vp": {"beta_d": _NUMBER, "beta_min": _NUMBER},
+        "i2sb": _I2SB,
+        "edm": {},
+    }},
     "grid": {"n_steps": _COUNT, "t_min": _NUMBER, "t_max": _NUMBER, "rho": _NUMBER},
     "eps_policy": {
         "kind": ("string", _REQUIRED, EPSILON_KINDS), "eta": _NUMBER, "const_value": _NUMBER,
@@ -266,6 +268,11 @@ def _parse_denoiser(cfg: dict, task, sched: Schedule):
     den = _build("denoiser.path", load_denoiser, vals["path"])
     if den.d != task.d:
         raise ConfigError(f"denoiser.path: the model is {den.d}-d, the task {task.d}-d")
+    if den.sched != sched:
+        differ = [f.name for f in dataclasses.fields(Schedule)
+                  if getattr(den.sched, f.name) != getattr(sched, f.name)]
+        raise ConfigError(f"denoiser.path: the model was trained on a {den.sched.kind} schedule "
+                          f"and the run uses a {sched.kind} schedule; they differ in {differ}")
     return den
 
 

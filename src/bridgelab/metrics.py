@@ -140,55 +140,75 @@ def _energy_statistic(cross, within_a, within_b, n: int, m: int):
     return 2.0 * (cross / (n * m)) - within_a / (n * (n - 1)) - within_b / (m * (m - 1))
 
 
-# Rows of the left operand per distance tile in energy_distance and
-# energy_permutation_quantile: 3 MB at 1500 + 1500 pooled, against 72 MB for
-# the whole (n + m)^2 distance matrix.
+# Rows of the pooled sample per distance tile in the energy walk: 3 MB at
+# 1500 + 1500 pooled, against 72 MB for the whole (n + m)^2 distance matrix.
 _ROW_TILE = 128
+
+
+def _energy_walk(a: np.ndarray, b: np.ndarray, labels: np.ndarray, caller: str):
+    """The observed energy statistic of a, b and one statistic per labelling.
+
+    Column j of the (n + m) x P 0/1 matrix ``labels`` (S; P may be 0) marks
+    the rows of the pool [a; b] on labelling j's side A.  With D the pooled
+    distance matrix, D is walked once, in tiles of _ROW_TILE rows.  Each tile
+    gives its rows of r = D 1 and r_A = D[:, :n] 1, and its rows of S * DS,
+    which are added to the running within-A sums in row order and dropped.
+    The observed within-A sum is r_A summed over the A rows, the cross sum
+    r - r_A over the A rows and the within-B sum r - r_A over the B rows.
+    A labelling's within-A sum is s'Ds (a column sum of S * DS), its cross
+    sum s'r - s'Ds and its within-B sum 1'D1 - 2 s'r + s'Ds.  Memory is S and
+    one distance tile, 8 (n + m)(P + _ROW_TILE) bytes plus small scratch:
+    below the full 8 (n + m)^2 while P < (n + m) - _ROW_TILE, about 2870 at
+    1500 + 1500.  Overflow raises a ValueError naming ``caller`` and the rows.
+    """
+    n, m = a.shape[0], b.shape[0]
+    pool = np.concatenate([a, b], axis=0)
+    row_sums = np.empty(n + m)
+    row_sums_a = np.empty(n + m)
+    # Row 0 holds the running within-A sums, rows 1.. one tile of S * DS;
+    # summing over axis 0 adds the rows in order, as one pass over all n + m would.
+    acc = np.zeros((_ROW_TILE + 1, labels.shape[1]))
+    for lo in range(0, n + m, _ROW_TILE):
+        hi = min(lo + _ROW_TILE, n + m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            part = _pair_distances(pool[lo:hi], pool)
+            row_sums[lo:hi] = part.sum(axis=1)
+        # A finite distance is at most sqrt(DBL_MAX), about 1.3e154, so once
+        # every row sum is finite no later sum over the pooled rows overflows.
+        if not np.all(np.isfinite(row_sums[lo:hi])):
+            raise ValueError(f"{caller}: the distance sum of rows [{lo}:{hi}) "
+                             "is not finite (an overflow)")
+        row_sums_a[lo:hi] = part[:, :n].sum(axis=1)
+        tile = acc[1 : hi - lo + 1]
+        np.matmul(part, labels, out=tile)
+        del part  # freed before the next tile is built
+        tile *= labels[lo:hi]
+        acc[0] = acc[: hi - lo + 1].sum(axis=0)
+    row_sums_b = row_sums - row_sums_a
+    observed = _energy_statistic(row_sums_b[:n].sum(), row_sums_a[:n].sum(),
+                                 row_sums_b[n:].sum(), n, m)
+    within_a = acc[0]
+    labelled_sums = row_sums @ labels
+    null = _energy_statistic(labelled_sums - within_a, within_a,
+                             row_sums.sum() - 2.0 * labelled_sums + within_a, n, m)
+    return float(observed), null
 
 
 def energy_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample energy statistic 2 E||A-B|| - E||A-A'|| - E||B-B'||.
 
     Within-sample means are U-statistics (off-diagonal pairs), so a sample
-    tested against itself comes out at most 0, with O(1/n) magnitude.  Each
-    block of pair distances is summed _ROW_TILE rows at a time, so only one
-    tile of distances is held.
+    tested against itself comes out at most 0, with O(1/n) magnitude.  The
+    sums come from the row sums of one tiled walk over the pooled distance
+    matrix with no labellings, so only one tile of distances is held.
     """
     a, b = _two_samples(a, b)
-    sums = []
-    for name, x, y in (("a, b", a, b), ("a, a", a, a), ("b, b", b, b)):
-        total = 0.0
-        for lo in range(0, x.shape[0], _ROW_TILE):
-            with np.errstate(over="ignore", invalid="ignore"):
-                total += _pair_distances(x[lo : lo + _ROW_TILE], y).sum()
-            if not np.isfinite(total):
-                hi = min(lo + _ROW_TILE, x.shape[0])
-                raise ValueError(f"energy_distance: the ({name}) distance sum of rows "
-                                 f"[{lo}:{hi}) is not finite (an overflow)")
-        sums.append(total)
-    return float(_energy_statistic(*sums, a.shape[0], b.shape[0]))
+    labels = np.empty((a.shape[0] + b.shape[0], 0))
+    return _energy_walk(a, b, labels, "energy_distance")[0]
 
 
-def energy_permutation_quantile(
-    a: np.ndarray,
-    b: np.ndarray,
-    n_permutations: int = 200,
-    seed: int = 0,
-    q: float = 0.95,
-) -> float:
-    """Permutation-null quantile of the energy statistic for samples a, b.
-
-    The j-th null labelling puts the first n entries of the j-th
-    ``default_rng(seed).permutation(n + m)`` on side A; column j of the
-    (n + m) x P 0/1 matrix S marks it. With D the pooled distance matrix and
-    r = D 1, a labelling's within-A sum is s'Ds (a column sum of S * DS), its
-    cross sum s'r - s'Ds and its within-B sum 1'D1 - 2 s'r + s'Ds. D is
-    walked in tiles of _ROW_TILE rows, each giving its rows of r and of
-    S * DS, which are added to the running within-A sums in row order and
-    dropped. Memory is S and one distance tile, 8 (n + m)(P + _ROW_TILE)
-    bytes plus small scratch, rather than 8 (n + m)^2: below the full matrix
-    while P < (n + m) - _ROW_TILE, about 2870 at 1500 + 1500.
-    """
+def _energy_test(a, b, n_permutations, seed, q, caller: str) -> tuple[float, float]:
+    """energy_test, with overflow errors naming ``caller``."""
     a, b = _two_samples(a, b)
     for name, val in (("n_permutations", n_permutations), ("seed", seed)):
         if not _rng.is_integer(val):
@@ -198,36 +218,40 @@ def energy_permutation_quantile(
     if not (_rng.is_real(q) and 0.0 <= q <= 1.0):
         raise ValueError(f"q must lie in [0, 1], got {q!r}")
     n, m = a.shape[0], b.shape[0]
-    pool = np.concatenate([a, b], axis=0)
     gen = np.random.default_rng(seed)
     labels = np.zeros((n + m, n_permutations))
     for j in range(n_permutations):
         labels[gen.permutation(n + m)[:n], j] = 1.0
-    row_sums = np.empty(n + m)
-    # Row 0 holds the running within-A sums, rows 1.. one tile of S * DS;
-    # summing over axis 0 adds the rows in order, as one pass over all n + m would.
-    acc = np.zeros((_ROW_TILE + 1, n_permutations))
-    for lo in range(0, n + m, _ROW_TILE):
-        hi = min(lo + _ROW_TILE, n + m)
-        with np.errstate(over="ignore", invalid="ignore"):
-            part = _pair_distances(pool[lo:hi], pool)
-            row_sums[lo:hi] = part.sum(axis=1)
-        # A finite distance is at most sqrt(DBL_MAX), about 1.3e154, so once
-        # every row sum is finite no later sum over the pooled rows overflows.
-        if not np.all(np.isfinite(row_sums[lo:hi])):
-            raise ValueError(f"energy_permutation_quantile: the distance sum of rows "
-                             f"[{lo}:{hi}) is not finite (an overflow)")
-        tile = acc[1 : hi - lo + 1]
-        np.matmul(part, labels, out=tile)
-        del part  # freed before the next tile is built
-        tile *= labels[lo:hi]
-        acc[0] = acc[: hi - lo + 1].sum(axis=0)
-    within_a = acc[0]
-    a_row_sums = row_sums @ labels
-    cross = a_row_sums - within_a
-    within_b = row_sums.sum() - 2.0 * a_row_sums + within_a
-    stats = _energy_statistic(cross, within_a, within_b, n, m)
-    return float(np.quantile(stats, q))
+    observed, null = _energy_walk(a, b, labels, caller)
+    return observed, float(np.quantile(null, q))
+
+
+def energy_test(
+    a: np.ndarray,
+    b: np.ndarray,
+    n_permutations: int = 200,
+    seed: int = 0,
+    q: float = 0.95,
+) -> tuple[float, float]:
+    """The energy statistic of a, b and the q-quantile of its permutation null.
+
+    Returns (energy_distance(a, b), energy_permutation_quantile(a, b, ...))
+    bit for bit, from one walk over the pooled distances (_energy_walk).
+    The j-th null labelling puts the first n entries of the j-th
+    ``default_rng(seed).permutation(n + m)`` on side A.
+    """
+    return _energy_test(a, b, n_permutations, seed, q, "energy_test")
+
+
+def energy_permutation_quantile(
+    a: np.ndarray,
+    b: np.ndarray,
+    n_permutations: int = 200,
+    seed: int = 0,
+    q: float = 0.95,
+) -> float:
+    """Permutation-null quantile of the energy statistic: energy_test's second value."""
+    return _energy_test(a, b, n_permutations, seed, q, "energy_permutation_quantile")[1]
 
 
 def convergence_slope(dts: Sequence[float], errors: Sequence[float]) -> float:

@@ -80,7 +80,7 @@ class Schedule:
                         f"i2sb breakpoints and values must be finite and real; {name} holds {val!r}"
                     )
             object.__setattr__(self, name, tuple(map(float, seq)))
-        if self.kind in ("linear", "trig") and self.gamma_max <= 0:
+        if self.kind == "linear" and self.gamma_max <= 0:
             raise ValueError(f"gamma_max must be positive, got {self.gamma_max}")
         if self.kind == "linear" and self.gamma_multiplier <= 0:
             raise ValueError(

@@ -34,8 +34,7 @@ from bridgelab.dynamics import estimate_marginal_moments, simulate_ensemble
 from bridgelab.metrics import (
     afd,
     convergence_slope,
-    energy_distance,
-    energy_permutation_quantile,
+    energy_test,
 )
 from bridgelab.sampler import (
     SamplerConfig,
@@ -135,8 +134,7 @@ class TestAcceptance:
             worst_cov = max(worst_cov, float(np.max(np.abs(ca - cb) / np.abs(cb))))
             ia = sub_rng.choice(len(pa), 1500, replace=False)
             ib = sub_rng.choice(len(pb), 1500, replace=False)
-            ed = energy_distance(pa[ia], pb[ib])
-            q95 = energy_permutation_quantile(pa[ia], pb[ib], n_permutations=200, seed=0)
+            ed, q95 = energy_test(pa[ia], pb[ib], n_permutations=200, seed=0)
             worst_ed_ratio = max(worst_ed_ratio, ed / q95)
         passed = worst_mean <= 4.0 and worst_cov <= 0.05 and worst_ed_ratio <= 3.0
         _report(

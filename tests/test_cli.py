@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from bridgelab import cli
 from bridgelab.cli import main
+from bridgelab.schedule import SCHEDULE_KINDS
 
 LINEAR_SCHEDULE = {"kind": "linear", "gamma_max": 0.125}
 TASK_1D = {
@@ -165,6 +166,25 @@ class TestConfigErrors:
         out = tmp_path / "out"
         assert _run("verify-schedule", cfg, out) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("schedule", [
+        {"kind": "linear", "beta_d": -5.0},
+        {"kind": "linear", "gamma_scale": 99.0},
+        {"kind": "linear", "i2sb_values": [3.0]},
+        {"kind": "trig", "gamma_max": -1.0},
+        {"kind": "edm", "gamma_multiplier": 0.5},
+    ], ids=["linear-beta_d", "linear-gamma_scale", "linear-i2sb_values", "trig-gamma_max",
+            "edm-gamma_multiplier"])
+    def test_schedule_key_of_another_kind_exits_1(self, tmp_path, capsys, schedule):
+        cfg = _write_config(tmp_path, "c.json", {"schedule": schedule, "grid": {"n_steps": 4}})
+        out = tmp_path / "out"
+        assert _run("verify-schedule", cfg, out) == 1
+        assert not out.exists()
+        assert "schedule: unknown key(s)" in capsys.readouterr().err
+
+    def test_schedule_spec_has_every_kind_but_custom(self):
+        assert tuple(cli._SPECS["schedule"]["kind"]) == tuple(
+            kind for kind in SCHEDULE_KINDS if kind != "custom")
 
     def test_missing_config_file_exits_1(self, tmp_path):
         assert _run("verify-schedule", str(tmp_path / "nope.json"), tmp_path / "out") == 1
@@ -1123,12 +1143,37 @@ class TestTrainDenoiser:
         assert "denoiser.path" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["sample", "afd-study"])
+    def test_model_of_another_schedule_exits_1_without_artifacts(self, tmp_path, capsys, command):
+        """A model trained on linear, run on ddbm_vp: the network would
+        precondition with one kernel while the sampler walks another."""
+        from bridgelab.denoiser import MlpDenoiser, Preconditioner, denoiser_to_bytes, mlp_init
+        from bridgelab.schedule import Schedule
+
+        model_path = tmp_path / "model.bin"
+        sizes = [5, 4, 2]
+        den = MlpDenoiser(mlp_init(sizes, 0), sizes, Preconditioner(), Schedule(**LINEAR_SCHEDULE))
+        model_path.write_bytes(denoiser_to_bytes(den))
+        base = SAMPLE_CONFIG if command == "sample" else {
+            **AFD_CONFIG, "afd": {**AFD_CONFIG["afd"], "feature": {"kind": "identity"}}}
+        cfg = {**base, "schedule": {"kind": "ddbm_vp"}, "task": TASK_2D,
+               "denoiser": {"kind": "mlp", "path": str(model_path)}}
+        out = tmp_path / "out"
+        assert _run(command, _write_config(tmp_path, "c.json", cfg), out) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "denoiser.path: the model was trained on a linear schedule" in err
+        assert "the run uses a ddbm_vp schedule" in err
+
 # One valid config per command (two for sample: each task kind and denoiser kind).
 PARSE_BASES = [
     ("verify-schedule", {"schedule": LINEAR_SCHEDULE, "grid": {"n_steps": 4}}),
     ("verify-schedule",
      {"schedule": {"kind": "i2sb", "i2sb_breakpoints": [0.0, 1.0], "i2sb_values": [1.0]},
       "grid": {"n_steps": 4, "t_min": 0.1, "t_max": 0.9, "rho": 1.0}}),
+    ("verify-schedule", {"schedule": {"kind": "trig", "gamma_scale": 1.0}, "grid": {"n_steps": 4}}),
+    ("verify-schedule",
+     {"schedule": {"kind": "ddbm_vp", "beta_d": 2.0, "beta_min": 0.1}, "grid": {"n_steps": 4}}),
     ("simulate-forward",
      {"schedule": LINEAR_SCHEDULE, "grid": {"n_steps": 4},
       "forward": {"x0": [0.0], "xT": [1.0], "n_paths": 4, "record": False}}),

@@ -1,5 +1,8 @@
 """Diversity and discrepancy metrics on hand-checkable examples."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,6 +15,7 @@ from bridgelab.metrics import (
     convergence_slope,
     energy_distance,
     energy_permutation_quantile,
+    energy_test,
     random_projection,
 )
 from bridgelab.metrics import _pair_distances
@@ -44,35 +48,49 @@ class TestPairDistances:
         assert _same_bits(got, [cdist(x, y) for x, y in zip(a, b)])
 
     def test_energy_distance_equals_the_cdist_formula(self):
+        """Seed 3 gives data whose row-sum and whole-block sums differ in the
+        last bits, so the bit check tells the two orders apart."""
         rng = np.random.default_rng(3)
         a = rng.standard_normal((70, 2))
         b = rng.standard_normal((45, 2)) + 0.2
-        want = (2.0 * (cdist(a, b).sum() / (70 * 45)) - cdist(a, a).sum() / (70 * 69)
-                - cdist(b, b).sum() / (45 * 44))
-        assert _same_bits(energy_distance(a, b), want)
+        got = energy_distance(a, b)
+        assert _same_bits(got, _row_sum_energy(a, b, metrics._ROW_TILE))
+        full = _whole_block_energy(a, b)
+        assert not _same_bits(got, full)
+        np.testing.assert_allclose(got, full, rtol=1e-12, atol=0)
 
     def test_energy_distance_in_row_tiles_equals_the_tiled_cdist_formula(self, monkeypatch):
-        """40 and 37 rows in tiles of 7: several tiles per block and a ragged last tile.
-
-        Seed 17 gives data whose tiled and whole-block sums differ in the last
-        bits, so the bit check tells the two orders apart."""
+        """77 pooled rows in tiles of 7: several tiles per sample and a ragged last tile."""
         monkeypatch.setattr(metrics, "_ROW_TILE", 7)
         rng = np.random.default_rng(17)
         a = rng.standard_normal((40, 3))
         b = 1.5 * rng.standard_normal((37, 3)) + 0.4
-
-        def tiled(x, y):
-            total = 0.0
-            for lo in range(0, x.shape[0], 7):
-                total += cdist(x[lo : lo + 7], y).sum()
-            return total
-
         got = energy_distance(a, b)
-        want = 2.0 * (tiled(a, b) / (40 * 37)) - tiled(a, a) / (40 * 39) - tiled(b, b) / (37 * 36)
-        assert _same_bits(got, want)
-        full = (2.0 * (cdist(a, b).sum() / (40 * 37)) - cdist(a, a).sum() / (40 * 39)
-                - cdist(b, b).sum() / (37 * 36))
-        np.testing.assert_allclose(got, full, rtol=1e-12, atol=0)
+        assert _same_bits(got, _row_sum_energy(a, b, 7))
+        np.testing.assert_allclose(got, _whole_block_energy(a, b), rtol=1e-12, atol=0)
+
+
+def _row_sum_energy(a, b, tile):
+    """The energy statistic from the row sums of pooled cdist tiles of ``tile`` rows.
+
+    r = D 1 and r_A = D[:, :n] 1 per pooled row; within-A is r_A over the A
+    rows, cross r - r_A over the A rows and within-B r - r_A over the B rows."""
+    n, m = len(a), len(b)
+    pool = np.concatenate([a, b])
+    r, r_a = np.empty(n + m), np.empty(n + m)
+    for lo in range(0, n + m, tile):
+        part = cdist(pool[lo : lo + tile], pool)
+        r[lo : lo + tile] = part.sum(axis=1)
+        r_a[lo : lo + tile] = part[:, :n].sum(axis=1)
+    r_b = r - r_a
+    return (2.0 * (r_b[:n].sum() / (n * m)) - r_a[:n].sum() / (n * (n - 1))
+            - r_b[n:].sum() / (m * (m - 1)))
+
+
+def _whole_block_energy(a, b):
+    n, m = len(a), len(b)
+    return (2.0 * (cdist(a, b).sum() / (n * m)) - cdist(a, a).sum() / (n * (n - 1))
+            - cdist(b, b).sum() / (m * (m - 1)))
 
 
 class TestAfd:
@@ -303,6 +321,47 @@ class TestPermutationOracle:
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
+class TestEnergyTest:
+    """energy_test: the observed statistic and the null from one walk over the distances."""
+
+    @pytest.mark.parametrize("n_permutations, seed, q", [(1, 0, 0.5), (130, 5, 0.95), (257, 6, 0.0)])
+    def test_equals_the_two_wrappers_bit_for_bit(self, n_permutations, seed, q):
+        rng = np.random.default_rng(18)
+        a = rng.standard_normal((40, 3))
+        b = 1.5 * rng.standard_normal((37, 3)) + 0.4
+        got = energy_test(a, b, n_permutations=n_permutations, seed=seed, q=q)
+        want = (energy_distance(a, b),
+                energy_permutation_quantile(a, b, n_permutations=n_permutations, seed=seed, q=q))
+        assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("row_tile", [4, 7, 76])
+    def test_observed_statistic_does_not_depend_on_the_row_tile(self, row_tile, monkeypatch):
+        """77 pooled rows: each pooled row's sums are the same whatever tile holds it."""
+        monkeypatch.setattr(metrics, "_ROW_TILE", row_tile)
+        rng = np.random.default_rng(17)
+        a = rng.standard_normal((40, 3))
+        b = 1.5 * rng.standard_normal((37, 3)) + 0.4
+        want = _row_sum_energy(a, b, 77)
+        assert _same_bits(energy_distance(a, b), want)
+        assert _same_bits(energy_test(a, b, n_permutations=130, seed=6)[0], want)
+
+    @pytest.mark.parametrize("row_tile", [7, 128])
+    def test_distances_are_walked_once(self, row_tile, monkeypatch):
+        monkeypatch.setattr(metrics, "_ROW_TILE", row_tile)
+        calls = []
+
+        def counted(x, y):
+            calls.append(x.shape[0])
+            return _pair_distances(x, y)
+
+        monkeypatch.setattr(metrics, "_pair_distances", counted)
+        rng = np.random.default_rng(19)
+        a, b = rng.standard_normal((300, 2)), rng.standard_normal((200, 2))
+        energy_test(a, b, n_permutations=20, seed=1)
+        assert len(calls) == -(-500 // row_tile)
+        assert sum(calls) == 500
+
+
 def _gate_shape_samples(seed):
     """1500 + 1500 samples in 2-d, the shape of the criterion-2 gate."""
     rng = np.random.default_rng(seed)
@@ -320,6 +379,29 @@ class TestPermutationAtGateShape:
         a, b = _gate_shape_samples(seed)
         got = energy_permutation_quantile(a, b, n_permutations=200, seed=seed)
         assert got.hex() == self.PINNED_Q95[seed]
+
+    def test_q95_agrees_across_blas_thread_counts(self):
+        """The GEMM's summation order follows the BLAS thread count, so one
+        thread moves the last bits of seeds 1 and 2 off their pins (which
+        hold for two to four threads); the values still agree closely."""
+        probe = (
+            "import numpy as np; from bridgelab.metrics import energy_permutation_quantile\n"
+            "for seed in (1, 2):\n"
+            "    rng = np.random.default_rng(seed)\n"
+            "    a, b = rng.standard_normal((1500, 2)), rng.standard_normal((1500, 2)) + 0.1\n"
+            "    print(energy_permutation_quantile(a, b, n_permutations=200, seed=seed).hex())\n"
+        )
+        src = os.path.dirname(os.path.dirname(metrics.__file__))
+        got = {}
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+                check=True,
+            )
+            got[threads] = [float.fromhex(line) for line in proc.stdout.split()]
+        assert len(got["1"]) == 2
+        np.testing.assert_allclose(got["1"], got["2"], rtol=1e-10, atol=0)
 
     def test_energy_distance_peak_memory_is_below_a_quarter_block(self):
         a, b = _gate_shape_samples(0)
@@ -375,21 +457,24 @@ class TestEnergyInputValidation:
         """Finite rows whose distances overflow; before, both returned nan.
 
         Rows at +-1e154 lie a finite distance from rows near 0 but an overflowing
-        one from each other, so only the (b, b) block overflows."""
+        one from each other, so only the pooled tile holding them both overflows."""
         monkeypatch.setattr(metrics, "_ROW_TILE", 7)
         rng = np.random.default_rng(17)
         a = rng.standard_normal((40, 2))
         b = rng.standard_normal((37, 2))
         a[10, 0] = 1e200
-        with pytest.raises(ValueError, match=r"^energy_distance: the \(a, b\) distance sum "
-                                             r"of rows \[7:14\) is not finite"):
+        with pytest.raises(ValueError, match=r"^energy_distance: the distance sum "
+                                             r"of rows \[0:7\) is not finite"):
             energy_distance(a, b)
-        with pytest.raises(ValueError, match=r"^energy_distance: the \(b, b\) distance sum "
-                                             r"of rows \[35:37\) is not finite"):
+        with pytest.raises(ValueError, match=r"^energy_distance: the distance sum "
+                                             r"of rows \[35:42\) is not finite"):
             energy_distance(a[:5], np.concatenate([b[:35], [[1e154, 0.0], [-1e154, 0.0]]]))
         with pytest.raises(ValueError, match=r"^energy_permutation_quantile: the distance sum "
                                              r"of rows \[0:7\) is not finite"):
             energy_permutation_quantile(a, b, n_permutations=5)
+        with pytest.raises(ValueError, match=r"^energy_test: the distance sum "
+                                             r"of rows \[0:7\) is not finite"):
+            energy_test(a, b, n_permutations=5)
 
     def test_mismatched_feature_dimensions(self):
         with pytest.raises(ValueError, match="a and b must share one feature dimension"):

@@ -103,6 +103,10 @@ class TestEvalExamples:
         with pytest.raises(ValueError):
             Schedule(kind="nope")
 
+    def test_trig_does_not_read_gamma_max(self):
+        ignored = Schedule(kind="trig", gamma_max=-1.0)
+        assert eval_schedule(ignored, 0.3) == eval_schedule(Schedule(kind="trig"), 0.3)
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_parameters(self, bad):
         for key in ("gamma_max", "gamma_multiplier"):
