@@ -84,27 +84,28 @@ class ConfigError(Exception):
 # _REQUIRED makes the key required, and None leaves an absent key out, so the
 # library's own default applies.  The bound is the minimum of an integer, the
 # choices of a string or the rank of an array.  A type that is itself a spec
-# reads a nested section.  A "kind" entry that is a dict maps each kind to
-# the spec of the section's other keys.
+# reads a nested section.  An entry that is itself a dict (at most one per
+# section, such as "kind") is the section's discriminator: a required string
+# whose value picks, from that dict, the spec of the keys it adds.
 
 _REQUIRED = object()
 _NUMBER = ("number", None, None)
 _COUNT = ("integer", _REQUIRED, 1)
 _VECTOR, _MATRIX = ("array", _REQUIRED, 1), ("array", _REQUIRED, 2)
 _JOINT = {"mean0": _VECTOR, "meanT": _VECTOR, "cov00": _MATRIX, "covTT": _MATRIX, "cov0T": _MATRIX}
-_I2SB = {"i2sb_breakpoints": ("array", None, 1), "i2sb_values": ("array", None, 1)}
+_SCHEDULE_KEYS = {
+    "linear": {"gamma_max": _NUMBER, "gamma_multiplier": _NUMBER},
+    "trig": {"gamma_scale": _NUMBER},
+    "ddbm_ve": {},
+    "ddbm_vp": {"beta_d": _NUMBER, "beta_min": _NUMBER},
+    "i2sb": {"i2sb_breakpoints": ("array", None, 1), "i2sb_values": ("array", None, 1)},
+    "edm": {},
+}
 # reformulation-check family -> the schedule kind it is checked on
 _FAMILIES = {"ve": "ddbm_ve", "vp": "ddbm_vp", "edm": "edm", "i2sb": "i2sb"}
 
 _SPECS = {
-    "schedule": {"kind": {
-        "linear": {"gamma_max": _NUMBER, "gamma_multiplier": _NUMBER},
-        "trig": {"gamma_scale": _NUMBER},
-        "ddbm_ve": {},
-        "ddbm_vp": {"beta_d": _NUMBER, "beta_min": _NUMBER},
-        "i2sb": _I2SB,
-        "edm": {},
-    }},
+    "schedule": {"kind": _SCHEDULE_KEYS},
     "grid": {"n_steps": _COUNT, "t_min": _NUMBER, "t_max": _NUMBER, "rho": _NUMBER},
     "eps_policy": {
         "kind": ("string", _REQUIRED, EPSILON_KINDS), "eta": _NUMBER, "const_value": _NUMBER,
@@ -146,10 +147,10 @@ _SPECS = {
         "slope_range": ("array or null", (1.8, 2.2), 1),
     },
     "reformulation": {
-        "family": ("string", _REQUIRED, tuple(_FAMILIES)), "threshold": ("number", 1e-8, None),
+        "family": {family: _SCHEDULE_KEYS[kind] for family, kind in _FAMILIES.items()},
+        "threshold": ("number", 1e-8, None),
         "t_lo": ("number", 0.1, None), "t_hi": ("number", 0.9, None),
         "n_points": ("integer", 25, 2), "n_probes": ("integer", 32, 1),
-        "beta_d": _NUMBER, "beta_min": _NUMBER, **_I2SB,
     },
 }
 
@@ -176,9 +177,10 @@ def _read(parent: dict, key, spec: dict, path: str | None = None, required: bool
     section = parent[key]
     if not isinstance(section, dict):
         raise ConfigError(f"{path}: expected an object, got {type(section).__name__}")
-    if isinstance(spec.get("kind"), dict):
-        kind_entry = ("string", _REQUIRED, tuple(spec["kind"]))
-        spec = {"kind": kind_entry, **spec["kind"][_value(section, "kind", kind_entry, path)]}
+    for name, entry in spec.items():
+        if isinstance(entry, dict):  # the discriminator
+            choice = ("string", _REQUIRED, tuple(entry))
+            spec = {**spec, name: choice, **entry[_value(section, name, choice, path)]}
     unknown = sorted(set(section) - set(spec))
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {unknown}; allowed: {sorted(spec)}")
@@ -655,8 +657,9 @@ def _parse_reformulation_check(cfg: dict, seed: int):
     vals = _read(cfg, "reformulation", _SPECS["reformulation"])
     if not (0 < vals["t_lo"] < vals["t_hi"] < T_HORIZON):
         raise ConfigError("reformulation.t_lo/t_hi: need 0 < t_lo < t_hi < 1")
-    given = {k: vals[k] for k in ("beta_d", "beta_min", *_I2SB) if k in vals}
-    return vals, _build("reformulation", Schedule, _FAMILIES[vals["family"]], **given)
+    kind = _FAMILIES[vals["family"]]
+    given = {k: vals[k] for k in _SCHEDULE_KEYS[kind] if k in vals}
+    return vals, _build("reformulation", Schedule, kind, **given)
 
 
 def _run_reformulation_check(vals, sched, seed: int, threads: int):

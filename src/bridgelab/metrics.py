@@ -144,6 +144,14 @@ def _energy_statistic(cross, within_a, within_b, n: int, m: int):
 # 1500 + 1500 pooled, against 72 MB for the whole (n + m)^2 distance matrix.
 _ROW_TILE = 128
 
+# Columns per slice of the null's label product.  A hypothesis, checked on one
+# OpenBLAS build (0.3.31, SkylakeX kernels) only: one thread and several block
+# the contraction axis differently, and a slice no wider than OpenBLAS's block
+# of that axis is summed in the same order at any thread count.  At seeds 0-9
+# of the gate shape, q95 kept its bits at 1, 2 and 4 threads with 256-column
+# slices; 2 seeds moved with 512 or 1024 columns and 4 with the whole axis.
+_K_SLICE = 256
+
 
 def _energy_walk(a: np.ndarray, b: np.ndarray, labels: np.ndarray, caller: str):
     """The observed energy statistic of a, b and one statistic per labelling.
@@ -151,23 +159,29 @@ def _energy_walk(a: np.ndarray, b: np.ndarray, labels: np.ndarray, caller: str):
     Column j of the (n + m) x P 0/1 matrix ``labels`` (S; P may be 0) marks
     the rows of the pool [a; b] on labelling j's side A.  With D the pooled
     distance matrix, D is walked once, in tiles of _ROW_TILE rows.  Each tile
-    gives its rows of r = D 1 and r_A = D[:, :n] 1, and its rows of S * DS,
-    which are added to the running within-A sums in row order and dropped.
-    The observed within-A sum is r_A summed over the A rows, the cross sum
-    r - r_A over the A rows and the within-B sum r - r_A over the B rows.
-    A labelling's within-A sum is s'Ds (a column sum of S * DS), its cross
-    sum s'r - s'Ds and its within-B sum 1'D1 - 2 s'r + s'Ds.  Memory is S and
-    one distance tile, 8 (n + m)(P + _ROW_TILE) bytes plus small scratch:
-    below the full 8 (n + m)^2 while P < (n + m) - _ROW_TILE, about 2870 at
-    1500 + 1500.  Overflow raises a ValueError naming ``caller`` and the rows.
+    gives its rows of r = D 1 and r_A = D[:, :n] 1 from all its columns.  The
+    observed within-A sum is r_A summed over the A rows, the cross sum r - r_A
+    over the A rows and the within-B sum r - r_A over the B rows.
+    A labelling's within-A sum is s'Ds.  D is symmetric with a zero diagonal,
+    so s'Ds is twice the sum of s_i D_ik s_k over i < k.  Each tile halves its
+    diagonal block and multiplies only its columns from its first row on (the
+    upper triangle) by S, in _K_SLICE-column slices added in order; its rows
+    of S * (that product) are added to the running half sums in row order and
+    dropped.  A labelling's cross sum is then s'r - s'Ds and its within-B sum
+    1'D1 - 2 s'r + s'Ds.  Memory is S, one distance tile and one slice
+    product, 8 (n + m)(P + _ROW_TILE) + 8 _ROW_TILE P bytes plus small
+    scratch: below the full 8 (n + m)^2 while P < (n + m)(n + m - _ROW_TILE)
+    / (n + m + _ROW_TILE), about 2750 at 1500 + 1500.  Overflow raises a
+    ValueError naming ``caller`` and the rows.
     """
     n, m = a.shape[0], b.shape[0]
     pool = np.concatenate([a, b], axis=0)
     row_sums = np.empty(n + m)
     row_sums_a = np.empty(n + m)
-    # Row 0 holds the running within-A sums, rows 1.. one tile of S * DS;
-    # summing over axis 0 adds the rows in order, as one pass over all n + m would.
+    # Row 0 holds the running half within-A sums, rows 1.. one tile of the
+    # upper-triangle product; summing over axis 0 adds the rows in order.
     acc = np.zeros((_ROW_TILE + 1, labels.shape[1]))
+    sliced = np.empty((_ROW_TILE, labels.shape[1]))
     for lo in range(0, n + m, _ROW_TILE):
         hi = min(lo + _ROW_TILE, n + m)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -179,15 +193,20 @@ def _energy_walk(a: np.ndarray, b: np.ndarray, labels: np.ndarray, caller: str):
             raise ValueError(f"{caller}: the distance sum of rows [{lo}:{hi}) "
                              "is not finite (an overflow)")
         row_sums_a[lo:hi] = part[:, :n].sum(axis=1)
-        tile = acc[1 : hi - lo + 1]
-        np.matmul(part, labels, out=tile)
+        if labels.shape[1]:  # with no labellings (energy_distance) the product is empty
+            part[:, lo:hi] *= 0.5  # exact; the diagonal block counts each pair twice
+            tile, out = acc[1 : hi - lo + 1], sliced[: hi - lo]
+            tile.fill(0.0)
+            for k in range(lo, n + m, _K_SLICE):
+                np.matmul(part[:, k : k + _K_SLICE], labels[k : k + _K_SLICE], out=out)
+                tile += out
+            tile *= labels[lo:hi]
+            acc[0] = acc[: hi - lo + 1].sum(axis=0)
         del part  # freed before the next tile is built
-        tile *= labels[lo:hi]
-        acc[0] = acc[: hi - lo + 1].sum(axis=0)
     row_sums_b = row_sums - row_sums_a
     observed = _energy_statistic(row_sums_b[:n].sum(), row_sums_a[:n].sum(),
                                  row_sums_b[n:].sum(), n, m)
-    within_a = acc[0]
+    within_a = 2.0 * acc[0]
     labelled_sums = row_sums @ labels
     null = _energy_statistic(labelled_sums - within_a, within_a,
                              row_sums.sum() - 2.0 * labelled_sums + within_a, n, m)

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -68,20 +70,13 @@ def _write_config(tmp_path, name: str, cfg: dict) -> str:
     return str(path)
 
 
+def _argv(command: str, config_path: str, out_dir, seed: int = 0, threads: int = 1) -> list:
+    return [command, "--config", config_path, "--out", str(out_dir), "--seed", str(seed),
+            "--threads", str(threads)]
+
+
 def _run(command: str, config_path: str, out_dir, seed: int = 0, threads: int = 1) -> int:
-    return main(
-        [
-            command,
-            "--config",
-            config_path,
-            "--out",
-            str(out_dir),
-            "--seed",
-            str(seed),
-            "--threads",
-            str(threads),
-        ]
-    )
+    return main(_argv(command, config_path, out_dir, seed, threads))
 
 
 def _read_json(out_dir, name: str) -> dict:
@@ -181,6 +176,20 @@ class TestConfigErrors:
         assert _run("verify-schedule", cfg, out) == 1
         assert not out.exists()
         assert "schedule: unknown key(s)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reformulation", [
+        {"family": "ve", "beta_d": 3.0},
+        {"family": "ve", "i2sb_breakpoints": [0.2, 0.5]},
+        {"family": "edm", "beta_min": 0.1},
+        {"family": "vp", "i2sb_values": [1.0]},
+        {"family": "i2sb", "beta_d": 3.0},
+    ], ids=["ve-beta_d", "ve-i2sb_breakpoints", "edm-beta_min", "vp-i2sb_values", "i2sb-beta_d"])
+    def test_reformulation_key_of_another_family_exits_1(self, tmp_path, capsys, reformulation):
+        cfg = _write_config(tmp_path, "c.json", {"reformulation": reformulation})
+        out = tmp_path / "out"
+        assert _run("reformulation-check", cfg, out) == 1
+        assert not out.exists()
+        assert "reformulation: unknown key(s)" in capsys.readouterr().err
 
     def test_schedule_spec_has_every_kind_but_custom(self):
         assert tuple(cli._SPECS["schedule"]["kind"]) == tuple(
@@ -638,23 +647,31 @@ class TestSample:
 
     # sha256 of each artifact, computed before the posterior mean ran along the
     # rows; 4097 rows leave a last chunk of one row.
-    @pytest.mark.parametrize("task, digests", [
-        (TASK_2D_FULL, {
+    PINS_4097_ROWS = {
+        "gaussian-2d": (TASK_2D_FULL, {
             "sample.csv": "655be76f2dcecc5078ab7024ce6b731a5c94d4d9bffbed47903db6ad8c22a0b4",
             "moments.json": "b40b8352d5fc763dd2aaef1ea85806b79c8bd1fc39cd5c0d62305f11e8a15dcd",
             "diagnostics.json": "9f275d7b59c423d86ea7dd4a1c7d7df0e44bd9f8871d12c656d7e3b968234924",
         }),
-        (GMM_2D_TASK, {
+        "mixture-2d": (GMM_2D_TASK, {
             "sample.csv": "9eb85710a79f088113b680d09e6de2513fdbb8caa2f96f763a6f4d4da53d0f31",
             "moments.json": "ae0af9665b0509356795b4f729c4469897b063cc1ef6c98f5f032f011a1d01d3",
             "diagnostics.json": "3f410013be763c9f2a013dab410efde3316362c2a1ff59717147894084f60e08",
         }),
-    ], ids=["gaussian-2d", "mixture-2d"])
-    def test_4097_row_artifact_bytes_are_pinned(self, tmp_path, task, digests):
-        cfg = {**self.CONFIG, "grid": {"n_steps": 6}, "task": task,
+    }
+
+    @classmethod
+    def run_4097_rows(cls, tmp_path, task) -> tuple:
+        """The _run arguments of the pinned 4097-row sample of ``task``."""
+        cfg = {**cls.CONFIG, "grid": {"n_steps": 6}, "task": task,
                "sample": {"n_conditions": 4097, "n_replicates": 1}}
-        out = tmp_path / "out"
-        assert _run("sample", _write_config(tmp_path, "c.json", cfg), out, seed=5) == 0
+        return "sample", _write_config(tmp_path, "c.json", cfg), tmp_path / "out", 5
+
+    @pytest.mark.parametrize("task, digests", list(PINS_4097_ROWS.values()),
+                             ids=list(PINS_4097_ROWS))
+    def test_4097_row_artifact_bytes_are_pinned(self, tmp_path, task, digests):
+        command, cfg, out, seed = self.run_4097_rows(tmp_path, task)
+        assert _run(command, cfg, out, seed=seed) == 0
         for name, digest in digests.items():
             assert hashlib.sha256(_read_bytes(out, name)).hexdigest() == digest, name
 
@@ -1006,8 +1023,23 @@ class TestTrainDenoiser:
 
     # sha256 of each artifact, computed while the MLP denoiser had its own
     # public entry point: train.json holds test_mse_vs_analytic, which takes
-    # the one-time-per-row path of both denoiser kinds.
-    def test_train_and_mlp_sample_bytes_are_pinned(self, tmp_path):
+    # the one-time-per-row path of both denoiser kinds.  Keyed by (output
+    # directory under tmp_path, artifact).
+    MLP_PINS = {
+        ("train_out", "model.bin"):
+            "6073cc561e75e661557630c140d584c8e9254e8bbb06026927428c20b386aaac",
+        ("train_out", "train.json"):
+            "417738cceba35bc340729de0a0d049c2193155e18b30eee3dadd5fa0b4ff56b8",
+        ("out", "sample.csv"): "04a06bf3ec3e3809a1d05754c6d67f161c030b5783ac02d40ecfd6f3f0ff3b52",
+        ("out", "moments.json"):
+            "12b49c7f831dadff1312558f5ccb861396a8aa34e9cf566afa117fae105648c1",
+        ("out", "diagnostics.json"):
+            "7f350c6cd01ca5a5d8c216ff649c206f2f63767f06b8dcba28025c6d16a4e7ba",
+    }
+
+    @staticmethod
+    def mlp_runs(tmp_path) -> list:
+        """The _run arguments of the pinned training and of the MLP sample that reads its model."""
         train_cfg = _write_config(
             tmp_path, "train.json",
             {
@@ -1016,8 +1048,6 @@ class TestTrainDenoiser:
                 "train": {"layers": 2, "width": 8, "lr": 0.05, "batch": 32, "iters": 20},
             },
         )
-        train_out = tmp_path / "train_out"
-        assert _run("train-denoiser", train_cfg, train_out, seed=0) == 0
         cfg = _write_config(
             tmp_path, "c.json",
             {
@@ -1025,26 +1055,42 @@ class TestTrainDenoiser:
                 "grid": {"n_steps": 8},
                 "eps_policy": {"kind": "eta_scaled", "eta": 0.3},
                 "task": TASK_2D,
-                "denoiser": {"kind": "mlp", "path": str(train_out / "model.bin")},
+                "denoiser": {"kind": "mlp", "path": str(tmp_path / "train_out" / "model.bin")},
                 "sampler": {"variant": "dbim", "boot_b": 0.25},
                 "sample": {"n_conditions": 5, "n_replicates": 3},
             },
         )
-        out = tmp_path / "out"
-        assert _run("sample", cfg, out, seed=7) == 0
-        digests = {
-            (train_out, "model.bin"):
-                "6073cc561e75e661557630c140d584c8e9254e8bbb06026927428c20b386aaac",
-            (train_out, "train.json"):
-                "417738cceba35bc340729de0a0d049c2193155e18b30eee3dadd5fa0b4ff56b8",
-            (out, "sample.csv"): "04a06bf3ec3e3809a1d05754c6d67f161c030b5783ac02d40ecfd6f3f0ff3b52",
-            (out, "moments.json"):
-                "12b49c7f831dadff1312558f5ccb861396a8aa34e9cf566afa117fae105648c1",
-            (out, "diagnostics.json"):
-                "7f350c6cd01ca5a5d8c216ff649c206f2f63767f06b8dcba28025c6d16a4e7ba",
-        }
-        for (where, name), digest in digests.items():
-            assert hashlib.sha256(_read_bytes(where, name)).hexdigest() == digest, name
+        return [("train-denoiser", train_cfg, tmp_path / "train_out", 0),
+                ("sample", cfg, tmp_path / "out", 7)]
+
+    def test_train_and_mlp_sample_bytes_are_pinned(self, tmp_path):
+        for command, cfg, out, seed in self.mlp_runs(tmp_path):
+            assert _run(command, cfg, out, seed=seed) == 0
+        for (where, name), digest in self.MLP_PINS.items():
+            assert hashlib.sha256(_read_bytes(tmp_path / where, name)).hexdigest() == digest, name
+
+    def test_pinned_bytes_do_not_follow_the_blas_thread_count(self, tmp_path):
+        """The pinned analytic 4097-row sample and the pinned MLP training and
+        sample, each set run in a fresh process at 1 and at 4 BLAS threads."""
+        task, sample_pins = TestSample.PINS_4097_ROWS["gaussian-2d"]
+        pins = {**self.MLP_PINS, **{("analytic", "out", name): digest
+                                    for name, digest in sample_pins.items()}}
+        probe = ("import json, sys; from bridgelab.cli import main\n"
+                 "for argv in json.loads(sys.argv[1]):\n"
+                 "    assert main(argv) == 0, argv\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        for threads in ("1", "4"):
+            where = tmp_path / threads
+            (where / "analytic").mkdir(parents=True)
+            runs = [TestSample.run_4097_rows(where / "analytic", task), *self.mlp_runs(where)]
+            argvs = [_argv(command, cfg, out, seed) for command, cfg, out, seed in runs]
+            subprocess.run(
+                [sys.executable, "-c", probe, json.dumps(argvs)], timeout=120, check=True,
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+            )
+            for (*dirs, name), digest in pins.items():
+                got = hashlib.sha256(_read_bytes(where.joinpath(*dirs), name)).hexdigest()
+                assert got == digest, (threads, *dirs, name)
 
     def test_estimated_preconditioner_is_reported(self, tmp_path):
         cfg = _write_config(
@@ -1165,7 +1211,7 @@ class TestTrainDenoiser:
         assert "denoiser.path: the model was trained on a linear schedule" in err
         assert "the run uses a ddbm_vp schedule" in err
 
-# One valid config per command (two for sample: each task kind and denoiser kind).
+# One valid config per command, and more where a kind or family adds keys of its own.
 PARSE_BASES = [
     ("verify-schedule", {"schedule": LINEAR_SCHEDULE, "grid": {"n_steps": 4}}),
     ("verify-schedule",
@@ -1199,8 +1245,11 @@ PARSE_BASES = [
                       "pairs": [["euler_z", "dbim"]], "slope_range": [1.8, 2.2]}}),
     ("reformulation-check",
      {"reformulation": {"family": "i2sb", "threshold": 1e-8, "t_lo": 0.1, "t_hi": 0.9,
-                        "n_points": 3, "n_probes": 2, "beta_d": 2.0, "beta_min": 0.1,
+                        "n_points": 3, "n_probes": 2,
                         "i2sb_breakpoints": [0.0, 1.0], "i2sb_values": [1.0]}}),
+    ("reformulation-check",
+     {"reformulation": {"family": "vp", "n_points": 3, "n_probes": 2, "beta_d": 2.0,
+                        "beta_min": 0.1}}),
 ]
 
 
@@ -1209,8 +1258,9 @@ def _key_paths(cfg: dict) -> list[tuple]:
     paths = []
 
     def walk(section, spec, prefix):
-        if isinstance(spec.get("kind"), dict):
-            spec = {"kind": None, **spec["kind"][section["kind"]]}
+        for key, entry in spec.items():
+            if isinstance(entry, dict):  # the discriminator: its value's keys join the section
+                spec = {**spec, key: None, **entry[section[key]]}
         for key, entry in spec.items():
             paths.append((*prefix, key))
             if entry is not None and isinstance(entry[0], dict) and key in section:
@@ -1238,8 +1288,9 @@ def test_every_spec_key_is_exercised():
     covered = {path[:2] for _, _, path in PARSE_CASES if len(path) > 1}
     for section, spec in cli._SPECS.items():
         keys = set(spec)
-        if isinstance(spec.get("kind"), dict):
-            keys |= {key for sub in spec["kind"].values() for key in sub}
+        for entry in spec.values():
+            if isinstance(entry, dict):
+                keys |= {key for sub in entry.values() for key in sub}
         assert {(section, key) for key in keys} <= covered
 
 

@@ -310,15 +310,21 @@ class TestPermutationOracle:
 
     @pytest.mark.parametrize("row_tile", [4, 7, 76])
     def test_matches_loop_across_many_row_tiles(self, row_tile, monkeypatch):
-        """77 pooled rows in tiles of 7 (eleven full tiles), 4 and 76 (each ending in a 1-row tile)."""
+        """77 pooled rows in tiles of 7 (eleven full tiles), 4 and 76 (each ending in a
+        1-row tile), with label-product slices of 3 and 7 columns (ragged last slices)
+        and of 300 (wider than what is left of any row)."""
         monkeypatch.setattr(metrics, "_ROW_TILE", row_tile)
         rng = np.random.default_rng(15)
         a = rng.standard_normal((40, 3))
         b = 1.5 * rng.standard_normal((37, 3)) + 0.4
+        observed = energy_distance(a, b)
         for n_permutations, q in ((1, 0.5), (130, 0.95), (257, 0.0)):
-            got = energy_permutation_quantile(a, b, n_permutations=n_permutations, seed=6, q=q)
             want = loop_permutation_quantile(a, b, n_permutations, 6, q)
-            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+            for k_slice in (3, 7, 300):
+                monkeypatch.setattr(metrics, "_K_SLICE", k_slice)
+                got = energy_test(a, b, n_permutations=n_permutations, seed=6, q=q)
+                np.testing.assert_allclose(got[1], want, rtol=1e-10, atol=0)
+                assert _same_bits(got[0], observed)
 
 
 class TestEnergyTest:
@@ -371,8 +377,8 @@ def _gate_shape_samples(seed):
 class TestPermutationAtGateShape:
     """The null at 1500 + 1500 and 200 permutations: pinned values and memory."""
 
-    # q95 from the implementation that held the whole pooled distance matrix.
-    PINNED_Q95 = {0: "0x1.4d83659ca7d10p-9", 1: "0x1.5c068b1ee627dp-9", 2: "0x1.36ab5becc6793p-9"}
+    # q95 of the upper-triangle label product in _K_SLICE-column slices.
+    PINNED_Q95 = {0: "0x1.4d83659cb222ap-9", 1: "0x1.5c068b1eea363p-9", 2: "0x1.36ab5becc112dp-9"}
 
     @pytest.mark.parametrize("seed", sorted(PINNED_Q95))
     def test_q95_is_pinned_bit_for_bit(self, seed):
@@ -381,27 +387,25 @@ class TestPermutationAtGateShape:
         assert got.hex() == self.PINNED_Q95[seed]
 
     def test_q95_agrees_across_blas_thread_counts(self):
-        """The GEMM's summation order follows the BLAS thread count, so one
-        thread moves the last bits of seeds 1 and 2 off their pins (which
-        hold for two to four threads); the values still agree closely."""
+        """The pins hold bit for bit at 1, 2 and 4 BLAS threads: the label
+        product runs in _K_SLICE-column slices, which the OpenBLAS measured
+        sums alike at any thread count."""
+        seeds = sorted(self.PINNED_Q95)
         probe = (
             "import numpy as np; from bridgelab.metrics import energy_permutation_quantile\n"
-            "for seed in (1, 2):\n"
+            f"for seed in {seeds}:\n"
             "    rng = np.random.default_rng(seed)\n"
             "    a, b = rng.standard_normal((1500, 2)), rng.standard_normal((1500, 2)) + 0.1\n"
             "    print(energy_permutation_quantile(a, b, n_permutations=200, seed=seed).hex())\n"
         )
         src = os.path.dirname(os.path.dirname(metrics.__file__))
-        got = {}
-        for threads in ("1", "2"):
+        for threads in ("1", "2", "4"):
             proc = subprocess.run(
                 [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
                 env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
                 check=True,
             )
-            got[threads] = [float.fromhex(line) for line in proc.stdout.split()]
-        assert len(got["1"]) == 2
-        np.testing.assert_allclose(got["1"], got["2"], rtol=1e-10, atol=0)
+            assert proc.stdout.split() == [self.PINNED_Q95[seed] for seed in seeds], threads
 
     def test_energy_distance_peak_memory_is_below_a_quarter_block(self):
         a, b = _gate_shape_samples(0)
