@@ -293,17 +293,201 @@ def _parse_sampling(cfg: dict, seed: int):
 
 
 _BLOCK_ROWS = 4096
+# Below this many rows a table takes the template: the array path's fixed cost, about
+# 0.1 ms per float column, is more than the template's 0.4 us per float.
+_ARRAY_MIN_ROWS = 256
+# "%.17g" prints |v| in [_FIXED_LO, _FIXED_HI) in fixed notation; those floats are encoded
+# by array arithmetic, every other float by the template itself.
+_FIXED_LO, _FIXED_HI = 1e-4, 1e17
+_NONZERO_BIT = 0x7F7F7F7F7F7F7F7F  # added to raw digit bytes, sets bit 7 of each nonzero one
+_BIT7 = 0x8080808080808080
+_FLOAT_TEXT = 24  # bytes in a float's slot: the longest "%.17g", "-1.2345678901234567e-308"
+_CELL = np.dtype((np.void, _FLOAT_TEXT))  # a float's slot, copied as one item
 
 
-def _csv_blocks(header: list[str], columns):
-    """CSV of equal-length columns: floats to 17 significant digits, integers and labels as is.
+def _split(x):
+    """Dekker's split of float64 x into two halves of at most 26 significant bits."""
+    t = x * 134217729.0  # 2^27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
 
-    Yields the encoded header, then the encoded rows a block at a time, so neither a text
-    nor a byte copy of the table is held.
+
+# 10^(16 - E) for E = -4..16 (exact), then its two halves.
+_POW10 = np.array([float(10**k) for k in range(20, -1, -1)])
+_POW10 = np.stack([_POW10, *_split(_POW10)])
+
+
+def _fixed_layouts() -> np.ndarray:
+    """Where a fixed-notation cell's 17 digits go, per (E + 4) * 17 + nd - 1.
+
+    G is the 17 digits as raw bytes 0-9, first digit in byte 0; nd counts them up to the
+    last nonzero one.  The text starts at byte 1 (byte 0 holds the sign):
+    E >= 0 prints the first E + 1 digits, then "." and the rest if nd > E + 1;
+    E < 0 prints "0.", -E - 1 zeros, then nd digits.
+    Rows: two words of the mask of G that keeps its place, the shift s of the rest of G,
+    and three words of constant bytes: "0." prefixes, the ".", and 0x30 on each printed digit.
     """
-    columns = [np.asarray(col) for col in columns]
+    keep = np.zeros((21, 17, 16), np.uint8)
+    const = np.zeros((21, 17, 24), np.uint8)
+    shift = np.zeros((21, 17, 1), np.uint64)
+    for e in range(-4, 17):
+        for nd in range(1, 18):
+            i, j, k = e + 4, nd - 1, e + 1
+            if e < 0:
+                const[i, j, 1 : 2 - e] = np.frombuffer(b"0." + b"0" * (-e - 1), np.uint8)
+                const[i, j, 2 - e : 2 - e + nd] = 0x30
+                shift[i, j] = 8 * (2 - e)
+            elif nd > k:
+                keep[i, j, :k] = 0xFF
+                const[i, j, 1 : k + 1] = 0x30
+                const[i, j, k + 1] = ord(".")
+                const[i, j, k + 2 : nd + 2] = 0x30
+                shift[i, j] = 16
+            else:
+                keep[i, j] = 0xFF  # G's 17th byte is in the third word, which moves 8 bits
+                const[i, j, 1 : k + 1] = 0x30
+                shift[i, j] = 8
+    rows = np.concatenate([keep.view(np.uint64), shift, const.view(np.uint64)], axis=2)
+    return np.ascontiguousarray(rows.reshape(-1, 6).T)
+
+
+_LAYOUTS = _fixed_layouts()
+
+
+def _digits8(x: np.ndarray) -> np.ndarray:
+    """uint64 values below 10^8 -> their 8 decimal digits as raw bytes, first digit lowest.
+
+    SWAR: the 4-digit halves go to the two 32-bit lanes, then each lane's 2-digit halves to
+    16-bit lanes, then digits to bytes; x // 100 and x // 10 are multiply-and-shift, exact
+    below 10^4 and 10^2.
+    """
+    t = x // 10000
+    w = x << 32
+    t *= 10000 * 2**32 - 1  # w - t * (10^4 * 2^32 - 1) = t | (x - 10^4 t) << 32
+    w -= t
+    t = w * 10486
+    t >>= 20
+    t &= 0x0000007F0000007F
+    w <<= 16
+    t *= 100 * 2**16 - 1
+    w -= t
+    t = w * 103
+    t >>= 10
+    t &= 0x000F000F000F000F
+    w <<= 8
+    t *= 10 * 2**8 - 1
+    w -= t
+    return w
+
+
+def _put_floats(x: np.ndarray, dst: np.ndarray) -> None:
+    """Writes each value's "%.17g" text, NUL-padded, into the rows of dst, (n, 24) uint8.
+
+    E = floor(log10 |v|), and |v| 10^(16 - E) is formed exactly as hi + lo: 10^k is exact
+    for k <= 20, and Dekker's splits make the four partial products exact without an FMA.
+    The product is at least 2^53, so hi is an even integer and |lo| <= 8; d = hi + rint(lo)
+    is then the product rounded half to even: the 17 significant digits.  No double in
+    [1e-4, 1e17) lies within half a unit of the 17th digit below a power of ten, so d stays
+    below 10^17, and if log10 put E one too high, d stays below 10^16: d outside
+    [10^16, 10^17) means E is off, and that cell, like every value outside [1e-4, 1e17) or
+    not finite, takes the template.
+    """
+    a = np.abs(x)
+    fast = (a >= _FIXED_LO) & (a < _FIXED_HI)
+    a = np.where(fast, a, 1.0)
+    e = np.log10(a)
+    np.floor(e, out=e)
+    e = e.astype(np.intp)
+    np.minimum(e, 16, out=e)
+    np.maximum(e, -4, out=e)
+    e += 4
+    p, p_hi, p_lo = _POW10.take(e, axis=1)
+    hi = a * p
+    a_hi, a_lo = _split(a)
+    lo = a_hi * p_hi
+    lo -= hi
+    lo += a_hi * p_lo
+    lo += a_lo * p_hi
+    lo += a_lo * p_lo
+    d = hi.astype(np.uint64)
+    d += np.rint(lo).astype(np.int64).view(np.uint64)
+    ok = d - 10**16 < 9 * 10**16  # 10^16 <= d < 10^17
+    ok &= fast
+
+    g = np.empty((2, len(x)), np.uint64)
+    np.floor_divide(d, 10**9, out=g[0])
+    d -= g[0] * 10**9
+    np.floor_divide(d, 10, out=g[1])
+    d -= g[1] * 10  # the 17th digit
+    g = _digits8(g)
+    # nd from the highest nonzero digit byte: the float exponent of its bit 7 is 1030 + 8j.
+    top = g + _NONZERO_BIT
+    top &= _BIT7
+    top = top.astype(np.float64).view(np.int64)
+    top -= 1030 << 52
+    top >>= 55
+    top[0] += 1
+    top[1] += 9
+    nd = np.where(d != 0, 17, np.maximum(top[0], top[1]))
+
+    # mode="clip": a cell left to the template may index past the table
+    keep0, keep1, s, *words = _LAYOUTS.take(e * 17 + nd - 1, axis=1, mode="clip")
+    kept0, kept1 = g[0] & keep0, g[1] & keep1
+    g[0] ^= kept0
+    g[1] ^= kept1
+    r = 64 - s
+    text = np.empty((len(x), 3), np.uint64)  # each row one cell, so one copy moves it
+    words[0] |= kept0 << 8
+    words[0] |= g[0] << s
+    np.bitwise_or(words[0], np.signbit(x).view(np.uint8) * np.uint8(ord("-")), out=text[:, 0])
+    words[1] |= kept1 << 8
+    words[1] |= kept0 >> 56
+    words[1] |= g[1] << s
+    np.bitwise_or(words[1], g[0] >> r, out=text[:, 1])
+    words[2] |= kept1 >> 56
+    words[2] |= d << s
+    np.bitwise_or(words[2], g[1] >> r, out=text[:, 2])
+    dst.view(_CELL)[:] = text.view(_CELL)
+    if not ok.all():
+        slow = ~ok
+        texts = np.array(["%.17g" % v for v in x[slow].tolist()], dtype=f"S{_FLOAT_TEXT}")
+        dst[slow] = texts.view(np.uint8).reshape(-1, _FLOAT_TEXT)
+
+
+def _put_ints(v: np.ndarray, dst: np.ndarray) -> None:
+    """Writes each integer's "%s" text, NUL-padded, into the rows of dst, (n, 1 + 8k) uint8:
+    the sign in byte 0, then the digits, right-aligned, with no leading zeros."""
+    k = (dst.shape[1] - 1) // 8
+    dst[:, 0] = (v < 0).view(np.uint8) * np.uint8(ord("-"))
+    rest = np.abs(v).view(np.uint64)  # np.abs(int64 min) wraps to itself, 2^63 as uint64
+    limbs = np.empty((k, len(v)), np.uint64)
+    for j in range(k - 1, 0, -1):
+        q = rest // 10**8
+        np.subtract(rest, q * 10**8, out=limbs[j])
+        rest = q
+    limbs[0] = rest
+    g = _digits8(limbs)
+    nonzero = g + _NONZERO_BIT
+    nonzero &= _BIT7
+    printed = nonzero << 8  # every byte from the first nonzero digit on
+    printed |= nonzero
+    printed |= printed << 16
+    printed |= printed << 32
+    for j in range(1, k):
+        printed[j][np.any(nonzero[:j], axis=0)] = _BIT7
+    printed[k - 1] |= 0x80 << 56  # the last digit prints even for 0
+    printed >>= 7
+    g |= printed * 0x30
+    dst[:, 1:].view(np.uint64)[:] = g.T
+
+
+def _put_labels(labels: np.ndarray, dst: np.ndarray) -> None:
+    dst[:] = labels.view(np.uint8).reshape(dst.shape)
+
+
+def _template_blocks(columns: list[np.ndarray]):
+    """The rows of the template, "%.17g" for floats and "%s" for the rest, a block at a time."""
     template = ",".join("%.17g" if col.dtype.kind == "f" else "%s" for col in columns) + "\n"
-    yield (",".join(header) + "\n").encode()
     k = len(columns)
     for lo in range(0, len(columns[0]), _BLOCK_ROWS):
         block = [col[lo : lo + _BLOCK_ROWS].tolist() for col in columns]
@@ -311,6 +495,48 @@ def _csv_blocks(header: list[str], columns):
         for j, values in enumerate(block):
             cells[j::k] = values
         yield (template * len(block[0]) % tuple(cells)).encode()
+
+
+def _csv_blocks(header: list[str], columns):
+    """CSV of equal-length columns: floats to 17 significant digits, integers and labels as is.
+
+    Yields the encoded header, then the encoded rows a block at a time, so neither a text
+    nor a byte copy of the table is held.  The bytes are those of the template.  From
+    _ARRAY_MIN_ROWS rows on, each block's cells are written NUL-padded into fixed slots of
+    one row buffer, each followed by its "," or newline, and the NULs dropped.
+    """
+    columns = [np.asarray(col) for col in columns]
+    yield (",".join(header) + "\n").encode()
+    n = len(columns[0])
+    if n < _ARRAY_MIN_ROWS:
+        yield from _template_blocks(columns)
+        return
+    fields = []  # (writer, column, slot width)
+    for col in columns:
+        if col.dtype.kind == "f":
+            fields.append((_put_floats, col.astype(np.float64, copy=False), _FLOAT_TEXT))
+        elif col.dtype.kind in "iu":
+            col = col.astype(np.int64 if col.dtype.kind == "i" else np.uint64, copy=False)
+            digits = len(str(max(-int(col.min()), int(col.max()))))
+            fields.append((_put_ints, col, 1 + 8 * -(-digits // 8)))
+        else:
+            labels = [("%s" % v).encode() for v in col.tolist()]
+            if any(b"\0" in label for label in labels):  # dropping NULs would drop these
+                yield from _template_blocks(columns)
+                return
+            labels = np.array(labels, dtype=bytes)
+            fields.append((_put_labels, labels, labels.itemsize))
+    rows = min(n, _BLOCK_ROWS)
+    starts = np.cumsum([0] + [width + 1 for _, _, width in fields])
+    row_buffer = bytearray(rows * int(starts[-1]))
+    buf = np.frombuffer(row_buffer, np.uint8).reshape(rows, -1)
+    buf[:, starts[1:] - 1] = np.frombuffer(b"," * (len(fields) - 1) + b"\n", np.uint8)
+    for lo in range(0, n, _BLOCK_ROWS):
+        m = min(n - lo, rows)
+        buf[m:] = 0  # the last block's unused rows print nothing
+        for (put, col, width), start in zip(fields, starts):
+            put(col[lo : lo + m], buf[:m, start : start + width])
+        yield row_buffer.translate(None, b"\0")
 
 
 def _jsonable(obj):
@@ -458,11 +684,9 @@ def _run_simulate_forward(sched, grid, fwd, seed: int, threads: int):
     if record:
         # path-major, then time
         n, m, d = ens.paths.shape
-        # Every path shares the grid, so each time is formatted once, not once per path.
-        times = np.array(["%.17g" % t for t in ens.times.tolist()], dtype=object)
         artifacts["forward.csv"] = _csv_blocks(
             ["path_id", "time"] + [f"x_{j}" for j in range(d)],
-            [np.repeat(np.arange(n), m), np.tile(times, n), *ens.paths.reshape(n * m, d).T],
+            [np.repeat(np.arange(n), m), np.tile(ens.times, n), *ens.paths.reshape(n * m, d).T],
         )
         artifacts["forward.traj"] = ens.binary_parts()
     return artifacts, []

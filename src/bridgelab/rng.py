@@ -29,9 +29,9 @@ _STEP_LIMIT = 1 << 24
 _CHUNK_LIMIT = 1 << 24
 
 # Stream tags.  Values are part of the on-disk determinism contract; do not
-# renumber.
+# renumber.  Value 2 is retired (it keyed the reverse branch of the forward
+# simulator, which no longer exists); no new tag may reuse it.
 TAG_FORWARD = 1
-TAG_REVERSE = 2
 TAG_SAMPLER = 3
 TAG_BOOT = 4
 TAG_START = 5

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -465,8 +466,29 @@ class TestOutputErrors:
         assert {name: _read_bytes(out, name) for name in os.listdir(out)} == before
 
 
+def _ulps(x: float) -> list[float]:
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+ARRAY_MIN_ROWS = cli._ARRAY_MIN_ROWS
+
+
 class TestCsvEncoder:
-    EDGES = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 1 / 3, 1e-7, 0.1, -2.5e-300]
+    """The encoder against format(v, ".17g") and str(v), cell by cell.  Tables shorter than
+    cli._ARRAY_MIN_ROWS take the template; these tests lower it to 1 so that the array path
+    encodes every table of at least one row; one test restores the default."""
+
+    @pytest.fixture(autouse=True)
+    def _array_path_from_one_row(self, monkeypatch):
+        monkeypatch.setattr(cli, "_ARRAY_MIN_ROWS", 1)
+
+    # Each side of the fixed-notation bounds, the template's values (zeros, subnormals, nan,
+    # inf, large and tiny), ties, and fast-path values with trailing zeros or a long prefix.
+    EDGES = [
+        -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 1 / 3, 1e-7, 0.1, -2.5e-300,
+        *_ulps(cli._FIXED_LO), *_ulps(-cli._FIXED_HI), 1.0, -1.0, 1e15 + 0.625, 123456.5,
+        0.00012345678901234567, -98765432109876.5,
+    ]
 
     @staticmethod
     def _reference(header, columns) -> bytes:
@@ -478,19 +500,94 @@ class TestCsvEncoder:
             ))
         return "".join(line + "\n" for line in lines).encode()
 
+    def _assert_matches(self, *columns):
+        """The columns as arrays, encoded, against their values as Python objects."""
+        header = [f"c{j}" for j in range(len(columns))]
+        columns = [np.asarray(col) for col in columns]
+        got = b"".join(cli._csv_blocks(header, columns))
+        assert got == self._reference(header, [col.tolist() for col in columns])
+
     @pytest.mark.parametrize("label", ["int", "str"])
     @pytest.mark.parametrize("position", [0, 1], ids=["first", "middle"])
     @pytest.mark.parametrize("offset", [None, -1, 0, 1], ids=["0", "B-1", "B", "B+1"])
     def test_matches_a_row_wise_reference_byte_for_byte(self, label, position, offset):
         n = 0 if offset is None else cli._BLOCK_ROWS + offset
         edges = (self.EDGES * (n // len(self.EDGES) + 1))[:n]
-        labels = list(range(-3, n - 3)) if label == "int" else [f"v{i}|w" for i in range(n)]
+        labels = list(range(-3, n - 3)) if label == "int" else [f"v{i}|w\u00e9" for i in range(n)]
         columns = [edges, edges[::-1]]
         columns.insert(position, labels)
         header = ["a", "b", "c"]
         got = b"".join(cli._csv_blocks(header, [np.array(col) for col in columns]))
         assert got == self._reference(header, columns)
         assert got.count(b"\n") == 1 + n
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        """10^k and one ulp either side, for k = -6..18: E and the digits change there."""
+        values = [v for k in range(-6, 19) for v in _ulps(float(10**k) if k >= 0 else 10.0**k)]
+        self._assert_matches(values, [-v for v in values])
+
+    def test_no_double_rounds_to_a_power_of_ten(self):
+        """The encoder's range check relies on it: the double closest below each 10^m in
+        the fixed range is more than half a unit of the 17th digit away (5e-17 relative),
+        so at 17 digits it neither rounds up to 10^m nor, scaled by one power too few,
+        up to 10^16."""
+        for m in range(-4, 18):
+            power = Fraction(10) ** m
+            below = float(power)
+            if Fraction(below) >= power:
+                below = math.nextafter(below, 0.0)
+            assert (power - Fraction(below)) / power > Fraction(5, 10**17), m
+
+    def test_largest_values_below_each_power_of_ten(self):
+        """The cells closest to a carry: no double below 10^k rounds up to 10^k at 17 digits,
+        so D stays below 10^17, and its digits are nines or end in them."""
+        values = [math.nextafter(10.0**k, 0.0) for k in range(-4, 18)]
+        values += [float(10**17 - 16 * i) for i in range(1, 5)]
+        self._assert_matches(values)
+        assert all(format(v, ".17g").replace(".", "").lstrip("0")[:15] == "9" * 15
+                   for v in values[:-4])
+
+    def test_exact_ties_round_half_to_even(self):
+        """1e15 + k/8 is a double whose 17th digit is an exact half for odd k."""
+        values = [1e15 + k / 8 for k in range(-64, 65)]
+        assert format(1e15 + 1 / 8, ".17g") == "1000000000000000.1"  # .125 rounds down
+        self._assert_matches(values, [-v for v in values])
+
+    def test_subnormals_and_non_finite_values(self):
+        values = [5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072014e-308,
+                  math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0,
+                  -1.2345678901234567e-300]  # 24 characters, the template's longest
+        self._assert_matches(values, values[::-1])
+
+    def test_integer_extremes_and_wide_integers(self):
+        values = [-(2**63), 2**63 - 1, 0, -1, 10**16, -(10**16), 10**16 - 1, 10**17, 10**18 + 7]
+        self._assert_matches(values, [7, -7, 0, 1, 99999999, 100000000, -100000000, 12, 3])
+        self._assert_matches(np.array([2**64 - 1, 0, 10**19], dtype=np.uint64))
+
+    def test_labels_are_encoded_once_as_utf8(self):
+        self._assert_matches(["a|b", "", "\u00e9\u00e8\u20ac", "x" * 40], [1.5, 2.5, 3.5, 4.5])
+
+    def test_a_label_with_a_nul_byte_keeps_it(self):
+        """The array path drops NULs as padding, so such a table takes the template."""
+        self._assert_matches(["x\0y", "z"] * 300, [0.5, -1.25] * 300)
+
+    @pytest.mark.parametrize("n", [1, ARRAY_MIN_ROWS - 1, ARRAY_MIN_ROWS])
+    def test_either_side_of_the_default_array_min_rows(self, monkeypatch, n):
+        monkeypatch.setattr(cli, "_ARRAY_MIN_ROWS", ARRAY_MIN_ROWS)
+        edges = (self.EDGES * (n // len(self.EDGES) + 1))[:n]
+        self._assert_matches(list(range(n)), edges, [f"v{i}" for i in range(n)])
+
+    def test_random_bit_patterns(self):
+        """2e5 float64 bit patterns, seeded: every exponent, half of them negative."""
+        bits = np.random.default_rng(27).integers(0, 2**64, 200_000, dtype=np.uint64)
+        values = bits.view(np.float64).tolist()
+        self._assert_matches(values[:100_000], values[100_000:])
+
+    def test_random_values_in_the_fixed_range(self):
+        """1e5 values spread over every decimal exponent of the fast path, seeded."""
+        rng = np.random.default_rng(28)
+        values = (rng.random(100_000) * 10.0 ** rng.integers(-4, 17, 100_000)).tolist()
+        self._assert_matches(values)
 
 
 class TestReformulationCheck:
@@ -757,7 +854,7 @@ class TestSimulateForward:
         assert values[:, 1:].tobytes() == ens.paths.reshape(49, 2).tobytes()
 
     def test_csv_equals_the_encoder_over_float_columns(self, tmp_path):
-        """The time column, formatted once per grid point, encodes as the float column would."""
+        """forward.csv is the encoder's output over the path ids, the times and the paths."""
         cfg = _write_config(
             tmp_path, "c.json",
             {
@@ -1211,6 +1308,31 @@ class TestTrainDenoiser:
         assert "denoiser.path: the model was trained on a linear schedule" in err
         assert "the run uses a ddbm_vp schedule" in err
 
+# Stands for the model file that the mlp_model fixture writes.
+MLP_MODEL = "<model.bin: linear schedule, 1-d>"
+
+
+@pytest.fixture(scope="module")
+def mlp_model(tmp_path_factory) -> str:
+    """A model file for the MLP sample base: its linear schedule, the GMM task's dimension."""
+    from bridgelab.denoiser import MlpDenoiser, Preconditioner, denoiser_to_bytes, mlp_init
+    from bridgelab.schedule import Schedule
+
+    sizes = [3, 4, 1]
+    den = MlpDenoiser(mlp_init(sizes, 0), sizes, Preconditioner(), Schedule(**LINEAR_SCHEDULE))
+    path = tmp_path_factory.mktemp("mlp") / "model.bin"
+    path.write_bytes(denoiser_to_bytes(den))
+    return str(path)
+
+
+def _with_model(cfg: dict, model_path: str) -> dict:
+    """A deep copy of cfg, its denoiser path MLP_MODEL replaced by model_path."""
+    cfg = copy.deepcopy(cfg)
+    if cfg.get("denoiser", {}).get("path") == MLP_MODEL:
+        cfg["denoiser"]["path"] = model_path
+    return cfg
+
+
 # One valid config per command, and more where a kind or family adds keys of its own.
 PARSE_BASES = [
     ("verify-schedule", {"schedule": LINEAR_SCHEDULE, "grid": {"n_steps": 4}}),
@@ -1229,7 +1351,7 @@ PARSE_BASES = [
                      "scale_by_gamma_sq": True, "tail_zero_steps": 1},
       "sampler": {"variant": "dbim", "boot_b": 0.1, "record_trajectory": False},
       "sample": {"n_conditions": 4, "n_replicates": 2}}),
-    ("sample", {**SAMPLE_CONFIG, "task": GMM_TASK, "denoiser": {"kind": "mlp", "path": "m.bin"}}),
+    ("sample", {**SAMPLE_CONFIG, "task": GMM_TASK, "denoiser": {"kind": "mlp", "path": MLP_MODEL}}),
     ("train-denoiser",
      {"schedule": LINEAR_SCHEDULE, "task": TASK_1D,
       "train": {"layers": 1, "width": 4, "lr": 0.05, "batch": 8, "iters": 5, "t_min": 0.1,
@@ -1284,6 +1406,15 @@ JSON_VALUES = st.recursive(
 )
 
 
+@pytest.mark.parametrize(
+    "command, cfg", [pytest.param(c, cfg, id=f"{i}-{c}") for i, (c, cfg) in enumerate(PARSE_BASES)]
+)
+def test_every_parse_base_parses(command, cfg, mlp_model):
+    """Each base is valid as written, so a mutation of any key reaches that key's check."""
+    parse, _ = cli._RUNNERS[command]
+    parse(_with_model(cfg, mlp_model), 0)
+
+
 def test_every_spec_key_is_exercised():
     covered = {path[:2] for _, _, path in PARSE_CASES if len(path) > 1}
     for section, spec in cli._SPECS.items():
@@ -1296,10 +1427,10 @@ def test_every_spec_key_is_exercised():
 
 @settings(max_examples=250, deadline=None)
 @given(case=st.sampled_from(PARSE_CASES), value=JSON_VALUES)
-def test_parsers_reject_any_value_with_a_config_error(case, value):
+def test_parsers_reject_any_value_with_a_config_error(case, value, mlp_model):
     """Any JSON value at any key: the command's parser returns or raises ConfigError."""
     command, cfg, path = case
-    cfg = copy.deepcopy(cfg)
+    cfg = _with_model(cfg, mlp_model)
     section = cfg
     for key in path[:-1]:
         section = section[key]

@@ -1,5 +1,5 @@
-"""The README's config reference, its `sample` example, its library example and the
-tile sizes it states match the code."""
+"""The README's config reference, its `sample` example, its library example, and the
+tile sizes and CSV encoder sizes and bounds it states match the code."""
 
 import json
 import os
@@ -68,3 +68,11 @@ def test_metrics_paragraphs_state_the_tile_constants():
     note = _readme_section("Numerical notes").split(
         "- **Pair distances equal SciPy's `cdist` bit for bit.**", 1)[1].split("\n- **", 1)[0]
     assert _row_counts(note) == {metrics._PAIR_BLOCK}
+
+
+def test_artifact_paragraph_states_the_encoder_sizes_and_fixed_notation_bounds():
+    paragraph = "Artifacts are encoded" + _readme_section("CLI usage").split(
+        "Artifacts are encoded", 1)[1].split("\n\n", 1)[0]
+    assert _row_counts(paragraph) == {cli._BLOCK_ROWS, cli._ARRAY_MIN_ROWS}
+    bounds = {float(x) for x in re.findall(r"\b\d+e-?\d+\b", paragraph)}
+    assert bounds == {cli._FIXED_LO, cli._FIXED_HI}

@@ -25,7 +25,7 @@ def _reference(seed: int, tag: int, step: int, chunk: int) -> np.random.Generato
         (0, 0, 0, 0),
         (7, _rng.TAG_FORWARD, 3, 2),
         (-1, _rng.TAG_TRAIN, 1999, 0),
-        (-(1 << 70) + 5, _rng.TAG_REVERSE, 40, 11),
+        (-(1 << 70) + 5, 2, 40, 11),  # the retired tag value 2
         (1 << 64, _rng.TAG_START, 0, 1),
         ((1 << 80) + 123, _rng.TAG_PROBE, 7, 7),
         (12345, TAG_MAX, STEP_MAX, CHUNK_MAX),
