@@ -380,17 +380,16 @@ def _digits8(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _put_floats(x: np.ndarray, dst: np.ndarray) -> None:
-    """Writes each value's "%.17g" text, NUL-padded, into the rows of dst, (n, 24) uint8.
+def _significand(x: np.ndarray):
+    """x -> (E + 4, the 17 significant digits d as one uint64, whether the cell is exact).
 
     E = floor(log10 |v|), and |v| 10^(16 - E) is formed exactly as hi + lo: 10^k is exact
     for k <= 20, and Dekker's splits make the four partial products exact without an FMA.
     The product is at least 2^53, so hi is an even integer and |lo| <= 8; d = hi + rint(lo)
-    is then the product rounded half to even: the 17 significant digits.  No double in
-    [1e-4, 1e17) lies within half a unit of the 17th digit below a power of ten, so d stays
-    below 10^17, and if log10 put E one too high, d stays below 10^16: d outside
-    [10^16, 10^17) means E is off, and that cell, like every value outside [1e-4, 1e17) or
-    not finite, takes the template.
+    is then the product rounded half to even.  No double in [1e-4, 1e17) lies within half a
+    unit of the 17th digit below a power of ten, so d stays below 10^17, and if log10 put E
+    one too high, d stays below 10^16: d outside [10^16, 10^17) means E is off, and that
+    cell, like every value outside [1e-4, 1e17) or not finite, is not exact.
     """
     a = np.abs(x)
     fast = (a >= _FIXED_LO) & (a < _FIXED_HI)
@@ -413,7 +412,16 @@ def _put_floats(x: np.ndarray, dst: np.ndarray) -> None:
     d += np.rint(lo).astype(np.int64).view(np.uint64)
     ok = d - 10**16 < 9 * 10**16  # 10^16 <= d < 10^17
     ok &= fast
+    return e, d, ok
 
+
+def _put_floats(x: np.ndarray, dst: np.ndarray) -> None:
+    """Writes each value's "%.17g" text, NUL-padded, into the rows of dst, (n, 24) uint8.
+
+    The digits of the exact cells are placed by a layout table; every other cell is
+    formatted by the template itself.
+    """
+    e, d, ok = _significand(x)
     g = np.empty((2, len(x)), np.uint64)
     np.floor_divide(d, 10**9, out=g[0])
     d -= g[0] * 10**9
@@ -430,8 +438,11 @@ def _put_floats(x: np.ndarray, dst: np.ndarray) -> None:
     top[1] += 9
     nd = np.where(d != 0, 17, np.maximum(top[0], top[1]))
 
-    # mode="clip": a cell left to the template may index past the table
-    keep0, keep1, s, *words = _LAYOUTS.take(e * 17 + nd - 1, axis=1, mode="clip")
+    # mode="clip": a cell left to the template may index past the table.  Two gathers of
+    # three rows each keep every temporary at 3 words per cell.
+    layout = e * 17 + nd - 1
+    keep0, keep1, s = _LAYOUTS[:3].take(layout, axis=1, mode="clip")
+    words = _LAYOUTS[3:].take(layout, axis=1, mode="clip")
     kept0, kept1 = g[0] & keep0, g[1] & keep1
     g[0] ^= kept0
     g[1] ^= kept1
@@ -481,10 +492,6 @@ def _put_ints(v: np.ndarray, dst: np.ndarray) -> None:
     dst[:, 1:].view(np.uint64)[:] = g.T
 
 
-def _put_labels(labels: np.ndarray, dst: np.ndarray) -> None:
-    dst[:] = labels.view(np.uint8).reshape(dst.shape)
-
-
 def _template_blocks(columns: list[np.ndarray]):
     """The rows of the template, "%.17g" for floats and "%s" for the rest, a block at a time."""
     template = ",".join("%.17g" if col.dtype.kind == "f" else "%s" for col in columns) + "\n"
@@ -501,31 +508,24 @@ def _csv_blocks(header: list[str], columns):
     """CSV of equal-length columns: floats to 17 significant digits, integers and labels as is.
 
     Yields the encoded header, then the encoded rows a block at a time, so neither a text
-    nor a byte copy of the table is held.  The bytes are those of the template.  From
-    _ARRAY_MIN_ROWS rows on, each block's cells are written NUL-padded into fixed slots of
-    one row buffer, each followed by its "," or newline, and the NULs dropped.
+    nor a byte copy of the table is held.  The bytes are those of the template.  A numeric
+    table of _ARRAY_MIN_ROWS rows or more has each block's cells written NUL-padded into
+    fixed slots of one row buffer, each followed by its "," or newline, and the NULs dropped.
     """
     columns = [np.asarray(col) for col in columns]
     yield (",".join(header) + "\n").encode()
     n = len(columns[0])
-    if n < _ARRAY_MIN_ROWS:
+    if n < _ARRAY_MIN_ROWS or any(col.dtype.kind not in "fiu" for col in columns):
         yield from _template_blocks(columns)
         return
     fields = []  # (writer, column, slot width)
     for col in columns:
         if col.dtype.kind == "f":
             fields.append((_put_floats, col.astype(np.float64, copy=False), _FLOAT_TEXT))
-        elif col.dtype.kind in "iu":
+        else:
             col = col.astype(np.int64 if col.dtype.kind == "i" else np.uint64, copy=False)
             digits = len(str(max(-int(col.min()), int(col.max()))))
             fields.append((_put_ints, col, 1 + 8 * -(-digits // 8)))
-        else:
-            labels = [("%s" % v).encode() for v in col.tolist()]
-            if any(b"\0" in label for label in labels):  # dropping NULs would drop these
-                yield from _template_blocks(columns)
-                return
-            labels = np.array(labels, dtype=bytes)
-            fields.append((_put_labels, labels, labels.itemsize))
     rows = min(n, _BLOCK_ROWS)
     starts = np.cumsum([0] + [width + 1 for _, _, width in fields])
     row_buffer = bytearray(rows * int(starts[-1]))
