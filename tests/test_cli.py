@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from bridgelab import cli
 from bridgelab.cli import main
+from bridgelab.rng import CHUNK_ROWS
 from bridgelab.schedule import SCHEDULE_KINDS
 
 LINEAR_SCHEDULE = {"kind": "linear", "gamma_max": 0.125}
@@ -770,6 +771,38 @@ class TestSample:
         for name, digest in digests.items():
             assert hashlib.sha256(_read_bytes(out, name)).hexdigest() == digest, name
 
+    # sha256 of each artifact, computed while every eta = 0 step still drew
+    # its normals and multiplied them by zero, and each step time's plan was
+    # built by the first chunk to reach it.  CHUNK_ROWS + 1 rows leave a last
+    # chunk of one row, which takes the plan's memory layout as built.
+    PINS_ETA0 = {
+        "gaussian-2d": (TASK_2D_FULL, {
+            "sample.csv": "cd732546d8bb37f1356f96b9cedc02942de1ba19b8e2b29a1e53b1607adc004b",
+            "moments.json": "4b9f88819d9a3eadbde7ec431d19b5fd5b5f62d4b70a5f8832559cf3519ddc50",
+            "diagnostics.json": "e6e01fff68c17e18cbb2772ec57332b604d570037d67da9caba2b8b9ce280623",
+        }),
+        "mixture-2d": (GMM_2D_TASK, {
+            "sample.csv": "dcd2f41cd61e584371fcf36b3d20adfc458e695c68ddd317d6015dcba11d61ec",
+            "moments.json": "d326376dca45650c6d8ecf3fe090a9107227f4e9c1bc8a704be1323d067f8a81",
+            "diagnostics.json": "2b52d094b7ce080c3e4986d50611c26b9b5d7028c96cf59b1bdc5693c9f89411",
+        }),
+    }
+
+    @classmethod
+    def run_eta0(cls, tmp_path, task) -> tuple:
+        """The _run arguments of the pinned eta = 0 gamma_simplified sample of ``task``."""
+        cfg = {**cls.CONFIG, "grid": {"n_steps": 6}, "task": task,
+               "eps_policy": {"kind": "eta_scaled", "eta": 0.0},
+               "sample": {"n_conditions": CHUNK_ROWS + 1, "n_replicates": 1}}
+        return "sample", _write_config(tmp_path, "c.json", cfg), tmp_path / "out", 5
+
+    @pytest.mark.parametrize("task, digests", list(PINS_ETA0.values()), ids=list(PINS_ETA0))
+    def test_eta0_artifact_bytes_are_pinned(self, tmp_path, task, digests):
+        command, cfg, out, seed = self.run_eta0(tmp_path, task)
+        assert _run(command, cfg, out, seed=seed) == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256(_read_bytes(out, name)).hexdigest() == digest, name
+
 
 class TestSimulateForward:
     @staticmethod
@@ -960,8 +993,13 @@ class TestAfdStudy:
          (TASK_2D, {"kind": "random_projection", "d_out": 16, "seed": 2},
           {"afd.csv": "6ff7a9a6d1ab21ef035c4a38f6974a1da8bc9a63d7abac7f739a04de7130e9e1",
            "afd_groups.csv": "6ea8989037b8c55f60db5a208f714b3f088fed9112ab3aa998f39dd515775e68",
-           "afd.json": "fc0fe6803ab5739573e297ba093851df79226b463257260ced9d8f2e2a963e77"})],
-        ids=["identity", "random_projection"],
+           "afd.json": "fc0fe6803ab5739573e297ba093851df79226b463257260ced9d8f2e2a963e77"}),
+         # computed while each zero-policy step still drew normals it multiplied by zero
+         (GMM_2D_TASK, {"kind": "identity"},
+          {"afd.csv": "425284549c7f8d30f940fabc251d807fc049ce70d10e0afa8ee6ef5f6a1a343b",
+           "afd_groups.csv": "161a55ddccf252f5ff498d1346ad3c36524c1250c972d55030bba1ca64f5842d",
+           "afd.json": "eb737f7add5af02df7291f6a89684831586ca6374cdcedc4bb9b3fc00e16a8dd"})],
+        ids=["identity", "random_projection", "mixture-2d-identity"],
     )
     def test_artifact_bytes_are_pinned(self, tmp_path, task, feature, digests):
         cfg = _write_config(
@@ -1165,11 +1203,14 @@ class TestTrainDenoiser:
             assert hashlib.sha256(_read_bytes(tmp_path / where, name)).hexdigest() == digest, name
 
     def test_pinned_bytes_do_not_follow_the_blas_thread_count(self, tmp_path):
-        """The pinned analytic 4097-row sample and the pinned MLP training and
-        sample, each set run in a fresh process at 1 and at 4 BLAS threads."""
+        """The pinned analytic 4097-row samples at eta 0.3 and at eta 0 and the
+        pinned MLP training and sample, each set run in a fresh process at 1
+        and at 4 BLAS threads."""
         task, sample_pins = TestSample.PINS_4097_ROWS["gaussian-2d"]
-        pins = {**self.MLP_PINS, **{("analytic", "out", name): digest
-                                    for name, digest in sample_pins.items()}}
+        eta0_task, eta0_pins = TestSample.PINS_ETA0["gaussian-2d"]
+        pins = {**self.MLP_PINS,
+                **{("analytic", "out", name): digest for name, digest in sample_pins.items()},
+                **{("eta0", "out", name): digest for name, digest in eta0_pins.items()}}
         probe = ("import json, sys; from bridgelab.cli import main\n"
                  "for argv in json.loads(sys.argv[1]):\n"
                  "    assert main(argv) == 0, argv\n")
@@ -1177,7 +1218,9 @@ class TestTrainDenoiser:
         for threads in ("1", "4"):
             where = tmp_path / threads
             (where / "analytic").mkdir(parents=True)
-            runs = [TestSample.run_4097_rows(where / "analytic", task), *self.mlp_runs(where)]
+            (where / "eta0").mkdir()
+            runs = [TestSample.run_4097_rows(where / "analytic", task),
+                    TestSample.run_eta0(where / "eta0", eta0_task), *self.mlp_runs(where)]
             argvs = [_argv(command, cfg, out, seed) for command, cfg, out, seed in runs]
             subprocess.run(
                 [sys.executable, "-c", probe, json.dumps(argvs)], timeout=120, check=True,
