@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -918,7 +919,10 @@ _RUNNERS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use: building
+    its seven subcommands costs far more than parsing one command line."""
     parser = argparse.ArgumentParser(
         prog="bridgelab", description="Diffusion-bridge schedule, sampler, and metric runner."
     )
@@ -929,7 +933,11 @@ def main(argv=None) -> int:
         cmd.add_argument("--out", default=None, help="output directory (overrides config)")
         cmd.add_argument("--seed", type=int, default=None, help="seed override")
         cmd.add_argument("--threads", type=int, default=1, help="worker threads")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     start = time.perf_counter()
     try:

@@ -263,18 +263,22 @@ def _plan(dist: AnalyticTask, sched: Schedule, t) -> _Plan:
     return _Plan(X, Y, c, np.reshape(log_norm, (len(log_norm), -1)) if mixed else None)
 
 
-def _times_rows(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _times_rows(x: np.ndarray, m: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """x @ m for one (d, w) matrix, or row i of x times m[i] for an (n, d, w)
     stack.
 
     numpy multiplies a single row by a matrix-vector kernel whose summation
     order depends on m's memory layout, so one row uses m as the plan built
     it.  Two or more rows go to a matrix-matrix kernel, whose bits do not
-    depend on the layout and which multiplies a C-contiguous m fastest.
+    depend on the layout and which multiplies a C-contiguous m fastest; out,
+    an (n, w) C-contiguous array, then receives the product.  A single row
+    or a stack ignores out.
     """
     if m.ndim == 3:
         return (x[:, None, :] @ m)[:, 0]
-    return x @ (m if x.shape[0] == 1 else np.ascontiguousarray(m))
+    if x.shape[0] == 1:
+        return x @ m
+    return np.matmul(x, np.ascontiguousarray(m), out=out)
 
 
 def _along_rows(a: np.ndarray) -> np.ndarray:
@@ -282,7 +286,20 @@ def _along_rows(a: np.ndarray) -> np.ndarray:
     return np.reshape(a.T, (a.shape[-1], -1))
 
 
-def _posterior_mean(plan: _Plan, x_t: np.ndarray, xT: np.ndarray) -> np.ndarray:
+def _buffer(scratch: Optional[dict], key: str, shape: tuple) -> np.ndarray:
+    """An uninitialized float64 array of shape, kept in scratch under key for
+    the next call that asks for the same shape; a fresh one without scratch."""
+    if scratch is None:
+        return np.empty(shape)
+    buf = scratch.get(key)
+    if buf is None or buf.shape != shape:
+        buf = scratch[key] = np.empty(shape)
+    return buf
+
+
+def _posterior_mean(
+    plan: _Plan, x_t: np.ndarray, xT: np.ndarray, scratch: Optional[dict] = None
+) -> np.ndarray:
     """E[x0 | x_t, xT] for (n, d) rows from a plan: one affine map, then for a
     mixture the responsibility-weighted sum of the component means.
 
@@ -293,7 +310,8 @@ def _posterior_mean(plan: _Plan, x_t: np.ndarray, xT: np.ndarray) -> np.ndarray:
     multiplies in the order of the expressions it replaces, so the bits are
     theirs: u = x_t X + xT Y + c, and for one row numpy's own kernels for the
     sums over components.  A mixture row whose quadratic form is not finite
-    raises ValueError.
+    raises ValueError.  A mixture keeps its temporaries in scratch (see
+    denoise); the result is never one of them.
     """
     n, d = x_t.shape
     if plan.log_norm is None:
@@ -305,40 +323,46 @@ def _posterior_mean(plan: _Plan, x_t: np.ndarray, xT: np.ndarray) -> np.ndarray:
             for j, c_j in enumerate(plan.c.tolist()):
                 u[:, j] += c_j
         return u
-    k = plan.log_norm.shape[0]
+    k, w = plan.log_norm.shape[0], plan.X.shape[-1]
+    u = _buffer(scratch, "mix_u", (w, n))
+    other = _buffer(scratch, "mix_other", (w, n))  # the xT term, then each weighted mean
     with np.errstate(over="ignore", invalid="ignore"):
         if d == 1:  # a contraction of length 1 is one product per entry
-            u = _along_rows(plan.X[..., 0, :]) * x_t[:, 0]
-            u += _along_rows(plan.Y[..., 0, :]) * xT[:, 0]
+            np.multiply(_along_rows(plan.X[..., 0, :]), x_t[:, 0], out=u)
+            u += np.multiply(_along_rows(plan.Y[..., 0, :]), xT[:, 0], out=other)
         else:
-            u = _times_rows(x_t, plan.X)
-            u += _times_rows(xT, plan.Y)
-            u = np.ascontiguousarray(u.T)
+            rows = _times_rows(x_t, plan.X, _buffer(scratch, "mix_rows", (n, w)))
+            rows += _times_rows(xT, plan.Y, other.reshape(n, w))
+            np.copyto(u, rows.T)
         u += _along_rows(plan.c)
-        sq = u[k * d :] ** 2  # whitened residuals of x_t | xT, then of xT
+        sq = np.square(u[k * d :], out=_buffer(scratch, "mix_sq", (2 * k * d, n)))
         if n == 1:  # a matrix-vector product, which sums in its own order
             log_resp = np.tile(np.repeat(np.eye(k), d, axis=0), (2, 1)).T @ sq
         else:
-            terms = sq.reshape(2, k, d, n).swapaxes(1, 2).reshape(2 * d, k, n)
-            log_resp = terms[0].copy()
+            # (k, n) views of the whitened residuals' squares, x_t | xT then xT, by dimension
+            terms = [half[:, j] for half in sq.reshape(2, k, d, n) for j in range(d)]
+            log_resp = _buffer(scratch, "mix_resp", (k, n))
+            np.copyto(log_resp, terms[0])
             for term in terms[1:]:
                 log_resp += term
     if not log_resp.max(initial=-math.inf) < math.inf:
         row = np.flatnonzero(~np.all(np.isfinite(log_resp), axis=0))[0]
         raise ValueError(f"the mixture quadratic form of row {row} of {n} is not finite")
+    by_row = _buffer(scratch, "mix_row", (n,))
     log_resp *= -0.5
     log_resp += plan.log_norm
-    log_resp -= log_resp.max(axis=0)
+    log_resp -= np.max(log_resp, axis=0, out=by_row)
     resp = np.exp(log_resp, out=log_resp)
-    resp /= resp.sum(axis=0)
+    resp /= np.sum(resp, axis=0, out=by_row)
     if n == 1:
         return np.einsum("kn,nkd->nd", resp, u[: k * d].reshape(n, k, d))
     means = u[: k * d].reshape(k, d, n)
+    weighted = other[:d]
     out = np.empty((n, d))
     out_cols = out.T
     np.multiply(resp[0], means[0], out=out_cols)
     for j in range(1, k):
-        out_cols += resp[j] * means[j]
+        out_cols += np.multiply(resp[j], means[j], out=weighted)
     return out
 
 
@@ -699,7 +723,8 @@ class AnalyticDenoiser:
     per row is never cached.  The plan is a pure function of (task, schedule,
     t), and both task kinds are frozen.  Chunks racing under --threads store
     equal values, so the cache needs no lock.  Errors raise before anything
-    is stored, so they fire on every call.
+    is stored, so they fire on every call.  _prime_plans fills the cache for
+    all of a run's step times at once.
     """
 
     dist: AnalyticTask
@@ -717,6 +742,31 @@ class AnalyticDenoiser:
 Denoiser = Union[AnalyticDenoiser, MlpDenoiser]
 
 
+def _prime_plans(den: Denoiser, times: np.ndarray) -> None:
+    """Caches an AnalyticDenoiser's plans at every float t in times from one
+    array-t _plan call, instead of one float-t call per time.
+
+    Row i of each array-t field holds the values and the memory layout of a
+    float-t plan at times[i]; log_norm's column is copied to the (k, 1)
+    C-contiguous array that a float t builds.  Times already cached keep
+    their plans.  Any other denoiser, and an array call that raises, primes
+    nothing: the first float-t call at a bad time then raises its own error.
+    """
+    if not isinstance(den, AnalyticDenoiser):
+        return
+    keys = times.tolist()
+    if all(t in den._plans for t in keys):
+        return
+    try:
+        plans = _plan(den.dist, den.sched, times)
+    except ValueError:  # raised again, at its step, by that time's float-t call
+        return
+    log_norms = None if plans.log_norm is None else np.ascontiguousarray(plans.log_norm.T)
+    for i, t in enumerate(keys):
+        log_norm = None if log_norms is None else log_norms[i].reshape(-1, 1)
+        den._plans.setdefault(t, _Plan(plans.X[i], plans.Y[i], plans.c[i], log_norm))
+
+
 def denoise(
     den: Denoiser, x_t: np.ndarray, xT: np.ndarray, t, scratch: Optional[dict] = None
 ) -> np.ndarray:
@@ -727,27 +777,29 @@ def denoise(
     AnalyticDenoiser reuses the plan it cached for a float t (see its class).
 
     scratch is an optional dict, owned by the caller, in which an MLP denoiser
-    keeps its layer outputs from one call to the next; an AnalyticDenoiser
-    ignores it.  A fresh 4096 x 32 float64 temporary is 1 MB, a new memory
-    mapping whose pages fault in on first touch, so a sampler passes one
-    scratch per row chunk and reuses it for all of that chunk's steps.  The
-    buffers keep the full chunk's GEMM shapes: evaluating the network in
-    smaller row blocks would sum in another order and change the output bits.
-    A scratch must not be shared between threads, and it dies with the chunk,
-    so it adds nothing to peak memory after the loop.  The returned x0hat
-    never aliases the scratch.
+    keeps its layer outputs, and an analytic mixture its temporaries, from
+    one call to the next; a single Gaussian ignores it.  A fresh 4096 x 32
+    float64 temporary is 1 MB, a new memory mapping whose pages fault in on
+    first touch, so a sampler passes one scratch per row chunk and reuses it
+    for all of that chunk's steps.  The buffers keep the full chunk's GEMM
+    shapes: evaluating the network in smaller row blocks would sum in
+    another order and change the output bits.  A scratch must not be shared
+    between threads, and it dies with the chunk, so it adds nothing to peak
+    memory after the loop.  The returned x0hat never aliases the scratch.
     """
     x_t = np.asarray(x_t, dtype=np.float64)
     squeeze = x_t.ndim == 1
     x_t = np.atleast_2d(x_t)
-    xT = np.broadcast_to(np.atleast_2d(np.asarray(xT, dtype=np.float64)), x_t.shape)
+    xT = np.atleast_2d(np.asarray(xT, dtype=np.float64))
+    if xT.shape != x_t.shape:
+        xT = np.broadcast_to(xT, x_t.shape)
     t = _times(t)
     if isinstance(den, AnalyticDenoiser):
         if not isinstance(t, float):  # one time per row: never cached
             plan = _plan(den.dist, den.sched, t)
         elif (plan := den._plans.get(t)) is None:
             plan = den._plans[t] = _plan(den.dist, den.sched, t)
-        out = _posterior_mean(plan, x_t, xT)
+        out = _posterior_mean(plan, x_t, xT, scratch)
     elif isinstance(den, MlpDenoiser):
         out = _mlp_denoise(den, x_t, xT, t, scratch)
     else:

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng as _rng
-from .denoiser import Denoiser, denoise
+from .denoiser import Denoiser, _prime_plans, denoise
 from .dynamics import PathEnsemble
 from .schedule import EpsilonPolicy, Schedule, TimeGrid, _clamp_rounding, epsilon, eval_schedule
 
@@ -134,8 +134,8 @@ def step_coefficients(variant: str, sched: Schedule, t: float, dt: float, eps: f
     return globals()[f"step_{variant}"](sched, t, dt, eps)
 
 
-def apply_step(coeffs, x_hat0, anchor, x, z=0.0):
-    """x' = a x0hat + b anchor + c x + s z; the default z = 0 leaves out the noise.
+def apply_step(coeffs, x_hat0, anchor, x, z=None):
+    """x' = a x0hat + b anchor + c x + s z; the default z = None leaves out the noise term.
 
     The terms accumulate into one array shaped like x0hat, added left to right
     as the expression reads, so the result has the expression's bits.
@@ -144,21 +144,22 @@ def apply_step(coeffs, x_hat0, anchor, x, z=0.0):
     out = a * x_hat0
     out += b * anchor
     out += c * x
-    out += s * z
+    if z is not None:
+        out += s * z
     return out
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
+def _row_norms(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Euclidean norm of each row of x, summing the squares one column at a time.
 
     For fewer than 8 columns this is np.linalg.norm(x, axis=1) bit for bit
     (numpy sums a row of 8 or more pairwise), at a fraction of its cost on a
-    narrow chunk.
+    narrow chunk.  out, an array of x.shape[0] floats, receives the norms.
     """
-    sq = x[:, 0] ** 2
+    sq = np.square(x[:, 0], out=out)
     for j in range(1, x.shape[1]):
         sq += x[:, j] ** 2
-    return np.sqrt(sq)
+    return np.sqrt(sq, out=sq)
 
 
 def sample(cfg: SamplerConfig, den: Denoiser, xT_batch: np.ndarray, threads: int = 1) -> SampleResult:
@@ -166,8 +167,11 @@ def sample(cfg: SamplerConfig, den: Denoiser, xT_batch: np.ndarray, threads: int
 
     Starts each row at x_N = x_T + b n0, walks the grid from t_max down to
     t_min, and applies the configured variant except in the zero tail where
-    every variant degenerates to the deterministic re-interpolation.  Output
-    is bit-identical for any thread count.
+    every variant degenerates to the deterministic re-interpolation.  A step
+    whose noise coefficient s is exactly 0 (the zero tail, and every step at
+    eps = 0) builds no stream and draws nothing.  An AnalyticDenoiser gets
+    the plans of all step times before the first chunk runs.  Output is
+    bit-identical for any thread count.
     """
     xT_batch = np.atleast_2d(np.asarray(xT_batch, dtype=np.float64))
     bad = np.flatnonzero(~np.all(np.isfinite(xT_batch), axis=1))
@@ -186,6 +190,7 @@ def sample(cfg: SamplerConfig, den: Denoiser, xT_batch: np.ndarray, threads: int
     eps_used = np.zeros(n_steps)
     change_sums = np.zeros((len(slices), n_steps))
     change_sums[:, 0] = math.nan
+    _prime_plans(den, ts[:n_steps])
 
     def work(chunk: int, sl: slice) -> None:
         # An overflow shows as a non-finite x0hat change or sample, checked once per chunk.
@@ -210,25 +215,30 @@ def sample(cfg: SamplerConfig, den: Denoiser, xT_batch: np.ndarray, threads: int
             traj[sl, 0] = x
         prev_hat: Optional[np.ndarray] = None
         scratch: dict = {}  # the denoiser's buffers, reused by all of this chunk's steps
+        change = np.empty_like(xT)  # x0hat minus the previous step's
+        norms = np.empty(len(xT))
         for k in range(n_steps):
             t, dt = float(ts[k]), float(ts[k] - ts[k + 1])
             step_index = n_steps - 1 - k
             try:
                 x_hat0 = denoise(den, x, xT, t, scratch)
                 if prev_hat is not None:
-                    change_sums[chunk, k] = float(np.sum(_row_norms(x_hat0 - prev_hat)))
+                    np.subtract(x_hat0, prev_hat, out=change)
+                    change_sums[chunk, k] = float(np.sum(_row_norms(change, norms)))
                 prev_hat = x_hat0
                 if step_index < cfg.eps_policy.tail_zero_steps:
                     # every variant's eps = 0 limit: the exact re-interpolation
                     cur, nxt = _evals(cfg.schedule, t, dt, 0.0)
                     coeffs = _fold(cur, nxt.alpha, nxt.beta, 0.0, nxt.gamma, 0.0)
-                    x = apply_step(coeffs, x_hat0, anchor, x)
                 else:
                     eps = epsilon(cfg.eps_policy, cfg.schedule, t, dt)
                     eps_used[k] = eps
                     coeffs = step_coefficients(cfg.variant, cfg.schedule, t, dt, eps)
-                    z = _rng.stream(cfg.seed, _rng.TAG_SAMPLER, step_index, chunk)
-                    x = apply_step(coeffs, x_hat0, anchor, x, z.standard_normal(x.shape))
+                z = None  # a noise-free step (s = 0) builds no stream and draws nothing
+                if coeffs[3] != 0.0:
+                    gen = _rng.stream(cfg.seed, _rng.TAG_SAMPLER, step_index, chunk)
+                    z = gen.standard_normal(x.shape)
+                x = apply_step(coeffs, x_hat0, anchor, x, z)
             except ValueError as err:
                 raise ValueError(
                     f"rows [{sl.start}:{sl.stop}), step {step_index} at t = {t}: {err}"

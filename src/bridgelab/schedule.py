@@ -407,7 +407,7 @@ def make_time_grid(
     pts[-1] = t_min
     if not np.all(np.diff(pts) < 0):
         raise ValueError("time grid is not strictly decreasing")
-    return TimeGrid(tuple(float(p) for p in pts), t_min, t_max, rho)
+    return TimeGrid(tuple(pts.tolist()), t_min, t_max, rho)
 
 
 def _probe_states(n: int, d: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

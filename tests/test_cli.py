@@ -91,6 +91,31 @@ def _read_bytes(out_dir, name: str) -> bytes:
         return fh.read()
 
 
+class TestParser:
+    def test_one_parser_serves_every_call_in_a_process(self, tmp_path, capsys):
+        """Two commands and a bad flag in one process build the parser once, and
+        the bad flag gets the usage text and exit code of a freshly built one."""
+        cli._parser.cache_clear()
+        verify = _write_config(tmp_path, "v.json",
+                               {"schedule": LINEAR_SCHEDULE, "grid": {"n_steps": 4}})
+        reform = _write_config(tmp_path, "r.json", {"reformulation": {"family": "vp"}})
+        assert _run("verify-schedule", verify, tmp_path / "v") == 0
+        assert _run("reformulation-check", reform, tmp_path / "r") == 0
+        capsys.readouterr()
+        bad = ["sample", "--config", verify, "--bogus", "1"]
+        with pytest.raises(SystemExit) as cached:
+            main(bad)
+        cached_err = capsys.readouterr().err
+        assert cli._parser.cache_info().misses == 1
+        cli._parser.cache_clear()
+        with pytest.raises(SystemExit) as fresh:
+            main(bad)
+        assert cached.value.code == fresh.value.code == 2
+        assert cached_err == capsys.readouterr().err
+        assert cached_err.startswith("usage: bridgelab ")
+        assert "error: unrecognized arguments: --bogus 1" in cached_err
+
+
 class TestVerifySchedule:
     CONFIG = {"schedule": LINEAR_SCHEDULE, "grid": {"n_steps": 16}}
 

@@ -35,9 +35,9 @@ from bridgelab.denoiser import (
     train_mlp_denoiser,
     zhat,
 )
-from bridgelab.denoiser import _layers
+from bridgelab.denoiser import _layers, _plan, _prime_plans
 from bridgelab.denoiser import test_mse_vs_analytic as mse_vs_analytic
-from bridgelab.schedule import Schedule, eval_schedule
+from bridgelab.schedule import Schedule, eval_schedule, make_time_grid
 
 LINEAR = Schedule(kind="linear", gamma_max=0.125)
 
@@ -633,6 +633,27 @@ class TestPinnedBits:
     def test_output_bits_are_pinned(self, task, rows):
         assert self.digest(task, rows) == self.PINNED[task, rows]
 
+    @pytest.mark.parametrize("task", ["gmm1d", "gmm2d", "gmm3d"])
+    def test_mixture_scratch_changes_no_bit_and_is_never_returned(self, task):
+        """One scratch across calls of 2, 7 and 4096 rows and two times, as a
+        sampler's chunks reuse it; every output keeps the bits of a call without."""
+        dist = self.TASKS[task]()
+        den = AnalyticDenoiser(dist, LINEAR)
+        scratch: dict = {}
+        outputs = []
+        for rows in (2, 7, 4096, 7):
+            gen = np.random.default_rng(rows)
+            x_t, x_T = sample_pair(dist, rows, gen)
+            for t in (0.37, 0.9):
+                got = denoise(den, x_t, x_T, t, scratch)
+                assert got.tobytes() == denoise(den, x_t, x_T, t).tobytes(), (rows, t)
+                outputs.append((got, got.copy()))
+        assert scratch
+        for buf in scratch.values():
+            assert not any(np.shares_memory(buf, got) for got, _ in outputs)
+        for got, copy in outputs:
+            assert got.tobytes() == copy.tobytes()
+
 
 class TestPreconditioning:
     def test_midpoint_values(self):
@@ -1131,6 +1152,78 @@ class TestAnalyticDenoiser:
         for t in (0.01, 0.3, 0.9, 0.9999, ts):
             np.testing.assert_array_equal(denoise(single, x_t, xT, t),
                                           denoise(mixture, x_t, xT, t))
+
+
+def _random_joint(d: int, seed: int) -> JointGaussian:
+    """A full-covariance d-dimensional endpoint pair."""
+    gen = np.random.default_rng(seed)
+    a = gen.standard_normal((2 * d, 2 * d))
+    cov = a @ a.T / (2 * d) + 0.3 * np.eye(2 * d)
+    mean = gen.standard_normal(2 * d)
+    return JointGaussian(mean[:d], mean[d:], cov[:d, :d], cov[d:, d:], cov[:d, d:])
+
+
+class TestPrimedPlans:
+    """_prime_plans fills the float-t cache from one array-t _plan call.
+
+    A one-row call multiplies by the plan as built, whose memory layout sets
+    the summation order, so a primed plan must equal the float-t plan in its
+    strides as well as its values.
+    """
+
+    SCHEDULES = [Schedule(kind=kind) for kind in ("linear", "trig", "ddbm_ve", "ddbm_vp", "edm")]
+    SCHEDULES += [
+        Schedule(kind="i2sb", i2sb_breakpoints=(0.0, 0.4, 1.0), i2sb_values=(0.5, 2.0)),
+        Schedule(kind="custom", alpha_fn=lambda t: 1.0 - t * t, beta_fn=lambda t: t * t,
+                 gamma_fn=lambda t: 0.1 * t * (1.0 - t)),
+    ]
+    TIMES = np.asarray(make_time_grid(12).points[:-1])
+
+    @staticmethod
+    def task(kind: str, d: int):
+        if kind == "joint":
+            return _random_joint(d, d)
+        return GmmCoupling((0.2, 0.3, 0.5), tuple(_random_joint(d, 10 * d + j) for j in range(3)))
+
+    @pytest.mark.filterwarnings("ignore:custom schedule")
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["joint", "mixture"])
+    @pytest.mark.parametrize("sched", SCHEDULES, ids=lambda s: s.kind)
+    def test_primed_plans_equal_float_t_plans_in_values_and_strides(self, sched, kind, d):
+        dist = self.task(kind, d)
+        den = AnalyticDenoiser(dist, sched)
+        _prime_plans(den, self.TIMES)
+        assert list(den._plans) == self.TIMES.tolist()
+        for t, plan in den._plans.items():
+            want = _plan(dist, sched, t)
+            for name, got, expected in zip(want._fields, plan, want):
+                if expected is None:
+                    assert got is None, name
+                    continue
+                assert (got.shape, got.strides) == (expected.shape, expected.strides), (name, t)
+                assert got.tobytes() == expected.tobytes(), (name, t)
+
+    def test_cached_plans_are_kept(self):
+        den = AnalyticDenoiser(_gmm_2d(), LINEAR)
+        t = float(self.TIMES[3])
+        denoise(den, np.zeros(2), np.zeros(2), t)
+        cached = den._plans[t]
+        _prime_plans(den, self.TIMES)
+        assert den._plans[t] is cached
+        assert len(den._plans) == len(self.TIMES)
+
+    def test_a_failing_array_call_primes_nothing(self):
+        """The first float-t call at the bad time then raises its usual error."""
+        at_T = AnalyticDenoiser(_gmm_2comp(), LINEAR)
+        _prime_plans(at_T, np.array([1.0, 0.5, 0.2]))
+        assert not at_T._plans
+        with pytest.raises(ValueError, match=r"gamma\(1\.0\) = 0\.0 is singular"):
+            denoise(at_T, np.array([0.4]), np.array([0.8]), 1.0)
+        singular = AnalyticDenoiser(
+            JointGaussian([0.35], [0.5], [[0.25]], [[1.0]], [[0.5]]), LINEAR
+        )
+        _prime_plans(singular, self.TIMES)
+        assert not singular._plans
 
 
 class TestSerialization:

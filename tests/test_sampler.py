@@ -9,6 +9,7 @@ from bridgelab import rng as _rng
 from bridgelab import sampler as sampler_module
 from bridgelab.denoiser import (
     AnalyticDenoiser,
+    GmmCoupling,
     JointGaussian,
     MlpDenoiser,
     Preconditioner,
@@ -432,6 +433,71 @@ class TestSampleLoop:
             sampler_module, "denoise", lambda den, x, xT, t, scratch: denoise(den, x, xT, t)
         )
         want = sample(cfg, den, xT)
+        assert got.x0_batch.tobytes() == want.x0_batch.tobytes()
+        assert got.x0hat_change.tobytes() == want.x0hat_change.tobytes()
+
+    @staticmethod
+    def count_sampler_streams(monkeypatch) -> list:
+        """The (step, chunk) of every TAG_SAMPLER stream built from now on."""
+        built = []
+        real = _rng.stream
+
+        def counting(seed, tag, step=0, chunk=0):
+            if tag == _rng.TAG_SAMPLER:
+                built.append((step, chunk))
+            return real(seed, tag, step, chunk)
+
+        monkeypatch.setattr(_rng, "stream", counting)
+        return built
+
+    @pytest.mark.parametrize("policy", [
+        EpsilonPolicy(kind="zero"), EpsilonPolicy(kind="eta_scaled", eta=0.0),
+    ], ids=["zero", "eta-0"])
+    @pytest.mark.parametrize("variant", ["euler_z", "gamma_simplified", "dbim"])
+    def test_noise_free_steps_build_no_stream(self, monkeypatch, variant, policy):
+        built = self.count_sampler_streams(monkeypatch)
+        cfg = SamplerConfig(schedule=LINEAR, eps_policy=policy, grid=make_time_grid(6),
+                            variant=variant, boot_b=0.25, seed=2)
+        xT = sample_condition(_task_1d(), _rng.CHUNK_ROWS + 3, _rng.stream(0, _rng.TAG_TASK))
+        assert np.all(np.isfinite(sample(cfg, _den_1d(), xT).x0_batch))
+        assert built == []
+
+    @pytest.mark.parametrize("eta", [0.3, 1e-12])
+    def test_noisy_steps_build_one_stream_per_chunk(self, monkeypatch, eta):
+        """However small s is, a step with s > 0 draws its noise."""
+        built = self.count_sampler_streams(monkeypatch)
+        cfg = SamplerConfig(
+            schedule=LINEAR, eps_policy=EpsilonPolicy(kind="eta_scaled", eta=eta, tail_zero_steps=2),
+            grid=make_time_grid(6), variant="gamma_simplified", seed=2,
+        )
+        xT = sample_condition(_task_1d(), _rng.CHUNK_ROWS + 3, _rng.stream(0, _rng.TAG_TASK))
+        sample(cfg, _den_1d(), xT)
+        assert sorted(built) == [(step, chunk) for step in range(2, 6) for chunk in range(2)]
+
+    @pytest.mark.parametrize("dist", [
+        JointGaussian([0.85, -0.4], [0.5, -0.5], [[0.754, 0.165], [0.165, 0.474]],
+                      [[1.0, 0.3], [0.3, 0.8]], [[0.84, 0.11], [0.31, 0.59]]),
+        GmmCoupling((0.4, 0.6), (
+            JointGaussian([0.85, -0.4], [0.5, -0.5], [[0.754, 0.165], [0.165, 0.474]],
+                          [[1.0, 0.3], [0.3, 0.8]], [[0.84, 0.11], [0.31, 0.59]]),
+            JointGaussian([-0.6, 0.9], [-0.4, 0.7], [[0.5, -0.1], [-0.1, 0.3]],
+                          [[0.6, 0.1], [0.1, 0.9]], [[0.2, 0.05], [-0.1, 0.25]]),
+        )),
+    ], ids=["gaussian-2d", "mixture-2d"])
+    def test_primed_plans_and_scratch_change_no_bit(self, monkeypatch, dist):
+        """Against plans built by each chunk's first call and no scratch, over a
+        full chunk and a one-row chunk, which uses the plan's memory layout."""
+        cfg = SamplerConfig(
+            schedule=LINEAR, eps_policy=EpsilonPolicy(kind="eta_scaled", eta=0.3),
+            grid=make_time_grid(6), variant="dbim", boot_b=0.25, seed=4,
+        )
+        xT = sample_condition(dist, _rng.CHUNK_ROWS + 1, _rng.stream(0, _rng.TAG_TASK))
+        got = sample(cfg, AnalyticDenoiser(dist, LINEAR), xT)
+        monkeypatch.setattr(sampler_module, "_prime_plans", lambda den, times: None)
+        monkeypatch.setattr(
+            sampler_module, "denoise", lambda den, x, xT, t, scratch: denoise(den, x, xT, t)
+        )
+        want = sample(cfg, AnalyticDenoiser(dist, LINEAR), xT)
         assert got.x0_batch.tobytes() == want.x0_batch.tobytes()
         assert got.x0hat_change.tobytes() == want.x0hat_change.tobytes()
 
