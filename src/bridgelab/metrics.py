@@ -15,6 +15,9 @@ from . import rng as _rng
 
 def random_projection(d_in: int, d_out: int, seed: int) -> np.ndarray:
     """Seeded (d_out, d_in) random projection emulating a latent feature space."""
+    for name, val in (("d_in", d_in), ("d_out", d_out)):
+        if not _rng.is_integer(val) or val < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {val!r}")
     if not _rng.is_integer(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     gen = np.random.default_rng(seed)
@@ -64,6 +67,13 @@ def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _AFD_STACK_ENTRIES = 1 << 20
 
 
+def _require_matrix(name: str, x: np.ndarray) -> np.ndarray:
+    """x itself, if it is 2-d with no empty axis; otherwise a ValueError naming its shape."""
+    if x.ndim != 2 or 0 in x.shape:
+        raise ValueError(f"{name} must be a 2-d array with no empty axis, got shape {x.shape}")
+    return x
+
+
 def afd(groups: Sequence[np.ndarray], projection: np.ndarray | None = None) -> AFDReport:
     """Mean pairwise feature distance within each group, averaged over groups.
 
@@ -73,7 +83,8 @@ def afd(groups: Sequence[np.ndarray], projection: np.ndarray | None = None) -> A
     ||F(y_k) - F(y_l)|| over ordered pairs k != l, divided by L^2 - L.
     Groups of one size share one stacked distance call.
     """
-    groups = [np.atleast_2d(np.asarray(g, dtype=np.float64)) for g in groups]
+    groups = [_require_matrix(f"groups[{i}]", np.atleast_2d(np.asarray(g, dtype=np.float64)))
+              for i, g in enumerate(groups)]
     if not groups:
         raise ValueError("at least one replicate group is required")
     if len({g.shape[1] for g in groups}) != 1:
@@ -83,7 +94,8 @@ def afd(groups: Sequence[np.ndarray], projection: np.ndarray | None = None) -> A
             raise ValueError(f"groups[{i}] contains non-finite values")
     feats = groups
     if projection is not None:
-        projection = np.atleast_2d(np.asarray(projection, dtype=np.float64))
+        projection = _require_matrix("projection",
+                                     np.atleast_2d(np.asarray(projection, dtype=np.float64)))
         if not np.all(np.isfinite(projection)):
             raise ValueError("projection matrix contains non-finite values")
         d_in, d = projection.shape[1], groups[0].shape[1]
@@ -113,9 +125,9 @@ def afd(groups: Sequence[np.ndarray], projection: np.ndarray | None = None) -> A
 
 
 def _two_samples(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both samples as 2-d float arrays, checked for size, finiteness and dimension."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    """Both samples as 2-d float arrays, checked for shape, size, finiteness and dimension."""
+    a = _require_matrix("a", np.atleast_2d(np.asarray(a, dtype=np.float64)))
+    b = _require_matrix("b", np.atleast_2d(np.asarray(b, dtype=np.float64)))
     if a.shape[0] < 2 or b.shape[0] < 2:
         raise ValueError(
             f"need at least 2 samples per side, got {a.shape[0]} and {b.shape[0]}"
@@ -142,37 +154,60 @@ def _energy_statistic(cross, within_a, within_b, n: int, m: int):
 
 # Rows of the pooled sample per distance tile in the energy walk: 3 MB at
 # 1500 + 1500 pooled, against 72 MB for the whole (n + m)^2 distance matrix.
+# 64 rows halve the tile but made the null about 6% slower at that shape: each
+# tile copies every label slice it uses and BLAS packs it, so halving the tile
+# doubles those per-slice costs.
 _ROW_TILE = 128
 
-# Columns per slice of the null's label product.  A hypothesis, checked on one
-# OpenBLAS build (0.3.31, SkylakeX kernels) only: one thread and several block
-# the contraction axis differently, and a slice no wider than OpenBLAS's block
-# of that axis is summed in the same order at any thread count.  At seeds 0-9
-# of the gate shape, q95 kept its bits at 1, 2 and 4 threads with 256-column
-# slices; 2 seeds moved with 512 or 1024 columns and 4 with the whole axis.
+# Rows per slice of the labels in the null's two label products: the tile
+# product over the upper triangle and the labelled row sums.  A hypothesis,
+# checked on one OpenBLAS build (0.3.31, SkylakeX kernels) only: one thread and
+# several block the contraction axis differently, and a slice no wider than
+# OpenBLAS's block of that axis is summed in the same order at any thread
+# count.  At seeds 0-9 of the gate shape, q95 kept its bits at 1, 2 and 4
+# threads with 256-row slices; 2 seeds moved with 512 or 1024 rows and 4 with
+# the whole axis.
 _K_SLICE = 256
+
+
+def _label_slices(labels: np.ndarray, start: int, buf: np.ndarray):
+    """(k, S[k : k + _K_SLICE] as float64) from row ``start`` on, in order.
+
+    Each slice of the 0/1 ``labels`` is copied into the one reused C-ordered
+    float64 ``buf`` just before it is used, so only one slice is ever held
+    as float64.
+    """
+    for k in range(start, labels.shape[0], _K_SLICE):
+        out = buf[: min(_K_SLICE, labels.shape[0] - k)]
+        np.copyto(out, labels[k : k + _K_SLICE])
+        yield k, out
 
 
 def _energy_walk(a: np.ndarray, b: np.ndarray, labels: np.ndarray, caller: str):
     """The observed energy statistic of a, b and one statistic per labelling.
 
-    Column j of the (n + m) x P 0/1 matrix ``labels`` (S; P may be 0) marks
-    the rows of the pool [a; b] on labelling j's side A.  With D the pooled
-    distance matrix, D is walked once, in tiles of _ROW_TILE rows.  Each tile
-    gives its rows of r = D 1 and r_A = D[:, :n] 1 from all its columns.  The
-    observed within-A sum is r_A summed over the A rows, the cross sum r - r_A
-    over the A rows and the within-B sum r - r_A over the B rows.
+    Column j of the (n + m) x P uint8 0/1 matrix ``labels`` (S; P may be 0)
+    marks the rows of the pool [a; b] on labelling j's side A.  With D the
+    pooled distance matrix, D is walked once, in tiles of _ROW_TILE rows.
+    Each tile gives its rows of r = D 1 and r_A = D[:, :n] 1 from all its
+    columns.  The observed within-A sum is r_A summed over the A rows, the
+    cross sum r - r_A over the A rows and the within-B sum r - r_A over the
+    B rows.
     A labelling's within-A sum is s'Ds.  D is symmetric with a zero diagonal,
     so s'Ds is twice the sum of s_i D_ik s_k over i < k.  Each tile halves its
     diagonal block and multiplies only its columns from its first row on (the
-    upper triangle) by S, in _K_SLICE-column slices added in order; its rows
+    upper triangle) by S, in _K_SLICE-row slices of S added in order; its rows
     of S * (that product) are added to the running half sums in row order and
-    dropped.  A labelling's cross sum is then s'r - s'Ds and its within-B sum
-    1'D1 - 2 s'r + s'Ds.  Memory is S, one distance tile and one slice
-    product, 8 (n + m)(P + _ROW_TILE) + 8 _ROW_TILE P bytes plus small
-    scratch: below the full 8 (n + m)^2 while P < (n + m)(n + m - _ROW_TILE)
-    / (n + m + _ROW_TILE), about 2750 at 1500 + 1500.  Overflow raises a
-    ValueError naming ``caller`` and the rows.
+    dropped.  The labelled row sums s'r are the in-order sum of r's products
+    with S's _K_SLICE-row slices from row 0.  A labelling's cross sum is then
+    s'r - s'Ds and its within-B sum 1'D1 - 2 s'r + s'Ds.  S is held as bytes
+    and each slice is made float64 only for its product (_label_slices).
+    Memory is S, one distance tile, one float64 label slice, one slice
+    product and the running sums: (n + m) P + 8 _ROW_TILE (n + m)
+    + 8 (_K_SLICE + 2 _ROW_TILE + 1) P bytes plus small scratch.  That is
+    below the full 8 (n + m)^2 while P < 8 (n + m)(n + m - _ROW_TILE) /
+    (n + m + 8 (_K_SLICE + 2 _ROW_TILE + 1)), about 9700 at 1500 + 1500.
+    Overflow raises a ValueError naming ``caller`` and the rows.
     """
     n, m = a.shape[0], b.shape[0]
     pool = np.concatenate([a, b], axis=0)
@@ -182,6 +217,7 @@ def _energy_walk(a: np.ndarray, b: np.ndarray, labels: np.ndarray, caller: str):
     # upper-triangle product; summing over axis 0 adds the rows in order.
     acc = np.zeros((_ROW_TILE + 1, labels.shape[1]))
     sliced = np.empty((_ROW_TILE, labels.shape[1]))
+    label_buf = np.empty((min(_K_SLICE, n + m), labels.shape[1]))
     for lo in range(0, n + m, _ROW_TILE):
         hi = min(lo + _ROW_TILE, n + m)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -197,8 +233,8 @@ def _energy_walk(a: np.ndarray, b: np.ndarray, labels: np.ndarray, caller: str):
             part[:, lo:hi] *= 0.5  # exact; the diagonal block counts each pair twice
             tile, out = acc[1 : hi - lo + 1], sliced[: hi - lo]
             tile.fill(0.0)
-            for k in range(lo, n + m, _K_SLICE):
-                np.matmul(part[:, k : k + _K_SLICE], labels[k : k + _K_SLICE], out=out)
+            for k, s in _label_slices(labels, lo, label_buf):
+                np.matmul(part[:, k : k + _K_SLICE], s, out=out)
                 tile += out
             tile *= labels[lo:hi]
             acc[0] = acc[: hi - lo + 1].sum(axis=0)
@@ -207,7 +243,9 @@ def _energy_walk(a: np.ndarray, b: np.ndarray, labels: np.ndarray, caller: str):
     observed = _energy_statistic(row_sums_b[:n].sum(), row_sums_a[:n].sum(),
                                  row_sums_b[n:].sum(), n, m)
     within_a = 2.0 * acc[0]
-    labelled_sums = row_sums @ labels
+    labelled_sums = np.zeros(labels.shape[1])
+    for k, s in _label_slices(labels, 0, label_buf):
+        labelled_sums += row_sums[k : k + _K_SLICE] @ s
     null = _energy_statistic(labelled_sums - within_a, within_a,
                              row_sums.sum() - 2.0 * labelled_sums + within_a, n, m)
     return float(observed), null
@@ -222,7 +260,7 @@ def energy_distance(a: np.ndarray, b: np.ndarray) -> float:
     matrix with no labellings, so only one tile of distances is held.
     """
     a, b = _two_samples(a, b)
-    labels = np.empty((a.shape[0] + b.shape[0], 0))
+    labels = np.empty((a.shape[0] + b.shape[0], 0), dtype=np.uint8)
     return _energy_walk(a, b, labels, "energy_distance")[0]
 
 
@@ -238,9 +276,9 @@ def _energy_test(a, b, n_permutations, seed, q, caller: str) -> tuple[float, flo
         raise ValueError(f"q must lie in [0, 1], got {q!r}")
     n, m = a.shape[0], b.shape[0]
     gen = np.random.default_rng(seed)
-    labels = np.zeros((n + m, n_permutations))
+    labels = np.zeros((n + m, n_permutations), dtype=np.uint8)
     for j in range(n_permutations):
-        labels[gen.permutation(n + m)[:n], j] = 1.0
+        labels[gen.permutation(n + m)[:n], j] = 1
     observed, null = _energy_walk(a, b, labels, caller)
     return observed, float(np.quantile(null, q))
 

@@ -1,6 +1,7 @@
 """Diversity and discrepancy metrics on hand-checkable examples."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -180,6 +181,22 @@ class TestAfd:
         with pytest.raises(ValueError, match="^afd: the distance sum of group 1 is not finite"):
             afd(projected, np.array([[1e10, 1e10]]))
 
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 2), (2, 2, 2)])
+    def test_groups_that_are_not_matrices_are_rejected_naming_the_shape(self, shape):
+        """Zero-column groups raised an IndexError."""
+        groups = [np.ones((3, 2)), np.zeros(shape)]
+        with pytest.raises(ValueError, match=r"^groups\[1\] must be a 2-d array with no empty "
+                                             rf"axis, got shape {re.escape(str(shape))}"):
+            afd(groups)
+
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0), (2, 2, 2)])
+    def test_projections_that_are_not_matrices_are_rejected_naming_the_shape(self, shape):
+        """A (0, d) projection raised an IndexError."""
+        groups = [np.ones((3, 2)), np.zeros((4, 2))]
+        with pytest.raises(ValueError, match=r"^projection must be a 2-d array with no empty "
+                                             rf"axis, got shape {re.escape(str(shape))}"):
+            afd(groups, np.ones(shape))
+
     def test_projection_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="projection takes 3-d inputs, groups are 2-d"):
             afd([np.zeros((3, 2))], np.ones((1, 3)))
@@ -206,6 +223,14 @@ class TestFeatureMaps:
         np.testing.assert_array_equal(a, b)
         assert np.any(a != c)
         assert a.shape == (2, 5)
+
+    @pytest.mark.parametrize("name", ["d_in", "d_out"])
+    @pytest.mark.parametrize("value", [0, -1, 2.0, True, None])
+    def test_random_projection_sizes_must_be_positive_integers(self, name, value):
+        """random_projection(0, 3, 0) and (2, 0, 0) returned empty matrices."""
+        kwargs = {"d_in": 2, "d_out": 3, "seed": 0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+            random_projection(**kwargs)
 
     @pytest.mark.parametrize("seed", [True, 2.5, "7", None])
     def test_random_projection_seed_must_be_an_integer(self, seed):
@@ -377,8 +402,9 @@ def _gate_shape_samples(seed):
 class TestPermutationAtGateShape:
     """The null at 1500 + 1500 and 200 permutations: pinned values and memory."""
 
-    # q95 of the upper-triangle label product in _K_SLICE-column slices.
-    PINNED_Q95 = {0: "0x1.4d83659cb222ap-9", 1: "0x1.5c068b1eea363p-9", 2: "0x1.36ab5becc112dp-9"}
+    # q95 with both label products, the upper-triangle tile product and the
+    # labelled row sums, run in _K_SLICE-row slices of the labels.
+    PINNED_Q95 = {0: "0x1.4d83659cb4790p-9", 1: "0x1.5c068b1eec1c9p-9", 2: "0x1.36ab5becc1a46p-9"}
 
     @pytest.mark.parametrize("seed", sorted(PINNED_Q95))
     def test_q95_is_pinned_bit_for_bit(self, seed):
@@ -387,8 +413,9 @@ class TestPermutationAtGateShape:
         assert got.hex() == self.PINNED_Q95[seed]
 
     def test_q95_agrees_across_blas_thread_counts(self):
-        """The pins hold bit for bit at 1, 2 and 4 BLAS threads: the label
-        product runs in _K_SLICE-column slices, which the OpenBLAS measured
+        """The pins hold bit for bit at 1, 2 and 4 BLAS threads: both label
+        products, the upper-triangle tile product and the labelled row sums,
+        run in _K_SLICE-row slices of the labels, which the OpenBLAS measured
         sums alike at any thread count."""
         seeds = sorted(self.PINNED_Q95)
         probe = (
@@ -419,9 +446,11 @@ class TestPermutationAtGateShape:
         assert peak < block_bytes / 4, f"peak {peak / 1e6:.1f} MB"
 
     def test_null_peak_memory_is_the_labels_and_two_row_tiles(self):
+        """The labels as bytes, one float64 label slice and two distance tiles."""
         a, b = _gate_shape_samples(0)
         pooled, n_permutations = a.shape[0] + b.shape[0], 200
-        bound = 8 * pooled * n_permutations + 2 * 8 * metrics._ROW_TILE * pooled + 2**20
+        bound = (pooled * n_permutations + 8 * metrics._K_SLICE * n_permutations
+                 + 2 * 8 * metrics._ROW_TILE * pooled + 2**20)
         tracemalloc.start()
         try:
             energy_permutation_quantile(a, b, n_permutations=n_permutations, seed=0)
@@ -479,6 +508,20 @@ class TestEnergyInputValidation:
         with pytest.raises(ValueError, match=r"^energy_test: the distance sum "
                                              r"of rows \[0:7\) is not finite"):
             energy_test(a, b, n_permutations=5)
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 2), (3, 2, 2)])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_samples_that_are_not_matrices_are_rejected_naming_the_shape(self, shape, side):
+        """Zero columns raised an IndexError and 3-d samples a broadcast error."""
+        good = np.random.default_rng(16).standard_normal((4, 2))
+        bad = np.zeros(shape)
+        a, b = (bad, good) if side == "a" else (good, bad)
+        match = rf"^{side} must be a 2-d array with no empty axis, got shape {re.escape(str(shape))}"
+        for call in (lambda: energy_distance(a, b),
+                     lambda: energy_permutation_quantile(a, b, n_permutations=5),
+                     lambda: energy_test(a, b, n_permutations=5)):
+            with pytest.raises(ValueError, match=match):
+                call()
 
     def test_mismatched_feature_dimensions(self):
         with pytest.raises(ValueError, match="a and b must share one feature dimension"):
