@@ -61,19 +61,6 @@ from .schedule import (
     verify_reformulation,
 )
 
-_SAMPLING = ("schedule", "grid", "eps_policy", "task", "denoiser", "sampler")
-# command -> the top-level config sections it reads; seed and out are read by main
-COMMANDS = {
-    "verify-schedule": ("schedule", "grid"),
-    "simulate-forward": ("schedule", "grid", "forward"),
-    "sample": (*_SAMPLING, "sample"),
-    "train-denoiser": ("schedule", "task", "train", "prec"),
-    "afd-study": (*_SAMPLING, "afd"),
-    "convergence-study": ("schedule", "convergence"),
-    "reformulation-check": ("reformulation",),
-}
-
-
 class ConfigError(Exception):
     """Schema or validation problem, reported with the offending field path."""
 
@@ -122,7 +109,8 @@ _SPECS = {
         "record_trajectory": ("boolean", None, None),
     },
     "forward": {
-        "x0": _VECTOR, "xT": _VECTOR, "n_paths": _COUNT, "record": ("boolean", True, None),
+        "x0": _VECTOR, "xT": _VECTOR, "n_paths": ("integer", _REQUIRED, 2),
+        "record": ("boolean", True, None),
     },
     "sample": {"n_conditions": _COUNT, "n_replicates": ("integer", 1, 1)},
     "train": {
@@ -743,7 +731,7 @@ def _parse_train_denoiser(cfg: dict, seed: int):
 
 def _run_train_denoiser(sched, task, hyper, prec, seed: int, threads: int):
     den, running = train_mlp_denoiser(task, sched, prec, hyper)
-    test_mse = test_mse_vs_analytic(den, task, seed=seed)
+    test_mse = test_mse_vs_analytic(den, task, seed=seed, t_min=hyper.t_min, t_max=hyper.t_max)
     artifacts = {
         "model.bin": denoiser_to_bytes(den),
         "train.json": _json_bytes(
@@ -908,14 +896,20 @@ def _run_reformulation_check(vals, sched, seed: int, threads: int):
     return artifacts, failures
 
 
-_RUNNERS = {
-    "verify-schedule": (_parse_verify_schedule, _run_verify_schedule),
-    "simulate-forward": (_parse_simulate_forward, _run_simulate_forward),
-    "sample": (_parse_sample, _run_sample),
-    "train-denoiser": (_parse_train_denoiser, _run_train_denoiser),
-    "afd-study": (_parse_afd_study, _run_afd_study),
-    "convergence-study": (_parse_convergence_study, _run_convergence_study),
-    "reformulation-check": (_parse_reformulation_check, _run_reformulation_check),
+_SAMPLING = ("schedule", "grid", "eps_policy", "task", "denoiser", "sampler")
+# command -> (the top-level config sections it reads, parser, runner); main reads seed and out
+COMMANDS = {
+    "verify-schedule": (("schedule", "grid"), _parse_verify_schedule, _run_verify_schedule),
+    "simulate-forward": (("schedule", "grid", "forward"),
+                         _parse_simulate_forward, _run_simulate_forward),
+    "sample": ((*_SAMPLING, "sample"), _parse_sample, _run_sample),
+    "train-denoiser": (("schedule", "task", "train", "prec"),
+                       _parse_train_denoiser, _run_train_denoiser),
+    "afd-study": ((*_SAMPLING, "afd"), _parse_afd_study, _run_afd_study),
+    "convergence-study": (("schedule", "convergence"),
+                          _parse_convergence_study, _run_convergence_study),
+    "reformulation-check": (("reformulation",),
+                            _parse_reformulation_check, _run_reformulation_check),
 }
 
 
@@ -950,7 +944,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"config: invalid JSON ({err})") from err
         if not isinstance(cfg, dict):
             raise ConfigError("config: top level must be an object")
-        unknown = sorted(set(cfg) - {"seed", "out", *COMMANDS[args.command]})
+        sections, parse, run = COMMANDS[args.command]
+        unknown = sorted(set(cfg) - {"seed", "out", *sections})
         if unknown:
             raise ConfigError(f"config: unknown section(s) {unknown} for {args.command}")
 
@@ -963,7 +958,6 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
 
-        parse, run = _RUNNERS[args.command]
         artifacts, failures = run(*parse(cfg, seed), seed, args.threads)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

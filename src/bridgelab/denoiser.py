@@ -288,7 +288,8 @@ def _along_rows(a: np.ndarray) -> np.ndarray:
 
 def _buffer(scratch: Optional[dict], key: str, shape: tuple) -> np.ndarray:
     """An uninitialized float64 array of shape, kept in scratch under key for
-    the next call that asks for the same shape; a fresh one without scratch."""
+    the next call that asks for the same shape; a fresh one without scratch.
+    It is the only way either denoiser kind keeps an array in a scratch."""
     if scratch is None:
         return np.empty(shape)
     buf = scratch.get(key)
@@ -555,22 +556,21 @@ def mlp_forward(
     weights: Sequence[np.ndarray],
     biases: Sequence[np.ndarray],
     x: np.ndarray,
-    bufs: Optional[Sequence[np.ndarray]] = None,
+    scratch: Optional[dict] = None,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Network output and the per-layer activations [x, h_1, ..., out].
 
     Each layer is matmul, then += bias, then tanh in place on all but the last:
-    np.tanh(h @ w + b) bit for bit.  bufs, if given, holds one C-contiguous
-    (rows, width_k) output array per layer, owned by the caller; every layer
-    writes into its buffer, so the returned output and activations are the
-    buffers themselves and the next call with the same bufs overwrites them.
-    Without bufs each layer allocates its output, as training needs.
+    np.tanh(h @ w + b) bit for bit.  Layer k writes into _buffer(scratch,
+    f"mlp_{k}", ...), so with a scratch the returned output and activations
+    are its buffers and the next call with that scratch overwrites them;
+    without one each layer allocates its output, as training needs.
     """
     cache = [x]
     h = x
     last = len(weights) - 1
     for k, (w, b) in enumerate(zip(weights, biases)):
-        h = np.matmul(h, w, out=None if bufs is None else bufs[k])
+        h = np.matmul(h, w, out=_buffer(scratch, f"mlp_{k}", (h.shape[0], w.shape[1])))
         h += b
         if k < last:
             np.tanh(h, out=h)
@@ -689,18 +689,6 @@ def train_mlp_denoiser(
     return MlpDenoiser(params, sizes, prec, sched), running
 
 
-def _layer_buffers(den: MlpDenoiser, rows: int, scratch: Optional[dict]):
-    """The layer outputs kept in scratch for a rows-row call of den, made anew
-    when the rows or the layer widths differ from the last call's."""
-    if scratch is None:
-        return None
-    bufs = scratch.get("mlp_layers")
-    shapes = [(rows, n) for n in den.sizes[1:]]
-    if bufs is None or [buf.shape for buf in bufs] != shapes:
-        bufs = scratch["mlp_layers"] = [np.empty(shape) for shape in shapes]
-    return bufs
-
-
 def _mlp_denoise(
     den: MlpDenoiser, x_t: np.ndarray, xT: np.ndarray, t, scratch: Optional[dict]
 ) -> np.ndarray:
@@ -709,8 +697,7 @@ def _mlp_denoise(
     c_in, c_skip, c_out, c_noise, _ = precondition(den.prec, den.sched, t)
     noise_col = np.broadcast_to(c_noise, (x_t.shape[0], 1))
     x_net = np.concatenate([c_in * x_t, xT, noise_col], axis=1)
-    bufs = _layer_buffers(den, x_net.shape[0], scratch)
-    f_out, _ = mlp_forward(den.weights, den.biases, x_net, bufs)
+    f_out, _ = mlp_forward(den.weights, den.biases, x_net, scratch)
     return c_skip * x_t + c_out * f_out
 
 
@@ -778,14 +765,15 @@ def denoise(
 
     scratch is an optional dict, owned by the caller, in which an MLP denoiser
     keeps its layer outputs, and an analytic mixture its temporaries, from
-    one call to the next; a single Gaussian ignores it.  A fresh 4096 x 32
-    float64 temporary is 1 MB, a new memory mapping whose pages fault in on
-    first touch, so a sampler passes one scratch per row chunk and reuses it
-    for all of that chunk's steps.  The buffers keep the full chunk's GEMM
-    shapes: evaluating the network in smaller row blocks would sum in
-    another order and change the output bits.  A scratch must not be shared
-    between threads, and it dies with the chunk, so it adds nothing to peak
-    memory after the loop.  The returned x0hat never aliases the scratch.
+    one call to the next, each array under its own _buffer key; a single
+    Gaussian ignores it.  A fresh 4096 x 32 float64 temporary is 1 MB, a new
+    memory mapping whose pages fault in on first touch, so a sampler passes
+    one scratch per row chunk and reuses it for all of that chunk's steps.
+    The buffers keep the full chunk's GEMM shapes: evaluating the network in
+    smaller row blocks would sum in another order and change the output
+    bits.  A scratch must not be shared between threads, and it dies with
+    the chunk, so it adds nothing to peak memory after the loop.  The
+    returned x0hat never aliases the scratch.
     """
     x_t = np.asarray(x_t, dtype=np.float64)
     squeeze = x_t.ndim == 1

@@ -189,7 +189,6 @@ def sample(cfg: SamplerConfig, den: Denoiser, xT_batch: np.ndarray, threads: int
     slices = _rng.chunk_slices(n)
     eps_used = np.zeros(n_steps)
     change_sums = np.zeros((len(slices), n_steps))
-    change_sums[:, 0] = math.nan
     _prime_plans(den, ts[:n_steps])
 
     def work(chunk: int, sl: slice) -> None:

@@ -323,6 +323,8 @@ def eval_schedule(sched: Schedule, t) -> ScheduleEval:
     Derivatives of square-root-shaped gamma diverge at the endpoints; they
     are returned as +-inf there.  All quantities are finite on (0, T).
     """
+    # The schedule functions below call _eval_full, not this: perfbench's tracer counts
+    # calls by public name, so nested evaluations would inflate schedule.calls (ROADMAP item 15).
     return _eval_full(sched, t)
 
 

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from bridgelab import cli
 from bridgelab.cli import main
+from bridgelab.denoiser import load_denoiser
+from bridgelab.denoiser import test_mse_vs_analytic as mse_vs_analytic
 from bridgelab.rng import CHUNK_ROWS
 from bridgelab.schedule import SCHEDULE_KINDS
 
@@ -162,6 +164,37 @@ class TestVerifySchedule:
         last = _read_bytes(out, "schedule.csv").decode().strip().split("\n")[-1].split(",")
         assert last[:4] == ["1", "0", "1", "0"]
 
+    def test_unpinned_schedule_fails_the_endpoint_check(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, "c.json", {"schedule": {"kind": "edm"}, "grid": {"n_steps": 8}})
+        out = tmp_path / "out"
+        assert _run("verify-schedule", cfg, out) == 2
+        verify = _read_json(out, "verify.json")
+        assert verify["endpoint_deviation"] == 1.0 and verify["passed"] is False
+        assert "numerical failure: endpoint pinning deviates by 1.0" in capsys.readouterr().err
+
+    def test_grid_near_the_square_root_endpoint_fails_the_derivative_check(self, tmp_path, capsys):
+        """gamma ~ sqrt(t) near 0: a 1e-6 central difference at t = 1e-5 is off by 1.3e-3."""
+        cfg = _write_config(tmp_path, "c.json",
+                            {"schedule": LINEAR_SCHEDULE, "grid": {"n_steps": 8, "t_min": 1e-5}})
+        out = tmp_path / "out"
+        assert _run("verify-schedule", cfg, out) == 2
+        verify = _read_json(out, "verify.json")
+        assert 1e-4 < verify["derivative_deviation"] < 1e-2 and verify["endpoint_deviation"] == 0
+        assert ("analytic derivatives deviate from central differences"
+                in capsys.readouterr().err)
+
+    def test_i2sb_breakpoints_on_the_grid_are_not_differenced(self, tmp_path):
+        """The rate jumps at 0.3 and 0.7, both grid points; a difference across a jump is no
+        derivative, so those points are left out of the check."""
+        schedule = {"kind": "i2sb", "i2sb_breakpoints": [0.0, 0.3, 0.7, 1.0],
+                    "i2sb_values": [0.1, 0.3, 0.2]}
+        grid = {"n_steps": 4, "t_min": 0.1, "t_max": 0.9, "rho": 1.0}
+        cfg = _write_config(tmp_path, "c.json", {"schedule": schedule, "grid": grid})
+        out = tmp_path / "out"
+        assert _run("verify-schedule", cfg, out) == 0
+        verify = _read_json(out, "verify.json")
+        assert verify["passed"] is True and verify["derivative_deviation"] <= 1e-4
+
     def test_manifest_echoes_config_without_out(self, tmp_path):
         cfg_dict = {**self.CONFIG, "out": "ignored-dir"}
         cfg = _write_config(tmp_path, "c.json", cfg_dict)
@@ -252,6 +285,31 @@ class TestConfigErrors:
         )
         code = main(["verify-schedule", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 1
+
+    def test_top_level_that_is_not_an_object_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text("[1, 2]")
+        out = tmp_path / "out"
+        assert _run("verify-schedule", str(path), out) == 1
+        assert not out.exists()
+        assert "config: top level must be an object" in capsys.readouterr().err
+
+    def test_missing_out_exits_1(self, tmp_path, capsys):
+        cfg = _write_config(
+            tmp_path, "c.json", {"schedule": LINEAR_SCHEDULE, "grid": {"n_steps": 4}}
+        )
+        assert main(["verify-schedule", "--config", cfg, "--seed", "0"]) == 1
+        assert "out: an output directory is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_non_positive_thread_count_exits_1(self, tmp_path, capsys, threads):
+        cfg = _write_config(
+            tmp_path, "c.json", {"schedule": LINEAR_SCHEDULE, "grid": {"n_steps": 4}}
+        )
+        out = tmp_path / "out"
+        assert _run("verify-schedule", cfg, out, threads=threads) == 1
+        assert not out.exists()
+        assert f"--threads: must be >= 1, got {threads}" in capsys.readouterr().err
 
     def test_seed_in_config_suffices(self, tmp_path):
         cfg = _write_config(
@@ -405,6 +463,49 @@ SAMPLE_CONFIG = {
          "precs"),
         ("sample", {**SAMPLE_CONFIG, "task": {**TASK_1D, "mean0": ["0.35"]}}, "task.mean0"),
         ("sample", {**SAMPLE_CONFIG, "task": {**TASK_1D, "covTT": [[True]]}}, "task.covTT"),
+        ("sample", {k: v for k, v in SAMPLE_CONFIG.items() if k != "sample"},
+         "sample: required section is missing"),
+        ("train-denoiser",
+         {"schedule": LINEAR_SCHEDULE, "task": TASK_1D, "train": {"iters": 1},
+          "prec": {"estimate_from": 64, "sigma0": 0.5}},
+         "prec: estimate_from excludes ['sigma0']"),
+        ("afd-study",
+         {**AFD_CONFIG, "afd": {**AFD_CONFIG["afd"], "feature": {"kind": "identity"},
+                                "boot_values": []}},
+         "afd.boot_values: expected a non-empty list of values >= 0"),
+        ("afd-study",
+         {**AFD_CONFIG, "afd": {**AFD_CONFIG["afd"], "feature": {"kind": "identity"},
+                                "boot_values": [0.0, -0.5]}},
+         "afd.boot_values: expected a non-empty list of values >= 0"),
+        ("convergence-study", {"schedule": LINEAR_SCHEDULE, "convergence": {"dts": [0.04, 0.02]}},
+         "convergence.dts: need >= 3 positive step sizes"),
+        ("convergence-study",
+         {"schedule": LINEAR_SCHEDULE, "convergence": {"dts": [0.04, 0.02, 0.6], "t": 0.5}},
+         "convergence.dts: need >= 3 positive step sizes"),
+        ("convergence-study",
+         {"schedule": LINEAR_SCHEDULE,
+          "convergence": {"dts": CONVERGENCE_DTS, "pairs": [["euler_z", "dbim", "markovian"]]}},
+         "convergence.pairs[0]: expected a pair of variant names"),
+        ("convergence-study",
+         {"schedule": LINEAR_SCHEDULE,
+          "convergence": {"dts": CONVERGENCE_DTS, "pairs": [["euler_z", "dbim"], "dbim"]}},
+         "convergence.pairs[1]: expected a pair of variant names"),
+        ("convergence-study",
+         {"schedule": LINEAR_SCHEDULE,
+          "convergence": {"dts": CONVERGENCE_DTS, "slope_range": [2.2, 1.8]}},
+         "convergence.slope_range: expected [lo, hi] with lo <= hi"),
+        ("convergence-study",
+         {"schedule": LINEAR_SCHEDULE,
+          "convergence": {"dts": CONVERGENCE_DTS, "slope_range": [1.8, 2.0, 2.2]}},
+         "convergence.slope_range: expected [lo, hi] with lo <= hi"),
+        ("reformulation-check", {"reformulation": {"family": "ve", "t_lo": 0.9, "t_hi": 0.1}},
+         "reformulation.t_lo/t_hi: need 0 < t_lo < t_hi < 1"),
+        ("reformulation-check", {"reformulation": {"family": "ve", "t_hi": 1.0}},
+         "reformulation.t_lo/t_hi: need 0 < t_lo < t_hi < 1"),
+        ("simulate-forward",
+         {"schedule": LINEAR_SCHEDULE, "grid": {"n_steps": 4},
+          "forward": {"x0": [0.0], "xT": [1.0], "n_paths": 1}},
+         "forward.n_paths: expected an integer >= 2, got 1"),
     ],
     ids=["train-t-order", "train-t-max", "train-prec-sigma0", "convergence-t", "convergence-d",
          "convergence-n-probes", "convergence-slope-range", "convergence-eta",
@@ -412,7 +513,11 @@ SAMPLE_CONFIG = {
          "reformulation-n-probes", "afd-feature-seed", "reformulation-vp-beta-d",
          "reformulation-i2sb-breakpoints", "task-2d-means-1x1-blocks", "task-3d-cov",
          "schedule-scalar-breakpoints", "top-level-unknown-section", "array-string-leaf",
-         "array-boolean-leaf"],
+         "array-boolean-leaf", "missing-section", "prec-estimate-from-excludes",
+         "afd-boot-values-empty", "afd-boot-values-negative", "convergence-dts-too-few",
+         "convergence-dts-above-t", "convergence-pairs-triple", "convergence-pairs-string",
+         "convergence-slope-range-reversed", "convergence-slope-range-length",
+         "reformulation-t-order", "reformulation-t-hi-at-T", "forward-one-path"],
 )
 def test_bad_config_value_exits_1_and_names_the_field(tmp_path, capsys, command, cfg, field):
     out = tmp_path / "out"
@@ -1088,6 +1193,17 @@ class TestConvergenceStudy:
         report = _read_json(out, "convergence.json")
         assert report["passed"] is False
 
+    def test_null_slope_range_checks_no_band(self, tmp_path):
+        cfg_dict = {
+            "schedule": LINEAR_SCHEDULE,
+            "convergence": {"dts": [0.04, 0.02, 0.01, 0.005], "slope_range": None},
+        }
+        out = tmp_path / "out"
+        assert _run("convergence-study", _write_config(tmp_path, "c.json", cfg_dict), out) == 0
+        report = _read_json(out, "convergence.json")
+        assert report["slope_range"] is None and report["passed"] is True
+        assert len(report["slopes"]) == 2
+
     def test_bad_pair_name_exits_1(self, tmp_path):
         cfg_dict = {
             "schedule": LINEAR_SCHEDULE,
@@ -1148,6 +1264,17 @@ class TestTrainDenoiser:
         assert _run("sample", sample_cfg, out, seed=7) == 0
         moments = _read_json(out, "moments.json")
         assert np.isfinite(moments["mean"]).all()
+
+    def test_reported_mse_probes_the_trained_time_range(self, tmp_path):
+        train = {"layers": 1, "width": 8, "batch": 32, "iters": 20, "t_min": 0.3, "t_max": 0.7}
+        cfg = {"schedule": LINEAR_SCHEDULE, "task": TASK_1D, "train": train}
+        out = tmp_path / "out"
+        assert _run("train-denoiser", _write_config(tmp_path, "c.json", cfg), out, seed=3) == 0
+        den = load_denoiser(out / "model.bin")
+        task = cli._parse_task(cfg)
+        trained = mse_vs_analytic(den, task, seed=3, t_min=0.3, t_max=0.7)
+        assert _read_json(out, "train.json")["test_mse_vs_analytic"] == trained
+        assert mse_vs_analytic(den, task, seed=3) != trained
 
     def test_mlp_sample_is_byte_identical_across_thread_counts(self, tmp_path):
         """4200 rows: a full chunk and a short one, each with its own layer buffers."""
@@ -1477,8 +1604,26 @@ JSON_VALUES = st.recursive(
 )
 def test_every_parse_base_parses(command, cfg, mlp_model):
     """Each base is valid as written, so a mutation of any key reaches that key's check."""
-    parse, _ = cli._RUNNERS[command]
+    _, parse, _ = cli.COMMANDS[command]
     parse(_with_model(cfg, mlp_model), 0)
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_each_parser_reads_exactly_the_sections_its_command_declares(command, mlp_model,
+                                                                     monkeypatch):
+    """main accepts the declared sections, so one that no parser read would be ignored."""
+    sections, parse, _ = cli.COMMANDS[command]
+    cfg = _with_model(next(cfg for name, cfg in PARSE_BASES if name == command), mlp_model)
+    read, seen = cli._read, set()
+
+    def tracked(parent, key, *args, **kwargs):
+        if parent is cfg:
+            seen.add(key)
+        return read(parent, key, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_read", tracked)
+    parse(cfg, 0)
+    assert seen == set(sections)
 
 
 def test_every_spec_key_is_exercised():
@@ -1501,7 +1646,7 @@ def test_parsers_reject_any_value_with_a_config_error(case, value, mlp_model):
     for key in path[:-1]:
         section = section[key]
     section[path[-1]] = value
-    parse, _ = cli._RUNNERS[command]
+    _, parse, _ = cli.COMMANDS[command]
     try:
         parse(cfg, 0)
     except cli.ConfigError:

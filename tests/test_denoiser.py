@@ -902,7 +902,7 @@ def _assert_same_bits(got, want):
 
 
 class TestMlpLayerBuffers:
-    """Layer outputs written into caller-owned buffers change no bit of the result."""
+    """Layer outputs written into a caller-owned scratch change no bit of the result."""
 
     @pytest.mark.parametrize("sizes", [[3, 32, 32, 1], [5, 64, 64, 64, 2], [17, 128, 8]])
     @pytest.mark.parametrize("rows", [1, 7, 4096])
@@ -910,13 +910,17 @@ class TestMlpLayerBuffers:
         weights, biases = _random_net(sizes, seed=len(sizes))
         x = np.random.default_rng(rows).standard_normal((rows, sizes[0]))
         want = _forward_expression_form(weights, biases, x)
-        bufs = [np.full((rows, n), np.nan) for n in sizes[1:]]
+        scratch: dict = {}
+        mlp_forward(weights, biases, x, scratch)
+        for buf in scratch.values():  # a warm scratch holds stale values
+            buf.fill(np.nan)
         for got, cache in (mlp_forward(weights, biases, x),
-                           mlp_forward(weights, biases, x, bufs)):
+                           mlp_forward(weights, biases, x, scratch)):
             _assert_same_bits(got, want)
             assert len(cache) == len(sizes) and cache[0] is x
             _assert_same_bits(cache[-1], want)
-        assert all(h is buf for h, buf in zip(cache[1:], bufs))  # written in place
+        assert len(scratch) == len(sizes) - 1  # one buffer per layer, written in place
+        assert all(h is buf for h, buf in zip(cache[1:], scratch.values()))
 
     def test_forward_without_buffers_leaves_its_input_alone(self):
         weights, biases = _random_net([3, 8, 1], seed=1)
@@ -935,7 +939,7 @@ class TestMlpLayerBuffers:
             t = gen.uniform(0.05, 0.95, rows) if per_row_t else 0.37
             want = denoise(den, x_t, xT, t)
             _assert_same_bits(denoise(den, x_t, xT, t, scratch), want)
-            assert [buf.shape[0] for buf in scratch["mlp_layers"]] == [rows] * 3
+            assert [buf.shape[0] for buf in scratch.values()] == [rows] * 3
 
     def test_scratch_follows_a_change_of_network(self):
         scratch: dict = {}
@@ -956,7 +960,7 @@ class TestMlpLayerBuffers:
         second = denoise(den, x_t + 1.0, xT, 0.3, scratch)
         np.testing.assert_array_equal(first, kept)
         assert not np.shares_memory(first, second)
-        for buf in scratch["mlp_layers"]:
+        for buf in scratch.values():
             assert not np.shares_memory(first, buf) and not np.shares_memory(second, buf)
 
     def test_analytic_denoisers_ignore_scratch(self):
@@ -1291,7 +1295,8 @@ class TestSerialization:
             load_denoiser(path)
 
     def test_corrupt_files_rejected(self, tmp_path):
-        """Bad sizes, a body of the wrong length or non-finite weights raise."""
+        """Bad sizes, a body of the wrong length or of partial values, or non-finite weights
+        raise."""
         blob = denoiser_to_bytes(self._tiny_mlp())
         header_line, body = blob.split(b"\n", 1)
         header = json.loads(header_line)
@@ -1303,6 +1308,8 @@ class TestSerialization:
         cases = [
             (blob + b"\0" * 8, "parameter block"),
             (blob[:-8], "parameter block"),
+            (blob + b"\0" * 3, f"holds {len(body) + 3} bytes, not whole float64 values"),
+            (blob[:-1], f"holds {len(body) - 1} bytes, not whole float64 values"),
             (nan_weight, "finite"),
             (with_sizes([3, 5, 1]), "parameter block"),
             (with_sizes([3, 0, 1]), "sizes"),
@@ -1315,6 +1322,10 @@ class TestSerialization:
             path.write_bytes(bad)
             with pytest.raises(ValueError, match=match):
                 load_denoiser(path)
+
+    def test_analytic_denoiser_is_not_serialized(self):
+        with pytest.raises(ValueError, match="only MLP denoisers are serialized"):
+            denoiser_to_bytes(AnalyticDenoiser(_task_1d(), LINEAR))
 
     @pytest.mark.parametrize(
         "field, value",

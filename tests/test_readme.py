@@ -15,23 +15,33 @@ def _readme_section(title: str) -> str:
     return README.split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
-def _spec_keys(spec: dict, path: str) -> set[str]:
-    keys = set()
+def _spec_entries(spec: dict, path: str) -> dict[str, object]:
+    """Every key path of spec, mapped to its (type, default, bound) entry, or to a dict for
+    a kind key."""
+    entries = {}
     for key, entry in spec.items():
-        keys.add(f"{path}.{key}")
+        entries[f"{path}.{key}"] = entry
         if isinstance(entry, dict):  # kind -> the spec of the other keys
             for sub in entry.values():
-                keys |= _spec_keys(sub, path)
+                entries.update(_spec_entries(sub, path))
         elif isinstance(entry[0], dict):  # a nested section
-            keys |= _spec_keys(entry[0], f"{path}.{key}")
-    return keys
+            entries.update(_spec_entries(entry[0], f"{path}.{key}"))
+    return entries
 
 
 def test_config_reference_lists_exactly_the_spec_keys():
-    table_keys = re.findall(r"^\| `([\w.]+)` \|", _readme_section("Config reference"), re.M)
-    assert len(table_keys) == len(set(table_keys))
-    spec_keys = set().union(*(_spec_keys(spec, name) for name, spec in cli._SPECS.items()))
-    assert set(table_keys) == spec_keys
+    rows = re.findall(r"^\| `([\w.]+)` \|([^|]*)\|[^|]*\|([^|]*)\|$",
+                      _readme_section("Config reference"), re.M)
+    table = {key: (typ.strip(), bound.strip()) for key, typ, bound in rows}
+    assert len(rows) == len(table)
+    spec = {}
+    for name, section in cli._SPECS.items():
+        spec.update(_spec_entries(section, name))
+    assert set(table) == set(spec)
+    for key, entry in spec.items():  # each integer key's README bound is its spec bound
+        if not isinstance(entry, dict) and entry[0] == "integer":
+            assert table[key][0] == "integer", key
+            assert re.match(rf">= {entry[2]}\b", table[key][1]), (key, table[key][1])
 
 
 def test_minimal_sample_config_runs_as_written(tmp_path):

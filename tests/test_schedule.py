@@ -103,6 +103,22 @@ class TestEvalExamples:
         with pytest.raises(ValueError):
             Schedule(kind="nope")
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"kind": "linear", "gamma_multiplier": 0.0}, "gamma_multiplier must be positive"),
+            ({"kind": "trig", "gamma_scale": -0.5}, "gamma_scale must be positive"),
+            ({"kind": "i2sb", "i2sb_breakpoints": (0.0, 0.5, 1.0), "i2sb_values": (1.0, 0.0)},
+             "i2sb noise-rate values must be positive"),
+            ({"kind": "custom", "alpha_fn": abs, "beta_fn": abs, "gamma_fn": abs, "fd_step": 0.0},
+             "fd_step must be positive"),
+        ],
+        ids=["gamma-multiplier", "gamma-scale", "i2sb-value", "fd-step"],
+    )
+    def test_non_positive_parameters_name_the_field(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            Schedule(**kwargs)
+
     def test_trig_does_not_read_gamma_max(self):
         ignored = Schedule(kind="trig", gamma_max=-1.0)
         assert eval_schedule(ignored, 0.3) == eval_schedule(Schedule(kind="trig"), 0.3)
@@ -235,6 +251,21 @@ class TestEpsilonPolicy:
             policy = EpsilonPolicy(kind="i2sb_markovian", tail_zero_steps=0)
             with pytest.raises(ValueError, match="negative"):
                 epsilon(policy, sched, 0.5, 0.1)
+
+    @pytest.mark.parametrize("kind", ["zero", "eta_scaled", "constant", "i2sb_markovian"])
+    def test_negative_dt_is_an_error(self, kind):
+        with pytest.raises(ValueError, match=r"dt must be >= 0, got -0\.01"):
+            epsilon(EpsilonPolicy(kind=kind), Schedule(kind="linear"), 0.5, -0.01)
+
+    def test_i2sb_markovian_needs_a_step(self):
+        policy = EpsilonPolicy(kind="i2sb_markovian")
+        with pytest.raises(ValueError, match="i2sb_markovian epsilon needs dt > 0"):
+            epsilon(policy, Schedule(kind="linear"), 0.5, 0.0)
+
+    def test_i2sb_markovian_at_vanishing_beta_is_an_error(self):
+        policy = EpsilonPolicy(kind="i2sb_markovian")
+        with pytest.raises(ValueError, match=r"beta\(1e-13\) = .* is singular for i2sb_markovian"):
+            epsilon(policy, Schedule(kind="linear"), 1e-13, 1e-13)
 
     def test_constant_and_zero_kinds(self):
         sched = Schedule(kind="linear")
