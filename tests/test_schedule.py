@@ -364,6 +364,11 @@ class TestTimeGrid:
         assert np.all(np.diff(pts) < 0)
         assert pts[0] == grid.t_max and pts[-1] == grid.t_min
 
+    def test_steps_finer_than_float_spacing_are_an_error(self):
+        """100 steps across 1e-15 near 0.5, where doubles are 1.1e-16 apart, repeat points."""
+        with pytest.raises(ValueError, match="time grid is not strictly decreasing"):
+            make_time_grid(100, 0.5, 0.5 + 1e-15, 1.0)
+
 
 # reformulation family -> the schedule kind it is checked on
 FAMILY_KINDS = {"ve": "ddbm_ve", "vp": "ddbm_vp", "edm": "edm", "i2sb": "i2sb"}
