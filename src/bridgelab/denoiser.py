@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -824,14 +824,11 @@ def test_mse_vs_analytic(
 # Serialization: JSON header line + raw little-endian float64 parameter block.
 
 
-_SCHEDULE_FIELDS = ("kind", "gamma_max", "gamma_multiplier", "gamma_scale", "beta_d", "beta_min",
-                    "i2sb_breakpoints", "i2sb_values")
+_SCHEDULE_FIELDS = tuple(f.name for f in fields(Schedule))
 _PREC_FIELDS = ("sigma0", "sigmaT", "sigma0T")
 
 
 def _schedule_to_config(sched: Schedule) -> dict:
-    if sched.kind == "custom":
-        raise ValueError("custom schedules are not serializable")
     return {key: getattr(sched, key) for key in _SCHEDULE_FIELDS}
 
 

@@ -2,19 +2,19 @@
 
 A schedule defines the Gaussian kernel N(alpha_t x0 + beta_t xT, gamma_t^2 I)
 interpolating between the endpoint pair (x0 at t = 0, xT at t = T).  This
-module evaluates (alpha, beta, gamma) and their time derivatives for the
-supported kernel families, derives the linear-SDE coefficients (f, s, g^2) of
-the pinned process, produces per-step stochasticity levels eps_t, builds the
-rho-spaced integration grids, and cross-checks the schedule algebra against
-the native drift/diffusion expressions of the reformulated model families.
+module evaluates (alpha, beta, gamma) and their analytic time derivatives for
+the six kernel families (linear, trig, ddbm_ve, ddbm_vp, i2sb, edm), derives
+the linear-SDE coefficients (f, s, g^2) of the pinned process, produces
+per-step stochasticity levels eps_t, builds the rho-spaced integration grids,
+and cross-checks the schedule algebra against the native drift/diffusion
+expressions of the reformulated model families.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,13 +25,13 @@ DEFAULT_T_MIN = 0.01
 DEFAULT_T_MAX = 1.0 - 1e-4
 DEFAULT_RHO = 0.6
 
-SCHEDULE_KINDS = ("linear", "trig", "ddbm_ve", "ddbm_vp", "i2sb", "edm", "custom")
+SCHEDULE_KINDS = ("linear", "trig", "ddbm_ve", "ddbm_vp", "i2sb", "edm")
 EPSILON_KINDS = ("zero", "eta_scaled", "i2sb_markovian", "constant")
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """A named kernel family plus its parameters.
+    """One of the six named kernel families (SCHEDULE_KINDS) plus its parameters.
 
     Fields irrelevant to a kind are ignored by it.  gamma_multiplier scales
     the linear-family gamma: the default 0.5 gives gamma = (gamma_max/2)
@@ -41,11 +41,6 @@ class Schedule:
     b(tau) on [0, T]: values[j] holds on [breakpoints[j], breakpoints[j+1]).
     sigma_t^2 is its exact running integral.  Both are stored as tuples of
     floats, so a schedule hashes and compares by value.
-
-    Custom schedules supply alpha_fn/beta_fn/gamma_fn callables; their
-    derivatives come from central differences with step fd_step, and every
-    evaluation records a warning since the derivative-consistency guarantee
-    does not apply.
     """
 
     kind: str
@@ -56,16 +51,11 @@ class Schedule:
     beta_min: float = 0.1
     i2sb_breakpoints: tuple[float, ...] = (0.0, 1.0)
     i2sb_values: tuple[float, ...] = (1.0,)
-    alpha_fn: Callable[[float], float] | None = None
-    beta_fn: Callable[[float], float] | None = None
-    gamma_fn: Callable[[float], float] | None = None
-    fd_step: float = 1e-6
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        for name in ("gamma_max", "gamma_multiplier", "gamma_scale", "beta_d", "beta_min",
-                     "fd_step"):
+        for name in ("gamma_max", "gamma_multiplier", "gamma_scale", "beta_d", "beta_min"):
             val = getattr(self, name)
             if not _rng.is_finite_real(val):
                 raise ValueError(f"{name} must be finite and real, got {val!r}")
@@ -107,11 +97,6 @@ class Schedule:
                 raise ValueError("i2sb breakpoints must be strictly increasing")
             if any(v <= 0 for v in vals):
                 raise ValueError("i2sb noise-rate values must be positive")
-        if self.kind == "custom":
-            if not (self.alpha_fn and self.beta_fn and self.gamma_fn):
-                raise ValueError("custom schedules need alpha_fn, beta_fn, gamma_fn")
-            if self.fd_step <= 0:
-                raise ValueError(f"fd_step must be positive, got {self.fd_step}")
 
 
 class ScheduleEval(NamedTuple):
@@ -280,22 +265,8 @@ def _kernel(sched: Schedule, t, one):
             1.0 - frac, frac, gamma, -rate / u_T, rate / u_T, d_gamma_sq / (2.0 * gamma), d_gamma_sq
         )
 
-    if sched.kind == "edm":
-        return 1.0 * one, 0.0 * one, t, 0.0 * one, 0.0 * one, 1.0 * one, 2.0 * t
-
-    # custom: the callables take one scalar t; derivatives are central
-    # differences, one-sided where the step would leave [0, T].
-    def call(fn, x):
-        return np.reshape([float(fn(float(v))) for v in np.ravel(x)], np.shape(x))
-
-    fns = (sched.alpha_fn, sched.beta_fn, sched.gamma_fn)
-    lo, hi = np.maximum(t - sched.fd_step, 0.0), np.minimum(t + sched.fd_step, T_HORIZON)
-    (a_lo, b_lo, g_lo), (a_hi, b_hi, g_hi) = ([call(fn, x) for fn in fns] for x in (lo, hi))
-    span = hi - lo
-    return (
-        *(call(fn, t) for fn in fns), (a_hi - a_lo) / span, (b_hi - b_lo) / span,
-        (g_hi - g_lo) / span, (g_hi * g_hi - g_lo * g_lo) / span,
-    )
+    # edm
+    return 1.0 * one, 0.0 * one, t, 0.0 * one, 0.0 * one, 1.0 * one, 2.0 * t
 
 
 def _eval_full(sched: Schedule, t) -> ScheduleEval:
@@ -303,12 +274,6 @@ def _eval_full(sched: Schedule, t) -> ScheduleEval:
     at = _first_where((t < 0.0) | (t > T_HORIZON) | (t != t), t)
     if at:
         raise ValueError(f"t = {at[0]} outside [0, {T_HORIZON}]")
-    if sched.kind == "custom":
-        warnings.warn(
-            "custom schedule: derivatives are finite differences, the "
-            "derivative-consistency guarantee does not apply",
-            stacklevel=3,
-        )
     scalar = isinstance(t, float)
     # Square-root-shaped gamma divides by zero at the endpoints: +-inf there.
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1178,8 +1178,6 @@ class TestPrimedPlans:
     SCHEDULES = [Schedule(kind=kind) for kind in ("linear", "trig", "ddbm_ve", "ddbm_vp", "edm")]
     SCHEDULES += [
         Schedule(kind="i2sb", i2sb_breakpoints=(0.0, 0.4, 1.0), i2sb_values=(0.5, 2.0)),
-        Schedule(kind="custom", alpha_fn=lambda t: 1.0 - t * t, beta_fn=lambda t: t * t,
-                 gamma_fn=lambda t: 0.1 * t * (1.0 - t)),
     ]
     TIMES = np.asarray(make_time_grid(12).points[:-1])
 
@@ -1189,7 +1187,6 @@ class TestPrimedPlans:
             return _random_joint(d, d)
         return GmmCoupling((0.2, 0.3, 0.5), tuple(_random_joint(d, 10 * d + j) for j in range(3)))
 
-    @pytest.mark.filterwarnings("ignore:custom schedule")
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["joint", "mixture"])
     @pytest.mark.parametrize("sched", SCHEDULES, ids=lambda s: s.kind)
@@ -1362,12 +1359,6 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_denoiser(path)
 
-    def test_custom_schedule_not_serializable(self):
-        den = dataclasses.replace(self._tiny_mlp(), sched=Schedule(
-            kind="custom",
-            alpha_fn=lambda t: 1 - t,
-            beta_fn=lambda t: t,
-            gamma_fn=lambda t: 0.1,
-        ))
-        with pytest.raises(ValueError, match="not serializable"):
-            denoiser_to_bytes(den)
+    def test_header_schedule_keys_are_the_schedule_fields(self):
+        header = json.loads(denoiser_to_bytes(self._tiny_mlp()).split(b"\n", 1)[0])
+        assert sorted(header["schedule"]) == sorted(f.name for f in dataclasses.fields(Schedule))

@@ -1,13 +1,13 @@
 """Schedule families, bridge coefficients, epsilon policies, time grids."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bridgelab import schedule as schedule_module
 from bridgelab.schedule import (
     T_HORIZON,
     EpsilonPolicy,
@@ -33,15 +33,6 @@ PINNED_KINDS = [
 ]
 
 INTERIOR = np.linspace(0.01, 0.99, 99)
-
-
-def _custom_quadratic() -> Schedule:
-    return Schedule(
-        kind="custom",
-        alpha_fn=lambda t: 1.0 - t * t,
-        beta_fn=lambda t: t * t,
-        gamma_fn=lambda t: 0.1 * t * (1.0 - t),
-    )
 
 
 class TestEndpoints:
@@ -110,10 +101,8 @@ class TestEvalExamples:
             ({"kind": "trig", "gamma_scale": -0.5}, "gamma_scale must be positive"),
             ({"kind": "i2sb", "i2sb_breakpoints": (0.0, 0.5, 1.0), "i2sb_values": (1.0, 0.0)},
              "i2sb noise-rate values must be positive"),
-            ({"kind": "custom", "alpha_fn": abs, "beta_fn": abs, "gamma_fn": abs, "fd_step": 0.0},
-             "fd_step must be positive"),
         ],
-        ids=["gamma-multiplier", "gamma-scale", "i2sb-value", "fd-step"],
+        ids=["gamma-multiplier", "gamma-scale", "i2sb-value"],
     )
     def test_non_positive_parameters_name_the_field(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -137,7 +126,7 @@ class TestEvalExamples:
         with pytest.raises(ValueError, match="i2sb breakpoints and values must be finite"):
             Schedule(kind="i2sb", i2sb_breakpoints=(0.0, bad, 1.0), i2sb_values=(1.0, 1.0))
 
-    @pytest.mark.parametrize("key", ["gamma_max", "gamma_multiplier", "fd_step"])
+    @pytest.mark.parametrize("key", ["gamma_max", "gamma_multiplier"])
     def test_bool_parameters_rejected(self, key):
         with pytest.raises(ValueError, match=f"{key} must be finite and real, got True"):
             Schedule(kind="linear", **{key: True})
@@ -238,19 +227,18 @@ class TestEpsilonPolicy:
         got = epsilon(policy, sched, 0.5, 0.25)
         np.testing.assert_allclose(got, 9.765625e-4, rtol=0, atol=1e-18)
 
-    def test_i2sb_markovian_negative_is_an_error(self):
-        """gamma growing faster than beta makes the matched variance negative."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            sched = Schedule(
-                kind="custom",
-                alpha_fn=lambda t: 1.0 - t,
-                beta_fn=lambda t: t,
-                gamma_fn=lambda t: t * t,
-            )
-            policy = EpsilonPolicy(kind="i2sb_markovian", tail_zero_steps=0)
-            with pytest.raises(ValueError, match="negative"):
-                epsilon(policy, sched, 0.5, 0.1)
+    def test_i2sb_markovian_negative_is_an_error(self, monkeypatch):
+        """gamma growing faster than beta makes the matched variance negative.
+
+        No named kind does that, so the kernel is patched to beta = t, gamma = t^2.
+        """
+        def kernel(sched, t, one):
+            return 1.0 - t, t, t * t, -one, 1.0 * one, 2.0 * one, 4.0 * t * t * t
+
+        monkeypatch.setattr(schedule_module, "_kernel", kernel)
+        policy = EpsilonPolicy(kind="i2sb_markovian", tail_zero_steps=0)
+        with pytest.raises(ValueError, match="negative"):
+            epsilon(policy, Schedule(kind="linear"), 0.5, 0.1)
 
     @pytest.mark.parametrize("kind", ["zero", "eta_scaled", "constant", "i2sb_markovian"])
     def test_negative_dt_is_an_error(self, kind):
@@ -410,21 +398,7 @@ class TestReformulations:
         assert verify_reformulation(Schedule(kind="ddbm_ve"), grid) <= 1e-10
 
 
-class TestCustomSchedule:
-    def test_warns_and_uses_finite_differences(self):
-        sched = _custom_quadratic()
-        with pytest.warns(UserWarning, match="finite differences"):
-            ev = eval_schedule(sched, 0.4)
-        np.testing.assert_allclose(ev.alpha, 1.0 - 0.16, rtol=1e-15)
-        np.testing.assert_allclose(ev.d_alpha, -0.8, rtol=0, atol=1e-8)
-        np.testing.assert_allclose(ev.d_beta, 0.8, rtol=0, atol=1e-8)
-
-    def test_requires_all_three_callables(self):
-        with pytest.raises(ValueError):
-            Schedule(kind="custom", alpha_fn=lambda t: 1.0 - t)
-
-
-ARRAY_KINDS = PINNED_KINDS + [Schedule(kind="edm"), _custom_quadratic()]
+ARRAY_KINDS = PINNED_KINDS + [Schedule(kind="edm")]
 # Both endpoints, a time next to 0, the interior and the multi-segment i2sb breakpoints.
 T_ARRAY = np.concatenate([[0.0, 1.0, 0.3, 0.7, 1e-9], INTERIOR])
 
@@ -438,20 +412,16 @@ def _fields_equal(got, want_rows, shape):
 class TestArrayEvaluation:
     @pytest.mark.parametrize("sched", ARRAY_KINDS, ids=lambda s: s.kind)
     def test_eval_schedule_on_an_array_equals_the_float_calls(self, sched):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            got = eval_schedule(sched, T_ARRAY.reshape(2, -1))
-            rows = [eval_schedule(sched, float(t)) for t in T_ARRAY]
+        got = eval_schedule(sched, T_ARRAY.reshape(2, -1))
+        rows = [eval_schedule(sched, float(t)) for t in T_ARRAY]
         _fields_equal(got, rows, (2, T_ARRAY.size // 2))
         assert all(type(v) is float for row in rows for v in row)
 
     @pytest.mark.parametrize("sched", ARRAY_KINDS, ids=lambda s: s.kind)
     def test_bridge_coefficients_on_an_array_equal_the_float_calls(self, sched):
         ts = T_ARRAY[T_ARRAY < 1.0]  # alpha(T) = 0 is singular
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            got = bridge_coefficients(sched, ts)
-            rows = [bridge_coefficients(sched, float(t)) for t in ts]
+        got = bridge_coefficients(sched, ts)
+        rows = [bridge_coefficients(sched, float(t)) for t in ts]
         _fields_equal(got, rows, ts.shape)
         assert all(type(v) is float for row in rows for v in row)
 
