@@ -233,7 +233,7 @@ class TestEpsilonPolicy:
         No named kind does that, so the kernel is patched to beta = t, gamma = t^2.
         """
         def kernel(sched, t, one):
-            return 1.0 - t, t, t * t, -one, 1.0 * one, 2.0 * one, 4.0 * t * t * t
+            return 1.0 - t, t, t * t, -one, 1.0 * one, 2.0 * t, 4.0 * t * t * t
 
         monkeypatch.setattr(schedule_module, "_kernel", kernel)
         policy = EpsilonPolicy(kind="i2sb_markovian", tail_zero_steps=0)
