@@ -195,6 +195,18 @@ class TestVerifySchedule:
         verify = _read_json(out, "verify.json")
         assert verify["passed"] is True and verify["derivative_deviation"] <= 1e-4
 
+    @pytest.mark.parametrize("kind", [kind for kind in SCHEDULE_KINDS if kind != "edm"])
+    def test_every_pinned_kind_passes_with_its_analytic_derivatives(self, kind, tmp_path):
+        """Each pinned kind's defaults pass every check on the default grid: its analytic
+        derivatives agree with central differences, with no finite-difference fallback."""
+        cfg = _write_config(tmp_path, "c.json", {"schedule": {"kind": kind}, "grid": {"n_steps": 16}})
+        out = tmp_path / "out"
+        assert _run("verify-schedule", cfg, out) == 0
+        verify = _read_json(out, "verify.json")
+        assert verify["passed"] is True and verify["failures"] == []
+        assert verify["schedule_kind"] == kind
+        assert verify["derivative_deviation"] <= 1e-4 and verify["endpoint_deviation"] <= 1e-9
+
     def test_manifest_echoes_config_without_out(self, tmp_path):
         cfg_dict = {**self.CONFIG, "out": "ignored-dir"}
         cfg = _write_config(tmp_path, "c.json", cfg_dict)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bridgelab import schedule as schedule_module
 from bridgelab.schedule import (
+    SCHEDULE_KINDS,
     T_HORIZON,
     EpsilonPolicy,
     Schedule,
@@ -101,8 +102,13 @@ class TestEvalExamples:
             ({"kind": "trig", "gamma_scale": -0.5}, "gamma_scale must be positive"),
             ({"kind": "i2sb", "i2sb_breakpoints": (0.0, 0.5, 1.0), "i2sb_values": (1.0, 0.0)},
              "i2sb noise-rate values must be positive"),
+            ({"kind": "linear", "gamma_max": 0.0}, r"gamma_max must be positive, got 0\.0"),
+            ({"kind": "ddbm_vp", "beta_d": 0.0},
+             r"ddbm_vp needs positive beta_d, beta_min; got \(0\.0, 0\.1\)"),
+            ({"kind": "ddbm_vp", "beta_min": -0.1},
+             r"ddbm_vp needs positive beta_d, beta_min; got \(2\.0, -0\.1\)"),
         ],
-        ids=["gamma-multiplier", "gamma-scale", "i2sb-value"],
+        ids=["gamma-multiplier", "gamma-scale", "i2sb-value", "gamma-max", "beta-d", "beta-min"],
     )
     def test_non_positive_parameters_name_the_field(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -126,10 +132,32 @@ class TestEvalExamples:
         with pytest.raises(ValueError, match="i2sb breakpoints and values must be finite"):
             Schedule(kind="i2sb", i2sb_breakpoints=(0.0, bad, 1.0), i2sb_values=(1.0, 1.0))
 
-    @pytest.mark.parametrize("key", ["gamma_max", "gamma_multiplier"])
+    @pytest.mark.parametrize(
+        "key", ["gamma_max", "gamma_multiplier", "gamma_scale", "beta_d", "beta_min"]
+    )
     def test_bool_parameters_rejected(self, key):
         with pytest.raises(ValueError, match=f"{key} must be finite and real, got True"):
             Schedule(kind="linear", **{key: True})
+
+    @pytest.mark.parametrize(
+        "breakpoints, values, match",
+        [
+            ((0.0, 0.5, 1.0), (1.0,), r"len\(breakpoints\) == len\(values\) \+ 1, got 3 and 1"),
+            ((0.1, 1.0), (1.0,), "must start at 0 and end at T = 1"),
+            ((0.0, 0.9), (1.0,), "must start at 0 and end at T = 1"),
+            ((0.0, 0.5, 0.5, 1.0), (1.0, 1.0, 1.0), "must be strictly increasing"),
+        ],
+        ids=["length", "start", "end", "repeat"],
+    )
+    def test_i2sb_breakpoint_errors_name_the_rule(self, breakpoints, values, match):
+        with pytest.raises(ValueError, match=match):
+            Schedule(kind="i2sb", i2sb_breakpoints=breakpoints, i2sb_values=values)
+
+    def test_custom_is_an_unknown_kind(self):
+        """Every kind is a named family with analytic derivatives; none takes callables."""
+        assert "custom" not in SCHEDULE_KINDS
+        with pytest.raises(ValueError, match="unknown schedule kind 'custom'"):
+            Schedule(kind="custom")
 
     @pytest.mark.parametrize(
         "field, kw",
