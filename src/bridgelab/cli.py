@@ -31,6 +31,7 @@ from .denoiser import (
     JointGaussian,
     MlpHyper,
     Preconditioner,
+    _PREC_FIELDS,
     denoiser_to_bytes,
     load_denoiser,
     sample_condition,
@@ -282,11 +283,8 @@ def _parse_sampling(cfg: dict, seed: int):
 
 
 _BLOCK_ROWS = 4096
-# Below this many rows a table takes the template: the array path's fixed cost, about
-# 0.1 ms per float column, is more than the template's 0.4 us per float.
-_ARRAY_MIN_ROWS = 256
 # "%.17g" prints |v| in [_FIXED_LO, _FIXED_HI) in fixed notation; those floats are encoded
-# by array arithmetic, every other float by the template itself.
+# by array arithmetic, every other float by "%.17g" itself.
 _FIXED_LO, _FIXED_HI = 1e-4, 1e17
 _NONZERO_BIT = 0x7F7F7F7F7F7F7F7F  # added to raw digit bytes, sets bit 7 of each nonzero one
 _BIT7 = 0x8080808080808080
@@ -408,7 +406,7 @@ def _put_floats(x: np.ndarray, dst: np.ndarray) -> None:
     """Writes each value's "%.17g" text, NUL-padded, into the rows of dst, (n, 24) uint8.
 
     The digits of the exact cells are placed by a layout table; every other cell is
-    formatted by the template itself.
+    formatted by "%.17g" itself.
     """
     e, d, ok = _significand(x)
     g = np.empty((2, len(x)), np.uint64)
@@ -427,7 +425,7 @@ def _put_floats(x: np.ndarray, dst: np.ndarray) -> None:
     top[1] += 9
     nd = np.where(d != 0, 17, np.maximum(top[0], top[1]))
 
-    # mode="clip": a cell left to the template may index past the table.  Two gathers of
+    # mode="clip": a cell left to "%.17g" may index past the table.  Two gathers of
     # three rows each keep every temporary at 3 words per cell.
     layout = e * 17 + nd - 1
     keep0, keep1, s = _LAYOUTS[:3].take(layout, axis=1, mode="clip")
@@ -481,44 +479,38 @@ def _put_ints(v: np.ndarray, dst: np.ndarray) -> None:
     dst[:, 1:].view(np.uint64)[:] = g.T
 
 
-def _template_blocks(columns: list[np.ndarray]):
-    """The rows of the template, "%.17g" for floats and "%s" for the rest, a block at a time."""
-    template = ",".join("%.17g" if col.dtype.kind == "f" else "%s" for col in columns) + "\n"
-    k = len(columns)
-    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = [col[lo : lo + _BLOCK_ROWS].tolist() for col in columns]
-        cells = [None] * (k * len(block[0]))  # the block's values in row order
-        for j, values in enumerate(block):
-            cells[j::k] = values
-        yield (template * len(block[0]) % tuple(cells)).encode()
+def _put_labels(v: np.ndarray, dst: np.ndarray) -> None:
+    """Writes each label's UTF-8 bytes, NUL-padded, into the rows of dst, (n, width) uint8."""
+    dst[:] = v.view(np.uint8).reshape(dst.shape)
 
 
 def _csv_blocks(header: list[str], columns):
     """CSV of equal-length columns: floats to 17 significant digits, integers and labels as is.
 
     Yields the encoded header, then the encoded rows a block at a time, so neither a text
-    nor a byte copy of the table is held.  The bytes are those of the template.  A numeric
-    table of _ARRAY_MIN_ROWS rows or more has each block's cells written NUL-padded into
-    fixed slots of one row buffer, each followed by its "," or newline, and the NULs dropped.
+    nor a byte copy of the table is held.  The bytes are those of "%.17g" for floats and
+    "%s" for the rest.  Every table, of any row count, has each block's cells written
+    NUL-padded into fixed slots of one row buffer, each followed by its "," or newline,
+    and the NULs dropped.
     """
     columns = [np.asarray(col) for col in columns]
     yield (",".join(header) + "\n").encode()
     n = len(columns[0])
-    if n < _ARRAY_MIN_ROWS or any(col.dtype.kind not in "fiu" for col in columns):
-        yield from _template_blocks(columns)
-        return
     fields = []  # (writer, column, slot width)
     for col in columns:
         if col.dtype.kind == "f":
             fields.append((_put_floats, col.astype(np.float64, copy=False), _FLOAT_TEXT))
-        else:
+        elif col.dtype.kind in "iu":
             col = col.astype(np.int64 if col.dtype.kind == "i" else np.uint64, copy=False)
-            digits = len(str(max(-int(col.min()), int(col.max()))))
+            digits = len(str(max(-int(col.min(initial=0)), int(col.max(initial=0)))))
             fields.append((_put_ints, col, 1 + 8 * -(-digits // 8)))
+        else:
+            col = np.char.encode(col.astype(str, copy=False), "utf-8")
+            fields.append((_put_labels, col, col.itemsize))
     rows = min(n, _BLOCK_ROWS)
     starts = np.cumsum([0] + [width + 1 for _, _, width in fields])
     row_buffer = bytearray(rows * int(starts[-1]))
-    buf = np.frombuffer(row_buffer, np.uint8).reshape(rows, -1)
+    buf = np.frombuffer(row_buffer, np.uint8).reshape(rows, int(starts[-1]))
     buf[:, starts[1:] - 1] = np.frombuffer(b"," * (len(fields) - 1) + b"\n", np.uint8)
     for lo in range(0, n, _BLOCK_ROWS):
         m = min(n - lo, rows)
@@ -736,7 +728,7 @@ def _run_train_denoiser(sched, task, hyper, prec, seed: int, threads: int):
             {
                 "final_running_loss": running,
                 "test_mse_vs_analytic": test_mse,
-                "prec": {"sigma0": prec.sigma0, "sigmaT": prec.sigmaT, "sigma0T": prec.sigma0T},
+                "prec": {key: getattr(prec, key) for key in _PREC_FIELDS},
                 "iters": hyper.iters,
             }
         ),

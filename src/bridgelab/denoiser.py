@@ -267,17 +267,12 @@ def _times_rows(x: np.ndarray, m: np.ndarray, out: Optional[np.ndarray] = None) 
     """x @ m for one (d, w) matrix, or row i of x times m[i] for an (n, d, w)
     stack.
 
-    numpy multiplies a single row by a matrix-vector kernel whose summation
-    order depends on m's memory layout, so one row uses m as the plan built
-    it.  Two or more rows go to a matrix-matrix kernel, whose bits do not
-    depend on the layout and which multiplies a C-contiguous m fastest; out,
-    an (n, w) C-contiguous array, then receives the product.  A single row
-    or a stack ignores out.
+    Any number of rows multiplies a C-contiguous copy of m, so the bits do
+    not depend on the layout m was built in; out, an (n, w) C-contiguous
+    array, receives the product.  A stack ignores out.
     """
     if m.ndim == 3:
         return (x[:, None, :] @ m)[:, 0]
-    if x.shape[0] == 1:
-        return x @ m
     return np.matmul(x, np.ascontiguousarray(m), out=out)
 
 
@@ -307,12 +302,12 @@ def _posterior_mean(
     Every elementwise pass runs along the n rows, as numpy loops over a short
     last axis many times slower.  A Gaussian adds the offset c one column at
     a time; a mixture works on u^T, one row per plan column, and sums each
-    component's squares and means in index order.  Each pass adds and
-    multiplies in the order of the expressions it replaces, so the bits are
-    theirs: u = x_t X + xT Y + c, and for one row numpy's own kernels for the
-    sums over components.  A mixture row whose quadratic form is not finite
-    raises ValueError.  A mixture keeps its temporaries in scratch (see
-    denoise); the result is never one of them.
+    component's squares and means in index order, whatever the row count.
+    Each pass adds and multiplies in the order of the expressions it
+    replaces, so the bits are theirs: u = x_t X + xT Y + c.  A mixture row
+    whose quadratic form is not finite raises ValueError.  A mixture keeps
+    its temporaries in scratch (see denoise); the result is never one of
+    them.
     """
     n, d = x_t.shape
     if plan.log_norm is None:
@@ -337,15 +332,12 @@ def _posterior_mean(
             np.copyto(u, rows.T)
         u += _along_rows(plan.c)
         sq = np.square(u[k * d :], out=_buffer(scratch, "mix_sq", (2 * k * d, n)))
-        if n == 1:  # a matrix-vector product, which sums in its own order
-            log_resp = np.tile(np.repeat(np.eye(k), d, axis=0), (2, 1)).T @ sq
-        else:
-            # (k, n) views of the whitened residuals' squares, x_t | xT then xT, by dimension
-            terms = [half[:, j] for half in sq.reshape(2, k, d, n) for j in range(d)]
-            log_resp = _buffer(scratch, "mix_resp", (k, n))
-            np.copyto(log_resp, terms[0])
-            for term in terms[1:]:
-                log_resp += term
+        # (k, n) views of the whitened residuals' squares, x_t | xT then xT, by dimension
+        terms = [half[:, j] for half in sq.reshape(2, k, d, n) for j in range(d)]
+        log_resp = _buffer(scratch, "mix_resp", (k, n))
+        np.copyto(log_resp, terms[0])
+        for term in terms[1:]:
+            log_resp += term
     if not log_resp.max(initial=-math.inf) < math.inf:
         row = np.flatnonzero(~np.all(np.isfinite(log_resp), axis=0))[0]
         raise ValueError(f"the mixture quadratic form of row {row} of {n} is not finite")
@@ -355,8 +347,6 @@ def _posterior_mean(
     log_resp -= np.max(log_resp, axis=0, out=by_row)
     resp = np.exp(log_resp, out=log_resp)
     resp /= np.sum(resp, axis=0, out=by_row)
-    if n == 1:
-        return np.einsum("kn,nkd->nd", resp, u[: k * d].reshape(n, k, d))
     means = u[: k * d].reshape(k, d, n)
     weighted = other[:d]
     out = np.empty((n, d))
@@ -400,7 +390,7 @@ class Preconditioner:
     sigma0T: float = 0.125
 
     def __post_init__(self):
-        for name in ("sigma0", "sigmaT", "sigma0T"):
+        for name in _PREC_FIELDS:
             val = getattr(self, name)
             if not _rng.is_finite_real(val) or (val <= 0 and name != "sigma0T"):
                 raise ValueError(f"prec.{name} must be finite (sigma0, sigmaT: > 0), got {val!r}")
@@ -416,6 +406,9 @@ class Preconditioner:
         cT = x_T - x_T.mean(axis=0)
         cov = float(np.mean(np.sum(c0 * cT, axis=0) / (x_0.shape[0] - 1)))
         return cls(math.sqrt(var0), math.sqrt(varT), cov)
+
+
+_PREC_FIELDS = tuple(f.name for f in fields(Preconditioner))
 
 
 def precondition(prec: Preconditioner, sched: Schedule, t):
@@ -711,7 +704,8 @@ class AnalyticDenoiser:
     t), and both task kinds are frozen.  Chunks racing under --threads store
     equal values, so the cache needs no lock.  Errors raise before anything
     is stored, so they fire on every call.  _prime_plans fills the cache for
-    all of a run's step times at once.
+    all of a run's step times at once, with views of one array-t plan; no
+    output bit depends on a cached plan's memory layout (see _times_rows).
     """
 
     dist: AnalyticTask
@@ -733,11 +727,11 @@ def _prime_plans(den: Denoiser, times: np.ndarray) -> None:
     """Caches an AnalyticDenoiser's plans at every float t in times from one
     array-t _plan call, instead of one float-t call per time.
 
-    Row i of each array-t field holds the values and the memory layout of a
-    float-t plan at times[i]; log_norm's column is copied to the (k, 1)
-    C-contiguous array that a float t builds.  Times already cached keep
-    their plans.  Any other denoiser, and an array call that raises, primes
-    nothing: the first float-t call at a bad time then raises its own error.
+    Row i of each array-t field, and column i of log_norm as a (k, 1) view,
+    hold the values of a float-t plan at times[i]; no output bit depends on
+    a plan's memory layout.  Times already cached keep their plans.  Any
+    other denoiser, and an array call that raises, primes nothing: the
+    first float-t call at a bad time then raises its own error.
     """
     if not isinstance(den, AnalyticDenoiser):
         return
@@ -748,9 +742,8 @@ def _prime_plans(den: Denoiser, times: np.ndarray) -> None:
         plans = _plan(den.dist, den.sched, times)
     except ValueError:  # raised again, at its step, by that time's float-t call
         return
-    log_norms = None if plans.log_norm is None else np.ascontiguousarray(plans.log_norm.T)
     for i, t in enumerate(keys):
-        log_norm = None if log_norms is None else log_norms[i].reshape(-1, 1)
+        log_norm = None if plans.log_norm is None else plans.log_norm[:, i : i + 1]
         den._plans.setdefault(t, _Plan(plans.X[i], plans.Y[i], plans.c[i], log_norm))
 
 
@@ -825,7 +818,6 @@ def test_mse_vs_analytic(
 
 
 _SCHEDULE_FIELDS = tuple(f.name for f in fields(Schedule))
-_PREC_FIELDS = ("sigma0", "sigmaT", "sigma0T")
 
 
 def _schedule_to_config(sched: Schedule) -> dict:

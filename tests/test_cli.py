@@ -263,9 +263,8 @@ class TestConfigErrors:
         assert not out.exists()
         assert "reformulation: unknown key(s)" in capsys.readouterr().err
 
-    def test_schedule_spec_has_every_kind_but_custom(self):
-        assert tuple(cli._SPECS["schedule"]["kind"]) == tuple(
-            kind for kind in SCHEDULE_KINDS if kind != "custom")
+    def test_schedule_spec_has_every_kind(self):
+        assert tuple(cli._SPECS["schedule"]["kind"]) == SCHEDULE_KINDS
 
     def test_missing_config_file_exits_1(self, tmp_path):
         assert _run("verify-schedule", str(tmp_path / "nope.json"), tmp_path / "out") == 1
@@ -332,11 +331,14 @@ class TestConfigErrors:
         assert main(["verify-schedule", "--config", cfg, "--out", str(out)]) == 0
         assert _read_json(out, "manifest.json")["seed"] == 3
 
-    def test_custom_schedule_has_no_config_form(self, tmp_path):
+    def test_unknown_schedule_kind_exits_1_naming_the_key(self, tmp_path, capsys):
         cfg = _write_config(
             tmp_path, "c.json", {"schedule": {"kind": "custom"}, "grid": {"n_steps": 4}}
         )
-        assert _run("verify-schedule", cfg, tmp_path / "out") == 1
+        out = tmp_path / "out"
+        assert _run("verify-schedule", cfg, out) == 1
+        assert not out.exists()
+        assert "schedule.kind: 'custom' is not one of" in capsys.readouterr().err
 
     def test_non_psd_task_exits_1_without_artifacts(self, tmp_path):
         bad_task = {**TASK_1D, "cov00": [[0.04]]}
@@ -613,21 +615,12 @@ def _ulps(x: float) -> list[float]:
     return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
 
 
-ARRAY_MIN_ROWS = cli._ARRAY_MIN_ROWS
-
-
 class TestCsvEncoder:
-    """The encoder against format(v, ".17g") and str(v), cell by cell.  Tables shorter than
-    cli._ARRAY_MIN_ROWS, and tables with a label column, take the template; these tests lower
-    the row count to 1 so that the array path encodes every numeric table of at least one
-    row; one test restores the default."""
+    """The encoder against format(v, ".17g") and str(v), cell by cell.  Every table, of any
+    row count and with or without a label column, takes the same slot writers."""
 
-    @pytest.fixture(autouse=True)
-    def _array_path_from_one_row(self, monkeypatch):
-        monkeypatch.setattr(cli, "_ARRAY_MIN_ROWS", 1)
-
-    # Each side of the fixed-notation bounds, the template's values (zeros, subnormals, nan,
-    # inf, large and tiny), ties, and fast-path values with trailing zeros or a long prefix.
+    # Each side of the fixed-notation bounds, the values "%.17g" formats itself (zeros,
+    # subnormals, nan, inf, large and tiny), ties, and fast-path values with trailing zeros or a long prefix.
     EDGES = [
         -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 1 / 3, 1e-7, 0.1, -2.5e-300,
         *_ulps(cli._FIXED_LO), *_ulps(-cli._FIXED_HI), 1.0, -1.0, 1e15 + 0.625, 123456.5,
@@ -708,15 +701,13 @@ class TestCsvEncoder:
         self._assert_matches(values, [7, -7, 0, 1, 99999999, 100000000, -100000000, 12, 3])
         self._assert_matches(np.array([2**64 - 1, 0, 10**19], dtype=np.uint64))
 
-    def test_a_table_with_labels_takes_the_template(self, monkeypatch):
-        monkeypatch.setattr(cli, "_put_floats", None)  # the array path would call it
+    def test_labels_of_every_width_and_multi_byte_characters(self):
         self._assert_matches(["a|b", "", "\u00e9\u00e8\u20ac", "x" * 40], [1.5, 2.5, 3.5, 4.5])
 
-    @pytest.mark.parametrize("n", [1, ARRAY_MIN_ROWS - 1, ARRAY_MIN_ROWS])
-    def test_either_side_of_the_default_array_min_rows(self, monkeypatch, n):
-        monkeypatch.setattr(cli, "_ARRAY_MIN_ROWS", ARRAY_MIN_ROWS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_tables_of_a_few_rows(self, n):
         edges = (self.EDGES * (n // len(self.EDGES) + 1))[:n]
-        self._assert_matches(list(range(n)), edges)
+        self._assert_matches(list(range(n)), edges, [f"p{i}" for i in range(n)])
 
     def test_random_bit_patterns(self):
         """2e5 float64 bit patterns, seeded: every exponent, half of them negative."""
@@ -884,10 +875,11 @@ class TestSample:
 
 
     # sha256 of each artifact, computed before the posterior mean ran along the
-    # rows; 4097 rows leave a last chunk of one row.
+    # rows; 4097 rows leave a last chunk of one row.  The gaussian-2d sample.csv
+    # digest was restated when one row took the same matrix product as n rows.
     PINS_4097_ROWS = {
         "gaussian-2d": (TASK_2D_FULL, {
-            "sample.csv": "655be76f2dcecc5078ab7024ce6b731a5c94d4d9bffbed47903db6ad8c22a0b4",
+            "sample.csv": "616ef57984ebec16db32515bda6cb94855c94e3275f8facc148632622c21834e",
             "moments.json": "b40b8352d5fc763dd2aaef1ea85806b79c8bd1fc39cd5c0d62305f11e8a15dcd",
             "diagnostics.json": "9f275d7b59c423d86ea7dd4a1c7d7df0e44bd9f8871d12c656d7e3b968234924",
         }),
@@ -916,10 +908,11 @@ class TestSample:
     # sha256 of each artifact, computed while every eta = 0 step still drew
     # its normals and multiplied them by zero, and each step time's plan was
     # built by the first chunk to reach it.  CHUNK_ROWS + 1 rows leave a last
-    # chunk of one row, which takes the plan's memory layout as built.
+    # chunk of one row.  The gaussian-2d sample.csv digest was restated when one
+    # row took the same matrix product as n rows.
     PINS_ETA0 = {
         "gaussian-2d": (TASK_2D_FULL, {
-            "sample.csv": "cd732546d8bb37f1356f96b9cedc02942de1ba19b8e2b29a1e53b1607adc004b",
+            "sample.csv": "3a5d2ea599d6f463a9f4d0cb43725a45d62a97b935611d98fbc08699ce572361",
             "moments.json": "4b9f88819d9a3eadbde7ec431d19b5fd5b5f62d4b70a5f8832559cf3519ddc50",
             "diagnostics.json": "e6e01fff68c17e18cbb2772ec57332b604d570037d67da9caba2b8b9ce280623",
         }),

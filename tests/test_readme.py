@@ -83,6 +83,6 @@ def test_metrics_paragraphs_state_the_tile_constants():
 def test_artifact_paragraph_states_the_encoder_sizes_and_fixed_notation_bounds():
     paragraph = "Artifacts are encoded" + _readme_section("CLI usage").split(
         "Artifacts are encoded", 1)[1].split("\n\n", 1)[0]
-    assert _row_counts(paragraph) == {cli._BLOCK_ROWS, cli._ARRAY_MIN_ROWS}
+    assert _row_counts(paragraph) == {cli._BLOCK_ROWS}
     bounds = {float(x) for x in re.findall(r"\b\d+e-?\d+\b", paragraph)}
     assert bounds == {cli._FIXED_LO, cli._FIXED_HI}

@@ -481,18 +481,21 @@ class TestSampleLoop:
         sample(cfg, _den_1d(), xT)
         assert sorted(built) == [(step, chunk) for step in range(2, 6) for chunk in range(2)]
 
-    @pytest.mark.parametrize("dist", [
+    TASKS_2D = pytest.mark.parametrize("dist", [
         _task_2d(), GmmCoupling((0.4, 0.6), (_task_2d(), JointGaussian(
             [-0.6, 0.9], [-0.4, 0.7], [[0.5, -0.1], [-0.1, 0.3]], [[0.6, 0.1], [0.1, 0.9]],
             [[0.2, 0.05], [-0.1, 0.25]]))),
     ], ids=["gaussian-2d", "mixture-2d"])
+    CHUNK_PLUS_ONE = SamplerConfig(
+        schedule=LINEAR, eps_policy=EpsilonPolicy(kind="eta_scaled", eta=0.3),
+        grid=make_time_grid(6), variant="dbim", boot_b=0.25, seed=4,
+    )
+
+    @TASKS_2D
     def test_primed_plans_and_scratch_change_no_bit(self, monkeypatch, dist):
         """Against plans built by each chunk's first call and no scratch, over a
-        full chunk and a one-row chunk, which uses the plan's memory layout."""
-        cfg = SamplerConfig(
-            schedule=LINEAR, eps_policy=EpsilonPolicy(kind="eta_scaled", eta=0.3),
-            grid=make_time_grid(6), variant="dbim", boot_b=0.25, seed=4,
-        )
+        full chunk and a one-row chunk."""
+        cfg = self.CHUNK_PLUS_ONE
         xT = sample_condition(dist, _rng.CHUNK_ROWS + 1, _rng.stream(0, _rng.TAG_TASK))
         got = sample(cfg, AnalyticDenoiser(dist, LINEAR), xT)
         monkeypatch.setattr(sampler_module, "_prime_plans", lambda den, times: None)
@@ -500,6 +503,27 @@ class TestSampleLoop:
             sampler_module, "denoise", lambda den, x, xT, t, scratch: denoise(den, x, xT, t)
         )
         want = sample(cfg, AnalyticDenoiser(dist, LINEAR), xT)
+        assert got.x0_batch.tobytes() == want.x0_batch.tobytes()
+        assert got.x0hat_change.tobytes() == want.x0hat_change.tobytes()
+
+    @pytest.mark.parametrize("layout", [
+        np.asfortranarray, np.ascontiguousarray, lambda a: np.repeat(a, 2, axis=-1)[..., ::2],
+    ], ids=["fortran", "c", "strided"])
+    @TASKS_2D
+    def test_plan_memory_layout_changes_no_bit(self, dist, layout):
+        """With every cached plan's X and Y replaced by copies in another memory
+        layout, a one-row denoise and a sample whose last chunk has one row keep
+        their bits."""
+        xT = sample_condition(dist, _rng.CHUNK_ROWS + 1, _rng.stream(0, _rng.TAG_TASK))
+        den = AnalyticDenoiser(dist, LINEAR)
+        want = sample(self.CHUNK_PLUS_ONE, den, xT)
+        x_t = want.x0_batch[-1:] + 0.5
+        want_rows = {t: denoise(den, x_t, xT[-1:], t) for t in den._plans}
+        for t, plan in den._plans.items():
+            den._plans[t] = plan._replace(X=layout(plan.X), Y=layout(plan.Y))
+        for t, rows in want_rows.items():
+            assert denoise(den, x_t, xT[-1:], t).tobytes() == rows.tobytes(), t
+        got = sample(self.CHUNK_PLUS_ONE, den, xT)
         assert got.x0_batch.tobytes() == want.x0_batch.tobytes()
         assert got.x0hat_change.tobytes() == want.x0hat_change.tobytes()
 
