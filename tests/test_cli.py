@@ -620,7 +620,8 @@ class TestCsvEncoder:
     row count and with or without a label column, takes the same slot writers."""
 
     # Each side of the fixed-notation bounds, the values "%.17g" formats itself (zeros,
-    # subnormals, nan, inf, large and tiny), ties, and fast-path values with trailing zeros or a long prefix.
+    # subnormals, nan, inf, large and tiny), ties, and fast-path values with trailing
+    # zeros or a long prefix.
     EDGES = [
         -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 1 / 3, 1e-7, 0.1, -2.5e-300,
         *_ulps(cli._FIXED_LO), *_ulps(-cli._FIXED_HI), 1.0, -1.0, 1e15 + 0.625, 123456.5,
